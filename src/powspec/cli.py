@@ -501,10 +501,25 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _attach_values(argv: list[str]) -> list[str]:
+    """Rewrite "--params V" and "--at V" as "--params=V" and "--at=V", so
+    that a value starting with "-" (a negative number) is not taken for an
+    option by argparse."""
+    out = []
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok in ("--params", "--at"):
+            value = next(tokens, None)
+            out.append(tok if value is None else f"{tok}={value}")
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else list(argv)))
         if getattr(args, "normalized", None) and args.normalized_at is None:
             raise _UsageError("--normalized needs --at VALUE")
         return args.func(args)
@@ -519,6 +534,14 @@ def main(argv=None) -> int:
         TypeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        spec = _build_spec(args)
+        print(
+            f"error: out of memory for {spec.family.value} n={spec.n}: the dense "
+            f"arrays of a group of order {spec.order} do not fit",
+            file=sys.stderr,
+        )
         return 1
 
 

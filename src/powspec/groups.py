@@ -4,11 +4,19 @@ Families: the cyclic group Z_n (integers with addition mod n), the
 dihedral group D_n of order 2n, and the dicyclic group Q_n of order 4n
 with presentation a^(2n) = e, b^2 = a^n, a*b = b*a^(-1).
 
-Elements live in a fixed normal form (tuples), products reduce by
-rewriting, and the power graph is built directly from generated cyclic
-subgroups: u ~ v iff one lies in the subgroup generated by the other.
-That definitional construction is the ground-truth oracle against which
-the structural (join) route is validated.
+Elements live in a fixed normal form (tuples) and in a fixed order,
+``elements(spec)``.  The group law works on positions in that order, on
+plain ints or on numpy index arrays alike; ``mul`` on tuples encodes its
+operands to positions, applies that law and decodes the result.
+
+The power graph is built directly from generated cyclic subgroups:
+u ~ v iff one lies in the subgroup generated by the other.  The oracle
+steps the powers x, x^2, x^3, ... of all elements together under the
+index-coded law, marks each power in x's row, and drops x once its power
+returns to the identity.  That costs O(sum over x of ord(x)) array work
+and N^2 bytes of boolean memory for a group of order N.  This
+definitional construction is the ground-truth oracle against which the
+structural (join) route is validated.
 """
 
 from __future__ import annotations
@@ -110,6 +118,35 @@ def elements(spec: GroupSpec) -> list:
     return [("a", k) for k in range(2 * n)] + [("b", k) for k in range(2 * n)]
 
 
+def _coset_modulus(spec: GroupSpec) -> int:
+    """Number of elements before the second coset in ``elements(spec)``:
+    index i stands for coset i // m and exponent i % m."""
+    return 2 * spec.n if spec.family is GroupFamily.DICYCLIC else spec.n
+
+
+def _mul_index(spec: GroupSpec, i, j):
+    """Product of the elements at positions i and j of ``elements(spec)``,
+    as a position; i and j may be ints or numpy integer arrays.
+
+    Dihedral: (t, k) is b^t*a^k; a^k*b = b*a^(-k).
+    Dicyclic: (t, k) is a^k*b^t; b*a^k = a^(-k)*b and b^2 = a^n.
+    """
+    n = spec.n
+    if spec.family is GroupFamily.CYCLIC:
+        return (i + j) % n
+    m = _coset_modulus(spec)
+    ti, ki = divmod(i, m)
+    tj, kj = divmod(j, m)
+    if spec.family is GroupFamily.DIHEDRAL:
+        k = ki - 2 * tj * ki + kj
+    else:
+        k = ki + kj - 2 * ti * kj + n * ti * tj
+    return (ti ^ tj) * m + k % m
+
+
+_TAGS = {GroupFamily.DIHEDRAL: ("r", "s"), GroupFamily.DICYCLIC: ("a", "b")}
+
+
 def mul(spec: GroupSpec, x, y):
     """Product x*y reduced to normal form.
 
@@ -117,29 +154,17 @@ def mul(spec: GroupSpec, x, y):
     Dicyclic: ("a", k) is a^k, ("b", k) is a^k*b; b*a^k = a^(-k)*b and
     b^2 = a^n, exponents mod 2n.
     """
-    n = spec.n
     if spec.family is GroupFamily.CYCLIC:
-        return (x + y) % n
-    if spec.family is GroupFamily.DIHEDRAL:
-        tx, kx = x
-        ty, ky = y
-        if tx == "r" and ty == "r":
-            return ("r", (kx + ky) % n)
-        if tx == "r" and ty == "s":
-            return ("s", (ky - kx) % n)
-        if tx == "s" and ty == "r":
-            return ("s", (kx + ky) % n)
-        return ("r", (ky - kx) % n)
-    m = 2 * n
-    tx, kx = x
-    ty, ky = y
-    if tx == "a" and ty == "a":
-        return ("a", (kx + ky) % m)
-    if tx == "a" and ty == "b":
-        return ("b", (kx + ky) % m)
-    if tx == "b" and ty == "a":
-        return ("b", (kx - ky) % m)
-    return ("a", (kx - ky + n) % m)
+        return _mul_index(spec, x, y)
+    tags = _TAGS[spec.family]
+    m = _coset_modulus(spec)
+
+    def encode(z):
+        tag, k = z
+        return tags.index(tag) * m + k % m
+
+    t, k = divmod(_mul_index(spec, encode(x), encode(y)), m)
+    return (tags[t], k)
 
 
 def cyclic_subgroup(spec: GroupSpec, x) -> set:
@@ -156,14 +181,24 @@ def cyclic_subgroup(spec: GroupSpec, x) -> set:
 
 def power_graph_oracle(spec: GroupSpec) -> LabeledGraph:
     """Definitional power graph: u ~ v iff u != v and one of them is a power
-    of the other (membership in the generated cyclic subgroup)."""
+    of the other (membership in the generated cyclic subgroup).
+
+    Row x of the membership matrix marks x, x^2, ... up to the identity,
+    all rows stepped together with the index-coded group law."""
     elts = elements(spec)
-    index = {x: i for i, x in enumerate(elts)}
     size = len(elts)
     member = np.zeros((size, size), dtype=bool)
-    for i, x in enumerate(elts):
-        cols = [index[y] for y in cyclic_subgroup(spec, x)]
-        member[i, cols] = True
+    member[:, 0] = True  # the identity (index 0) is a power of everything
+    flat = member.reshape(-1)
+    base = np.arange(size)
+    row_start = base * size
+    power = base
+    while base.size:
+        flat[row_start + power] = True
+        power = _mul_index(spec, power, base)
+        live = power != 0
+        if not live.all():
+            base, row_start, power = base[live], row_start[live], power[live]
     adj = member | member.T
     np.fill_diagonal(adj, False)
     return LabeledGraph(adj, tuple(elts), identity_index=0)

@@ -123,8 +123,7 @@ def universal_matrix(g: LabeledGraph, p: UniversalParams) -> np.ndarray:
     """Dense symmetric U(g): entry (i,j) = alpha*A_ij + eta off the diagonal,
     beta*deg(i) + gamma + eta on it."""
     alpha, beta, gamma, eta = p.as_floats()
-    a = g.adj.astype(float)
-    u = alpha * a + eta
+    u = np.where(g.adj, alpha * 1.0 + eta, alpha * 0.0 + eta)
     np.fill_diagonal(u, beta * g.degrees().astype(float) + gamma + eta)
     return u
 
@@ -331,7 +330,6 @@ def quotient_matrix(js: JoinStructure, p: UniversalParams) -> QuotientMatrix:
     """kappa_i = alpha*r_i + beta*(r_i + rho_i) + gamma + eta*n_i on the
     diagonal; theta_ij = alpha+eta on template edges, eta elsewhere."""
     blocks = js.blocks
-    t = len(blocks)
     sizes = js.sizes
     kappa = [
         p.alpha * b.regularity
@@ -340,17 +338,19 @@ def quotient_matrix(js: JoinStructure, p: UniversalParams) -> QuotientMatrix:
         + p.eta * b.size
         for b in blocks
     ]
-    sym = np.zeros((t, t))
-    similar = [[0] * t for _ in range(t)]
-    for i in range(t):
-        sym[i, i] = float(kappa[i])
-        similar[i][i] = kappa[i]
-        for j in range(t):
-            if i == j:
-                continue
-            theta = p.alpha + p.eta if js.template.adj[i, j] else p.eta
-            similar[i][j] = theta * sizes[j]
-            sym[i, j] = float(theta) * sqrt(sizes[i] * sizes[j])
+    adj = js.template.adj
+    theta_edge = p.alpha + p.eta
+    n = np.array(sizes, dtype=np.int64)
+    sym = np.where(adj, float(theta_edge), float(p.eta)) * np.sqrt(np.outer(n, n))
+    np.fill_diagonal(sym, [float(k) for k in kappa])
+    edge_col = [theta_edge * size for size in sizes]
+    plain_col = [p.eta * size for size in sizes]
+    similar = [
+        [e if joined else q for joined, e, q in zip(row, edge_col, plain_col)]
+        for row in adj.tolist()
+    ]
+    for i, k in enumerate(kappa):
+        similar[i][i] = k
     return QuotientMatrix(sym, similar, sizes)
 
 

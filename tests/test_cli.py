@@ -235,3 +235,32 @@ def test_preset_and_params_conflict(capsys):
         "--params", "1,0,0,0",
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "head, flag, value",
+    [
+        (("spectrum", "--group", "zn", "--n", "4"), "--params", "-1,1,0,0"),
+        (("spectrum", "--group", "qn", "--n", "3", "--vectors"), "--params", "-1/2,1,-3,2"),
+        (("charpoly", "--group", "zn", "--n", "4", "--normalized"), "--at", "-1/2"),
+        (("charpoly", "--group", "dn", "--n", "5", "--quotient"), "--params", "-2,0,-1,1"),
+    ],
+)
+def test_negative_values_in_both_spellings(capsys, head, flag, value):
+    code_sep, out_sep, _ = run(capsys, *head, flag, value)
+    code_eq, out_eq, _ = run(capsys, *head, f"{flag}={value}")
+    assert code_sep == code_eq == 0
+    assert out_sep == out_eq
+
+
+def test_memory_error_is_one_line_exit_1(capsys, monkeypatch):
+    def no_memory(spec):
+        raise MemoryError
+
+    monkeypatch.setattr("powspec.cli.power_graph_oracle", no_memory)
+    code, out, err = run(capsys, "spectrum", "--group", "zn", "--n", "60000")
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "60000" in lines[0]

@@ -14,6 +14,7 @@ from powspec.groups import (
     mul,
     power_graph_oracle,
 )
+from powspec.groups import _mul_index
 from powspec.numtheory import prime_power
 
 Z = GroupFamily.CYCLIC
@@ -62,6 +63,33 @@ def test_multiplication_relations():
     assert mul(spec, b, b) == ("a", 3)  # b^2 = a^n
     # a*b = b*a^(-1)
     assert mul(spec, a, b) == mul(spec, b, ("a", 5))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 30])
+def test_index_law_relations_on_whole_arrays(n):
+    # a^(order of a) = e, b^2 = e or a^n, b*a = a^(-1)*b, applied on the
+    # right of every element at once through the index-coded law
+    for family, ord_a, b_squared in ((D, n, 0), (Q, 2 * n, n)):
+        if family is Q and n < 2:
+            continue
+        spec = GroupSpec(family, n)
+        g = np.arange(spec.order)
+        a, b, a_inv = 1 % ord_a, ord_a, (ord_a - 1) % ord_a  # a, b, a^-1
+
+        def times(x, *ys):
+            for y in ys:
+                x = _mul_index(spec, x, y)
+            return x
+
+        assert np.array_equal(times(g, *[a] * ord_a), g)
+        if ord_a > 1:
+            assert not np.array_equal(times(g, *[a] * (ord_a - 1)), g)
+        assert np.array_equal(times(g, b, b), times(g, b_squared))
+        assert np.array_equal(times(g, b, a), times(g, a_inv, b))
+        # associativity on every (x, y, z) with x, y ranging over the group
+        x, y = np.meshgrid(g, g)
+        for z in (a, b, a_inv, spec.order - 1):
+            assert np.array_equal(times(times(x, y), z), times(x, times(y, z)))
 
 
 def test_cyclic_subgroup_examples():
@@ -172,3 +200,35 @@ def test_edge_lines_format():
     g = power_graph_oracle(GroupSpec(Z, 4))
     lines = list(edge_lines(g))
     assert lines == ["0 1", "0 2", "0 3", "1 2", "1 3", "2 3"]
+
+
+def structural_power_graph(spec):
+    """Power graph from the known subgroup structure, not from products:
+    in Z_n, u ~ v iff gcd(u, n) and gcd(v, n) divide one another; in D_n the
+    rotations form the power graph of Z_n and each reflection is joined to
+    e alone; in Q_n the a-powers form the power graph of Z_2n and a^k b is
+    joined to e, a^n and a^(n+k) b."""
+    m = spec.order if spec.family is Z else spec.order // 2
+    g = np.gcd(np.arange(m), m)
+    g[0] = m
+    cyc = (g[:, None] % g[None, :] == 0) | (g[None, :] % g[:, None] == 0)
+    adj = np.zeros((spec.order, spec.order), dtype=bool)
+    adj[:m, :m] = cyc
+    if spec.family is D:
+        adj[0, m:] = adj[m:, 0] = True
+    elif spec.family is Q:
+        n = spec.n
+        k = np.arange(m)
+        for partner in (np.zeros_like(k), np.full_like(k, n), m + (n + k) % m):
+            adj[m + k, partner] = adj[partner, m + k] = True
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+@pytest.mark.parametrize(
+    "family, top", [(Z, 200), (D, 100), (Q, 60)], ids=["zn", "dn", "qn"]
+)
+def test_oracle_matches_structural_rule(family, top):
+    for n in range(1 if family is not Q else 2, top + 1):
+        spec = GroupSpec(family, n)
+        assert np.array_equal(power_graph_oracle(spec).adj, structural_power_graph(spec)), n

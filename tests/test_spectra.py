@@ -314,6 +314,86 @@ def test_complement_matrix_identity_exact():
         assert np.array_equal(lhs, rhs)
 
 
+def _universal_by_loop_formula(g, p):
+    """Reference assembly: float copy of A, affine pass, degree diagonal."""
+    alpha, beta, gamma, eta = p.as_floats()
+    u = alpha * g.adj.astype(float) + eta
+    np.fill_diagonal(u, beta * g.degrees().astype(float) + gamma + eta)
+    return u
+
+
+def _quotient_by_loop_formula(js, p):
+    """Reference quotient: one product per entry, as (sym, similar)."""
+    from math import sqrt
+
+    sizes = js.sizes
+    t = len(sizes)
+    sym = np.zeros((t, t))
+    similar = [[0] * t for _ in range(t)]
+    for i, b in enumerate(js.blocks):
+        kappa = (
+            p.alpha * b.regularity
+            + p.beta * (b.regularity + b.join_degree)
+            + p.gamma
+            + p.eta * b.size
+        )
+        sym[i, i] = float(kappa)
+        similar[i][i] = kappa
+        for j in range(t):
+            if i != j:
+                theta = p.alpha + p.eta if js.template.adj[i, j] else p.eta
+                similar[i][j] = theta * sizes[j]
+                sym[i, j] = float(theta) * sqrt(sizes[i] * sizes[j])
+    return sym, similar
+
+
+BIT_IDENTITY_PARAMS = [
+    ADJACENCY,
+    LAPLACIAN,
+    SEIDEL,
+    UniversalParams(Fraction(5, 2), Fraction(-7, 3), Fraction(6, 5), Fraction(-9, 7)),
+    UniversalParams(-3, 2, 0, Fraction(1, 2)),
+    UniversalParams(Fraction(1, 10), Fraction(1, 3), Fraction(-2, 7), Fraction(1, 5)),
+    UniversalParams(0.3, -1.7, 2.2, -0.0),
+    UniversalParams(-1.5, 0.0, 0.1, 0.0),
+]
+
+
+def test_universal_matrix_bit_identical_to_loop_formula():
+    rng = np.random.default_rng(17)
+    graphs = [power_graph_oracle(GroupSpec(f, n)) for f, n in ((Z, 12), (D, 9), (Q, 4))]
+    for _ in range(20):
+        n = int(rng.integers(1, 25))
+        adj = np.triu(rng.uniform(size=(n, n)) < rng.uniform(), 1)
+        graphs.append(LabeledGraph(adj | adj.T, tuple(range(n))))
+    for g in graphs:
+        for p in BIT_IDENTITY_PARAMS:
+            for target, q in ((g, p), (complement_graph(g), p), (g, complement_params(p, g.n))):
+                got = universal_matrix(target, q)
+                assert got.tobytes() == _universal_by_loop_formula(target, q).tobytes()
+
+
+def test_quotient_matrix_bit_identical_to_loop_formula():
+    specs = [GroupSpec(Z, n) for n in (1, 2, 12, 60, 97)]
+    specs += [GroupSpec(D, n) for n in (1, 6, 15, 32)]
+    specs += [GroupSpec(Q, n) for n in (2, 4, 8)]
+    for spec in specs:
+        for variant in (Variant.POWER, Variant.PROPER):
+            if variant is Variant.PROPER and spec.order < 2:
+                continue
+            js = build_join(spec, variant)
+            for p in BIT_IDENTITY_PARAMS:
+                for q in (p, complement_params(p, js.order)):
+                    qm = quotient_matrix(js, q)
+                    sym, similar = _quotient_by_loop_formula(js, q)
+                    assert qm.sym.tobytes() == sym.tobytes()
+                    got = [(type(x), x) for row in qm.similar for x in row]
+                    want = [(type(x), x) for row in similar for x in row]
+                    assert got == want
+                    if q.is_rational:
+                        assert all(type(x) in (int, Fraction) for _, x in got)
+
+
 # ---------------------------------------------------------------------------
 # exact characteristic polynomials
 # ---------------------------------------------------------------------------
