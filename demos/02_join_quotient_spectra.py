@@ -1,9 +1,10 @@
 """The structural route to universal adjacency spectra.
 
-A power graph splits into gcd-classes: each class induces a clique (or an
-independent set, for dihedral reflections), and two classes are either
-completely joined or not joined at all, according to a small template
-graph on the divisors.  The spectrum of
+A power graph splits into blocks of elements that generate the same cyclic
+subgroup.  Each block is a set of disjoint cliques of one size (a single
+clique for the rotations, single reflections in D_n, pairs in Q_n), and
+two blocks are either completely joined or not joined at all, according
+to a small template graph: the poset of those subgroups.  The spectrum of
 
     U = alpha*A + beta*D + gamma*I + eta*J
 
@@ -35,7 +36,10 @@ js = build_join(spec, Variant.POWER)  # validates against the oracle
 
 print("blocks of the power graph of D_15:")
 for b in js.blocks:
-    print(f"  label {b.label!r:>5}: {b.size:>2} vertices, {b.kind}, join degree {b.join_degree}")
+    print(
+        f"  label {b.label!r:>5}: {b.size:>2} vertices, {b.copies} clique(s) of "
+        f"{b.clique}, join degree {b.join_degree}"
+    )
 
 laplacian = UniversalParams.preset("laplacian")
 qm = quotient_matrix(js, laplacian)
@@ -61,11 +65,7 @@ print("\nLaplacian spectrum of the complement (same join structure):")
 for e in comp_spectrum.eigenspaces:
     print(f"  {e.value:10.6f}  x{e.multiplicity:<3}")
 
-# the dicyclic star template only holds at powers of two; elsewhere the
-# builder refuses and the caller falls back to the dense route
-from powspec import StructureValidationError
-
-try:
-    build_join(GroupSpec(GroupFamily.DICYCLIC, 6), Variant.POWER)
-except StructureValidationError as exc:
-    print(f"\nQ_6 structural route refused as expected:\n  {exc}")
+# the same rule covers the dicyclic groups at every n: Q_6 has one block
+# per divisor of 12 plus one block of the six b-coset pairs: t = 7 for 24 vertices
+q6 = build_join(GroupSpec(GroupFamily.DICYCLIC, 6), Variant.POWER)
+print(f"\nQ_6 join: t = {len(q6.blocks)} blocks of sizes {q6.sizes}")

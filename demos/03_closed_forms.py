@@ -20,7 +20,7 @@ from powspec import (
     cyclic_two_prime_complement_adjacency,
     cyclic_two_prime_quotient,
     dense_eigen,
-    dicyclic_repeated_quotient_eigenvalue,
+    dicyclic_repeated_eigenvalue,
     hjoin_spectrum,
     multiset_gap,
     power_graph_oracle,
@@ -64,8 +64,8 @@ print("  matches dense:", multiset_gap(cf.expanded(), dense_eigen(u)) < 1e-10)
 
 # --- dicyclic families --------------------------------------------------------
 
-value, mult = dicyclic_repeated_quotient_eigenvalue(8, UniversalParams.preset("laplacian"))
-print(f"\nrepeated quotient eigenvalue for Q_8 (Laplacian): {float(value)} x{mult}")
+value, mult = dicyclic_repeated_eigenvalue(8, UniversalParams.preset("laplacian"))
+print(f"\nrepeated eigenvalue for Q_8 (Laplacian): {float(value)} x{mult}")
 
 params = UniversalParams(1, 0, 0, 1)
 cf = quaternion8_complement_spectrum(params)

@@ -2,7 +2,7 @@
 
 The package builds (proper) power graphs and their complements for the
 cyclic, dihedral and dicyclic families, decomposes them as joins of
-clique/independent blocks over a small template, and computes the
+blocks of disjoint cliques over the cyclic-subgroup poset, and computes the
 spectrum of U = alpha*A + beta*D + gamma*I + eta*J both structurally
 (block eigenpairs plus a quotient matrix) and by brute force, with
 closed-form evaluators as a third cross-check.
@@ -16,7 +16,7 @@ from .closedforms import (
     cyclic_two_prime_complement_adjacency,
     cyclic_two_prime_complement_eta0,
     cyclic_two_prime_quotient,
-    dicyclic_repeated_quotient_eigenvalue,
+    dicyclic_repeated_eigenvalue,
     dihedral_prime_power_proper,
     quaternion8_complement_spectrum,
 )
@@ -41,8 +41,6 @@ from .joinstruct import (
     Variant,
     assemble,
     build_join,
-    dicyclic_template,
-    dihedral_template,
     divisor_graph,
     validate_structure,
 )

@@ -32,7 +32,7 @@ from .closedforms import (
     cyclic_prime_power_spectrum,
     cyclic_two_prime_complement_eta0,
     cyclic_two_prime_quotient,
-    dicyclic_repeated_quotient_eigenvalue,
+    dicyclic_repeated_eigenvalue,
     quaternion8_complement_spectrum,
 )
 from .groups import (
@@ -164,7 +164,7 @@ def _two_distinct_primes(n: int):
 # ---------------------------------------------------------------------------
 
 
-def _closed_form_checks(spec, variant, complement, params, js, computed, qvals, tol_eff):
+def _closed_form_checks(spec, variant, complement, params, js, computed, qvals):
     """Closed-form comparisons applicable to this instance: (name, gap)."""
     checks = []
     n = spec.n
@@ -180,14 +180,13 @@ def _closed_form_checks(spec, variant, complement, params, js, computed, qvals, 
         if pq and complement and params.eta == 0:
             cf = cyclic_two_prime_complement_eta0(*pq, params)
             checks.append(("two-prime-complement", multiset_gap(cf.expanded(), computed)))
-    if spec.family is GroupFamily.DICYCLIC and js is not None:
-        try:
-            dicyclic_repeated_quotient_eigenvalue(
-                n, params, proper=variant is Variant.PROPER, complemented=complement
-            )
-            checks.append(("dicyclic-repeated-eigenvalue", 0.0))
-        except ArithmeticError:
-            checks.append(("dicyclic-repeated-eigenvalue", float("inf")))
+    if spec.family is GroupFamily.DICYCLIC:
+        value, mult = dicyclic_repeated_eigenvalue(
+            n, params, proper=variant is Variant.PROPER, complemented=complement
+        )
+        # distance within which the computed spectrum holds the value mult times
+        nearest = np.sort(np.abs(computed - float(value)))
+        checks.append(("dicyclic-repeated-eigenvalue", float(nearest[mult - 1])))
         if n == 2 and variant is Variant.POWER and complement:
             cf = quaternion8_complement_spectrum(params)
             checks.append(("quaternion8-complement", multiset_gap(cf.expanded(), computed)))
@@ -204,8 +203,6 @@ def cmd_spectrum(args) -> int:
     p_eff = complement_params(params, order) if args.complement else params
     target = complement_graph(g) if args.complement else g
     u = universal_matrix(target, params)
-    scale = max(1.0, float(np.max(np.abs(u).sum(axis=1)))) if order else 1.0
-    tol_eff = args.tol * scale
 
     js = _try_structural(spec, variant, oracle=base)
     want_vectors = args.vectors or args.oracle_check
@@ -219,6 +216,8 @@ def cmd_spectrum(args) -> int:
     verification = None
     mismatch = []
     if args.oracle_check or args.vectors:
+        scale = max(1.0, float(np.max(np.abs(u).sum(axis=1)))) if order else 1.0
+        tol_eff = args.tol * scale
         residual = verify_eigenpairs(u, spectrum, tol=args.tol)
         worst = residual.max_residual
         checked = ["residual"]
@@ -235,7 +234,7 @@ def cmd_spectrum(args) -> int:
                     mismatch.append(f"structural vs dense gap {gap:.3e} > {tol_eff:.3e}")
                 qvals = dense_eigen(quotient_matrix(js, p_eff).sym).expanded()
             for name, gap in _closed_form_checks(
-                spec, variant, args.complement, params, js, spectrum.expanded(), qvals, tol_eff
+                spec, variant, args.complement, params, js, spectrum.expanded(), qvals
             ):
                 checked.append(name)
                 worst = max(worst, gap)

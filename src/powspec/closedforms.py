@@ -16,7 +16,7 @@ from math import gcd, sqrt
 import numpy as np
 
 from .numtheory import is_prime, totient
-from .spectra import UniversalParams, complement_params, dense_eigen
+from .spectra import UniversalParams, dense_eigen
 
 __all__ = [
     "ClosedFormEntry",
@@ -27,7 +27,7 @@ __all__ = [
     "cyclic_two_prime_complement_adjacency",
     "cyclic_two_prime_complement_eta0",
     "dihedral_prime_power_proper",
-    "dicyclic_repeated_quotient_eigenvalue",
+    "dicyclic_repeated_eigenvalue",
     "quaternion8_complement_spectrum",
 ]
 
@@ -399,52 +399,30 @@ def dihedral_prime_power_proper(
 # ---------------------------------------------------------------------------
 
 
-def dicyclic_repeated_quotient_eigenvalue(
+def dicyclic_repeated_eigenvalue(
     n: int,
     params: UniversalParams,
     proper: bool = False,
     complemented: bool = False,
-    tol: float = 1e-8,
 ):
-    """The repeated quotient eigenvalue for Q_n and its multiplicity n-1,
-    verified against the dense eigensolver on the quotient matrix.
+    """The eigenvalue that U over the (proper) power graph of Q_n, or over
+    its complement, carries at least n-1 times, with that count n-1.
 
-    The n two-element b-coset blocks are exchangeable leaves of the star
-    template, so their difference directions share one eigenvalue:
-    alpha + 3 beta + gamma on the power graph, alpha + 2 beta + gamma on
-    the proper one, and -2 alpha + (4n-4) beta + gamma for either
-    complement.  Requires the star structure to validate for this n (in
-    practice n a power of two); a mismatch raises before any claim.
+    The b-coset elements form n pairs {a^k b, a^(n+k) b}, each pair a
+    clique joined to e and a^n and to nothing else; the differences of the
+    pairs' indicator vectors span an (n-1)-dimensional eigenspace with
+    eigenvalue alpha + 3 beta + gamma on the power graph, alpha + 2 beta +
+    gamma on the proper one, and -2 alpha + (4n-4) beta + gamma for either
+    complement.  Only the formula is evaluated here; callers compare it
+    with a computed spectrum.
     """
-    from .groups import GroupFamily, GroupSpec
-    from .joinstruct import Variant, build_join
-    from .spectra import quotient_matrix
-
-    spec = GroupSpec(GroupFamily.DICYCLIC, n)
-    variant = Variant.PROPER if proper else Variant.POWER
-    js = build_join(spec, variant)  # raises StructureValidationError on mismatch
+    if n < 2:
+        raise ValueError("dicyclic groups need n >= 2")
     a, b, g = params.alpha, params.beta, params.gamma
     if complemented:
         value = -2 * a + (4 * n - 4) * b + g
-        p_eff = complement_params(params, js.order)
     else:
         value = (a + 2 * b + g) if proper else (a + 3 * b + g)
-        p_eff = params
-    qm = quotient_matrix(js, p_eff)
-    spec_q = dense_eigen(qm.sym)
-    scale = max(1.0, float(np.max(np.abs(qm.sym))))
-    count = int(
-        sum(
-            es.multiplicity
-            for es in spec_q.eigenspaces
-            if abs(es.value - float(value)) <= tol * scale
-        )
-    )
-    if count < n - 1:
-        raise ArithmeticError(
-            f"claimed repeated eigenvalue {float(value)} found with multiplicity "
-            f"{count} < {n - 1} in the quotient"
-        )
     return value, n - 1
 
 

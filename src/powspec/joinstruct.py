@@ -1,23 +1,29 @@
 """Join decompositions of power graphs.
 
-A power graph on any of the supported families splits into blocks of
-group elements (each inducing a clique or an independent set) glued
-along a small template graph: blocks sit on template vertices and two
-blocks are completely joined exactly when their template vertices are
-adjacent.  Templates:
+A power graph splits into blocks of group elements glued along a small
+template graph: blocks sit on template vertices, and two blocks are
+completely joined exactly when their template vertices are adjacent.
+One rule gives the blocks of every supported family.  A block holds the
+elements that generate the same cyclic subgroup, with false twins of
+equal size merged, and two blocks are joined iff one subgroup contains
+the other.  For Z_n, D_n and Q_n the rule is symbolic:
 
-* cyclic Z_n   -- the divisibility graph on the divisors of n, one clique
-                  block per divisor d holding the elements with gcd d;
-* dihedral D_n -- the same divisor graph plus one extra vertex "R" holding
-                  all n reflections (an independent set) pendant on the
-                  divisor-n vertex;
-* dicyclic Q_n -- a star: {e, a^n} in the middle, the remaining a-powers
-                  as one clique leaf, and n two-element b-coset cliques.
+* rotation blocks -- one per divisor d of m, where m = n for Z_n and D_n
+  and m = 2n for Q_n, holding the a-powers a^k with gcd(k, m) = d (k = 0
+  counts as d = m).  They all generate <a^d>, so each block is a clique,
+  and two of them are joined iff one divisor divides the other;
+* the coset block "R" (D_n and Q_n) -- every element x outside the
+  rotations.  <x> meets the rotations in <x^2>, which is {e} in D_n and
+  {e, a^n} in Q_n, so R is joined exactly to the rotation blocks d with
+  n | d.  Inside R, x and y are adjacent iff <x> = <y>: R is n disjoint
+  cliques, single reflections in D_n and the pairs {a^k b, a^(n+k) b}
+  in Q_n.
 
-The dicyclic template is only correct when the a-power clique survives
-(in practice n a power of two), so ``build_join`` always validates the
-assembled graph vertex-for-vertex against the definitional oracle and
-raises ``StructureValidationError`` on any mismatch rather than guessing.
+Every block is thus a set of disjoint cliques of one size, a regular
+graph whose spectrum is known, which is all the H-join theorem for
+regular blocks needs.  ``build_join`` still validates the assembled
+graph vertex-for-vertex against the definitional oracle and raises
+``StructureValidationError`` on any mismatch rather than trusting it.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .groups import (
     delete_identity,
     power_graph_oracle,
 )
-from .numtheory import divisors, totient
+from .numtheory import divisors
 
 __all__ = [
     "Variant",
@@ -44,8 +50,6 @@ __all__ = [
     "JoinStructure",
     "StructureValidationError",
     "divisor_graph",
-    "dihedral_template",
-    "dicyclic_template",
     "build_join",
     "assemble",
     "validate_structure",
@@ -86,20 +90,35 @@ class TemplateGraph:
 
 @dataclass(frozen=True)
 class JoinBlock:
-    """One block: its template label, concrete members, and local shape."""
+    """One block: its template label, its members listed clique by clique,
+    the size of its disjoint cliques, and the total size of the
+    template-adjacent blocks."""
 
     label: object
     members: tuple
-    kind: str  # "complete" | "empty"
-    join_degree: int  # total size of template-adjacent blocks
+    clique: int
+    join_degree: int
 
     @property
     def size(self) -> int:
         return len(self.members)
 
     @property
+    def copies(self) -> int:
+        return self.size // self.clique
+
+    @property
     def regularity(self) -> int:
-        return self.size - 1 if self.kind == "complete" else 0
+        return self.clique - 1
+
+    def local_eigenvalues(self) -> tuple:
+        """(value, multiplicity) of the block's adjacency eigenvalues
+        orthogonal to its all-ones vector: -1 inside each clique, and
+        clique - 1 across the cliques."""
+        return (
+            (-1, self.copies * (self.clique - 1)),
+            (self.clique - 1, self.copies - 1),
+        )
 
 
 @dataclass(eq=False)
@@ -133,41 +152,13 @@ def divisor_graph(n: int) -> TemplateGraph:
     return TemplateGraph(adj, tuple(divs))
 
 
-def dihedral_template(n: int) -> TemplateGraph:
-    """Divisor graph plus a reflections vertex "R" adjacent only to the
-    divisor-n vertex."""
-    base = divisor_graph(n)
-    t = base.n
-    adj = np.zeros((t + 1, t + 1), dtype=bool)
-    adj[:t, :t] = base.adj
-    adj[t, t - 1] = adj[t - 1, t] = True  # divisor n sits last (ascending)
-    return TemplateGraph(adj, base.labels + ("R",))
-
-
-def dicyclic_template(n: int) -> TemplateGraph:
-    """Star on n+2 vertices with vertex 1 (the {e, a^n} block) as center."""
-    size = n + 2
-    adj = np.zeros((size, size), dtype=bool)
-    adj[0, 1:] = adj[1:, 0] = True
-    return TemplateGraph(adj, tuple(range(1, size + 1)))
-
-
-def _cyclic_members(n: int):
-    by_gcd: dict[int, list[int]] = {d: [] for d in divisors(n)}
-    for x in range(n):
-        by_gcd[gcd(x, n) if x else n].append(x)
-    return by_gcd
-
-
-def _blocks_from_template(template, members, kinds):
-    sizes = [len(m) for m in members]
-    blocks = []
-    for i in range(template.n):
-        rho = int(sum(sizes[j] for j in np.nonzero(template.adj[i])[0]))
-        blocks.append(
-            JoinBlock(template.labels[i], tuple(members[i]), kinds[i], rho)
-        )
-    return tuple(blocks)
+# family -> (m / n, rotation tag, coset tag, clique size of the coset block);
+# a tag of None leaves the exponent bare, as in Z_n
+_FAMILIES = {
+    GroupFamily.CYCLIC: (1, None, None, None),
+    GroupFamily.DIHEDRAL: (1, "r", "s", 1),
+    GroupFamily.DICYCLIC: (2, "a", "b", 2),
+}
 
 
 def build_join(
@@ -176,70 +167,64 @@ def build_join(
     validate: bool = True,
     oracle: LabeledGraph | None = None,
 ) -> JoinStructure:
-    """Block partition + template for the (proper) power graph of ``spec``.
+    """Block partition + template for the (proper) power graph of ``spec``,
+    from the cyclic-subgroup rule of the module docstring.
 
-    Raises ``StructureValidationError`` when the assembled graph does not
-    reproduce the oracle (the dicyclic star template away from powers of
-    two); callers then fall back to the oracle-only route.  A precomputed
-    power graph of ``spec`` can be passed as ``oracle`` to skip rebuilding
-    it during validation.
+    Blocks follow the ascending divisors of m, then "R"; the proper variant
+    drops the identity block m.  Raises ``StructureValidationError`` when
+    the assembled graph does not reproduce the oracle; callers then fall
+    back to the oracle-only route.  A precomputed power graph of ``spec``
+    can be passed as ``oracle`` to skip rebuilding it during validation.
     """
     variant = Variant(variant)
     n = spec.n
     if variant is Variant.PROPER and spec.order < 2:
         raise ValueError("proper variant needs group order >= 2")
 
-    if spec.family is GroupFamily.CYCLIC:
-        template = divisor_graph(n)
-        by_gcd = _cyclic_members(n)
-        labels = list(template.labels)
-        if variant is Variant.PROPER:
-            template = template.drop_vertex(n)
-            labels = list(template.labels)
-        members = [by_gcd[d] for d in labels]
-        kinds = ["complete"] * len(labels)
-    elif spec.family is GroupFamily.DIHEDRAL:
-        template = dihedral_template(n)
-        by_gcd = _cyclic_members(n)
-        if variant is Variant.PROPER:
-            template = template.drop_vertex(n)
-        members = []
-        kinds = []
-        for lab in template.labels:
-            if lab == "R":
-                members.append([("s", k) for k in range(n)])
-                kinds.append("empty")
-            else:
-                members.append([("r", x) for x in by_gcd[lab]])
-                kinds.append("complete")
-    else:
-        template = dicyclic_template(n)
-        center = [("a", 0), ("a", n)]
-        if variant is Variant.PROPER:
-            center = [("a", n)]
-        members = [center]
-        members.append([("a", j) for j in range(2 * n) if j not in (0, n)])
-        for k in range(n):
-            members.append([("b", k), ("b", n + k)])
-        kinds = ["complete"] * template.n
+    m_over_n, rotation, coset, clique = _FAMILIES[spec.family]
+    m = m_over_n * n
+    template = divisor_graph(m)
+    by_gcd: dict[int, list] = {d: [] for d in template.labels}
+    for k in range(m):
+        by_gcd[gcd(k, m) if k else m].append(k if rotation is None else (rotation, k))
+    members = [by_gcd[d] for d in template.labels]
+    cliques = [len(group) for group in members]
+    if coset is not None:
+        t = template.n
+        adj = np.zeros((t + 1, t + 1), dtype=bool)
+        adj[:t, :t] = template.adj
+        adj[t, :t] = adj[:t, t] = [d % n == 0 for d in template.labels]
+        template = TemplateGraph(adj, template.labels + ("R",))
+        members.append([(coset, k + j * n) for k in range(n) for j in range(clique)])
+        cliques.append(clique)
+    if variant is Variant.PROPER:
+        drop = template.labels.index(m)
+        template = template.drop_vertex(m)
+        del members[drop], cliques[drop]
 
-    js = JoinStructure(spec, variant, template, _blocks_from_template(template, members, kinds))
+    sizes = np.array([len(group) for group in members])
+    blocks = tuple(
+        JoinBlock(label, tuple(group), c, int(sizes[template.adj[i]].sum()))
+        for i, (label, group, c) in enumerate(zip(template.labels, members, cliques))
+    )
+    js = JoinStructure(spec, variant, template, blocks)
     if validate:
         validate_structure(js, oracle=oracle)
     return js
 
 
 def assemble(js: JoinStructure) -> LabeledGraph:
-    """Concrete graph of a join structure: clique/empty blocks plus complete
-    bipartite gluing between template-adjacent blocks."""
+    """Concrete graph of a join structure: each block a set of disjoint
+    cliques, plus complete bipartite gluing between template-adjacent
+    blocks."""
     sizes = js.sizes
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     total = int(offsets[-1])
     adj = np.zeros((total, total), dtype=bool)
     for i, block in enumerate(js.blocks):
         lo, hi = offsets[i], offsets[i + 1]
-        if block.kind == "complete":
-            adj[lo:hi, lo:hi] = True
+        clique_of = np.arange(hi - lo) // block.clique
+        adj[lo:hi, lo:hi] = clique_of[:, None] == clique_of[None, :]
         for j in range(i + 1, js.template.n):
             if js.template.adj[i, j]:
                 lo2, hi2 = offsets[j], offsets[j + 1]

@@ -363,14 +363,17 @@ def hjoin_spectrum(
 ) -> Spectrum:
     """Spectrum of U over a validated join structure.
 
-    Part one: every block of size m contributes alpha*lam + beta*(r+rho) +
-    gamma with multiplicity m-1, where lam is -1 for clique blocks and 0 for
-    independent-set blocks; eigenvectors are the in-block difference vectors
-    e_{m,r} (+1 in the first block coordinate, -1 in the r-th), or an
-    orthonormal basis of their span with ``orthonormal=True``.  Part two:
-    the eigenpairs of the quotient matrix, each lifted to a block-constant
-    vector scaled by sqrt(n_last / n_block).  Values are then grouped into
-    eigenspaces by the merge tolerance.
+    Part one: every block is ``copies`` disjoint cliques of size c, with
+    regularity r = c - 1, and each adjacency eigenvalue lam of the block
+    orthogonal to its all-ones vector gives alpha*lam + beta*(r+rho) +
+    gamma.  lam = -1 has multiplicity copies*(c-1), with the in-clique
+    difference vectors (+1 at a clique's first vertex, -1 at its r-th) as
+    eigenvectors; lam = c - 1 has multiplicity copies-1, with the
+    differences of clique indicator vectors (first clique minus the r-th).
+    ``orthonormal=True`` returns an orthonormal basis of their span
+    instead.  Part two: the eigenpairs of the quotient matrix, each lifted
+    to a block-constant vector scaled by sqrt(n_last / n_block).  Values
+    are then grouped into eigenspaces by the merge tolerance.
 
     Eigenvectors come back in the canonical vertex order of the underlying
     graph (the oracle's element order), so they pair directly with
@@ -389,20 +392,18 @@ def hjoin_spectrum(
     coords = [np.array([index[x] for x in b.members], dtype=int) for b in blocks]
 
     # part 1, grouped by exact formula value
-    block_groups: dict[float, list[int]] = {}
+    block_groups: dict[float, list] = {}
     for i, b in enumerate(blocks):
-        if b.size < 2:
-            continue
-        lam_block = -1 if b.kind == "complete" else 0
-        value = float(
-            p.alpha * lam_block + p.beta * (b.regularity + b.join_degree) + p.gamma
-        )
-        block_groups.setdefault(value, []).append(i)
+        for lam, mult in b.local_eigenvalues():
+            if mult == 0:
+                continue
+            value = float(p.alpha * lam + p.beta * (b.regularity + b.join_degree) + p.gamma)
+            block_groups.setdefault(value, []).append((i, lam, mult))
 
     candidates = []  # (value, multiplicity, provenance, vector factory args)
-    for value, idxs in block_groups.items():
-        mult = sum(sizes[i] - 1 for i in idxs)
-        candidates.append((value, mult, "BlockDiff", ("blocks", idxs)))
+    for value, parts in block_groups.items():
+        mult = sum(part_mult for _, _, part_mult in parts)
+        candidates.append((value, mult, "BlockDiff", ("blocks", parts)))
 
     qm = quotient_matrix(js, p)
     if qm.dimension <= _JACOBI_CUTOFF:
@@ -412,13 +413,18 @@ def hjoin_spectrum(
     for k in range(qm.dimension):
         candidates.append((float(qvals[k]), 1, "Quotient", ("quotient", k)))
 
-    def block_vectors(idxs):
+    def block_vectors(parts):
         vecs = []
-        for i in idxs:
-            for r in range(2, sizes[i] + 1):
+        for i, lam, _ in parts:
+            cliques = coords[i].reshape(-1, blocks[i].clique)
+            if lam == -1:  # in-clique differences
+                pairs = [(c[:1], c[r : r + 1]) for c in cliques for r in range(1, len(c))]
+            else:  # differences of clique indicators
+                pairs = [(cliques[0], cliques[r]) for r in range(1, len(cliques))]
+            for plus, minus in pairs:
                 x = np.zeros(total)
-                x[coords[i][0]] = 1.0
-                x[coords[i][r - 1]] = -1.0
+                x[plus] = 1.0
+                x[minus] = -1.0
                 vecs.append(x)
         return vecs
 

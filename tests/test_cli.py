@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from powspec.cli import main
+from powspec.joinstruct import StructureValidationError
 from powspec.spectra import charpoly_roots
 
 
@@ -48,10 +49,29 @@ def test_spectrum_alpha_zero_exit_1(capsys):
     assert "undefined" in err
 
 
-def test_spectrum_qn_falls_back_to_oracle(capsys):
-    code, out, _ = run(capsys, "spectrum", "--group", "qn", "--n", "6", "--preset", "adjacency")
+def test_spectrum_qn6_structural(capsys):
+    code, out, _ = run(
+        capsys, "spectrum", "--group", "qn", "--n", "6", "--preset", "adjacency", "--oracle-check",
+    )
     assert code == 0
-    assert json.loads(out)["route"] == "oracle"
+    report = json.loads(out)
+    assert report["route"] == "structural"
+    assert "dicyclic-repeated-eigenvalue" in report["verification"]["checked"]
+    assert report["verification"]["passed"] is True
+
+
+def test_spectrum_qn_falls_back_to_oracle(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise StructureValidationError("refused")
+
+    monkeypatch.setattr("powspec.cli.build_join", refuse)
+    code, out, _ = run(
+        capsys, "spectrum", "--group", "qn", "--n", "6", "--preset", "adjacency", "--oracle-check",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["route"] == "oracle"
+    assert report["verification"]["passed"] is True
 
 
 def test_spectrum_dicyclic_small_n_exit_1(capsys):
@@ -120,10 +140,11 @@ def test_verify_pass(capsys):
     assert out.strip().endswith("result: PASS")
 
 
-def test_verify_qn6_oracle_only(capsys):
+def test_verify_qn6_structural(capsys):
     code, out, _ = run(capsys, "verify", "--group", "qn", "--n", "6", "--seed", "1", "--count", "2")
     assert code == 0
-    assert "structural route refused" in out
+    assert "route=structural" in out
+    assert "structural route refused" not in out
     assert out.strip().endswith("result: PASS")
 
 
@@ -155,6 +176,16 @@ def test_charpoly_quotient_d15(capsys):
     report = json.loads(out)
     assert report["degree"] == 5
     assert report["coefficients"][-1] == "0"
+
+
+def test_charpoly_quotient_qn6(capsys):
+    # Q_6: one block per divisor of 12 plus the coset block
+    code, out, _ = run(
+        capsys,
+        "charpoly", "--group", "qn", "--n", "6", "--preset", "laplacian", "--quotient",
+    )
+    assert code == 0
+    assert json.loads(out)["degree"] == 7
 
 
 def test_charpoly_quotient_roots_match(capsys):

@@ -12,7 +12,7 @@ from powspec.closedforms import (
     cyclic_two_prime_complement_adjacency,
     cyclic_two_prime_complement_eta0,
     cyclic_two_prime_quotient,
-    dicyclic_repeated_quotient_eigenvalue,
+    dicyclic_repeated_eigenvalue,
     dihedral_prime_power_proper,
     quaternion8_complement_spectrum,
 )
@@ -23,7 +23,7 @@ from powspec.groups import (
     delete_identity,
     power_graph_oracle,
 )
-from powspec.joinstruct import StructureValidationError, Variant, build_join
+from powspec.joinstruct import Variant, build_join
 from powspec.spectra import (
     Eigenspace,
     Spectrum,
@@ -287,44 +287,62 @@ def test_dihedral_proper_matches_oracle(p, r, complemented):
 # ---------------------------------------------------------------------------
 
 
+def dense_count(n, params, value, proper=False, complemented=False) -> int:
+    """How often the dense spectrum of U over the (proper) power graph of
+    Q_n, or its complement, holds ``value`` within 1e-8 * ||U||_inf."""
+    g = power_graph_oracle(GroupSpec(Q, n))
+    if proper:
+        g = delete_identity(g)
+    if complemented:
+        g = complement_graph(g)
+    u = universal_matrix(g, params)
+    scale = max(1.0, float(np.abs(u).sum(axis=1).max()))
+    vals = dense_eigen(u, vectors=False).expanded()
+    return int(np.sum(np.abs(vals - float(value)) <= 1e-8 * scale))
+
+
 def test_dicyclic_repeated_power_laplacian():
-    value, mult = dicyclic_repeated_quotient_eigenvalue(2, LAPLACIAN)
+    value, mult = dicyclic_repeated_eigenvalue(2, LAPLACIAN)
     assert value == -1 + 3 * 1 + 0 == 2 and mult == 1  # alpha+3beta+gamma = 2
 
 
 def test_dicyclic_repeated_power_adjacency_n4():
-    value, mult = dicyclic_repeated_quotient_eigenvalue(4, ADJACENCY)
+    value, mult = dicyclic_repeated_eigenvalue(4, ADJACENCY)
     assert value == 1 and mult == 3
-    js = build_join(GroupSpec(Q, 4), Variant.POWER)
-    k = quotient_matrix(js, ADJACENCY).sym
-    found = dense_eigen(k).find(1.0, 1e-8)
-    assert found is not None and found.multiplicity >= 3
+    assert dense_count(4, ADJACENCY, value) >= 3
 
 
 def test_dicyclic_repeated_complement_q2():
     p = UniversalParams(2, 3, -1, 1)
-    value, mult = dicyclic_repeated_quotient_eigenvalue(2, p, complemented=True)
+    value, mult = dicyclic_repeated_eigenvalue(2, p, complemented=True)
     assert value == -2 * 2 + 4 * 3 + (-1) and mult == 1
-    # the worked 4x4 quotient carries this value with multiplicity two
-    js = build_join(GroupSpec(Q, 2), Variant.POWER)
-    from powspec.spectra import complement_params
-
-    k = quotient_matrix(js, complement_params(p, 8)).sym
-    found = dense_eigen(k).find(float(value), 1e-8)
-    assert found is not None and found.multiplicity == 2
+    # the complement of the quaternion group's power graph carries it twice
+    assert dense_count(2, p, value, complemented=True) == 2
 
 
 def test_dicyclic_repeated_proper_variants():
     p = LAPLACIAN
-    value, _ = dicyclic_repeated_quotient_eigenvalue(4, p, proper=True)
+    value, _ = dicyclic_repeated_eigenvalue(4, p, proper=True)
     assert value == -1 + 2 * 1 + 0  # alpha+2beta+gamma
-    value, _ = dicyclic_repeated_quotient_eigenvalue(4, p, proper=True, complemented=True)
+    assert dense_count(4, p, value, proper=True) >= 3
+    value, _ = dicyclic_repeated_eigenvalue(4, p, proper=True, complemented=True)
     assert value == 2 + (4 * 4 - 4) * 1 + 0  # -2alpha+(4n-4)beta+gamma
+    assert dense_count(4, p, value, proper=True, complemented=True) >= 3
 
 
-def test_dicyclic_repeated_refuses_invalid_structure():
-    with pytest.raises(StructureValidationError):
-        dicyclic_repeated_quotient_eigenvalue(6, LAPLACIAN)
+def test_dicyclic_repeated_holds_for_every_n():
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 4, 5, 6, 12):
+        for proper in (False, True):
+            for complemented in (False, True):
+                p = sample_params(rng)
+                value, mult = dicyclic_repeated_eigenvalue(
+                    n, p, proper=proper, complemented=complemented
+                )
+                assert mult == n - 1
+                assert dense_count(n, p, value, proper, complemented) >= n - 1
+    with pytest.raises(ValueError):
+        dicyclic_repeated_eigenvalue(1, LAPLACIAN)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,13 @@ from powspec.groups import (
     power_graph_oracle,
 )
 from powspec.joinstruct import (
+    JoinBlock,
+    JoinStructure,
     StructureValidationError,
+    TemplateGraph,
     Variant,
     assemble,
     build_join,
-    dicyclic_template,
-    dihedral_template,
     divisor_graph,
     validate_structure,
 )
@@ -52,6 +53,10 @@ def test_divisor_graph_trivial():
     assert t.labels == (1,) and t.adj.sum() == 0
 
 
+def dihedral_template(n):
+    return build_join(GroupSpec(D, n), Variant.POWER).template
+
+
 def test_dihedral_template():
     t = dihedral_template(15)
     assert t.n == 5
@@ -67,33 +72,52 @@ def test_dihedral_template():
     assert template_edges(t1) == {(1, "R")}
 
 
-def test_dicyclic_template_star():
-    t = dicyclic_template(5)
-    assert t.n == 7
-    assert t.adj[0].sum() == 6
-    assert np.array_equal(t.adj[1:, 1:], np.zeros((6, 6), dtype=bool))
+def test_dicyclic_template_poset():
+    # rotation blocks on the divisors of 2n joined by divisibility, and R
+    # joined to the blocks of a^n (d = n) and e (d = 2n) only
+    t = build_join(GroupSpec(Q, 5), Variant.POWER).template
+    assert t.labels == (1, 2, 5, 10, "R")
+    assert template_edges(t) == {
+        (1, 2), (1, 5), (1, 10), (2, 10), (5, 10), (5, "R"), (10, "R"),
+    }
 
 
 def test_build_join_z6_blocks():
     js = build_join(GroupSpec(Z, 6), Variant.POWER)
     by_label = {b.label: b for b in js.blocks}
     assert {lab: b.size for lab, b in by_label.items()} == {1: 2, 2: 2, 3: 1, 6: 1}
-    assert all(b.kind == "complete" for b in js.blocks)
+    assert all(b.clique == b.size for b in js.blocks)
 
 
 def test_build_join_d15_blocks():
     js = build_join(GroupSpec(D, 15), Variant.POWER)
     by_label = {b.label: b for b in js.blocks}
     assert {lab: b.size for lab, b in by_label.items()} == {1: 8, 3: 4, 5: 2, 15: 1, "R": 15}
-    assert by_label["R"].kind == "empty"
-    assert all(by_label[d].kind == "complete" for d in (1, 3, 5, 15))
+    assert by_label["R"].clique == 1
+    assert all(by_label[d].clique == by_label[d].size for d in (1, 3, 5, 15))
 
 
 def test_build_join_q2_proper_blocks():
     js = build_join(GroupSpec(Q, 2), Variant.PROPER)
-    assert js.sizes == (1, 2, 2, 2)
-    assert js.blocks[0].members == (("a", 2),)
-    assert js.template.adj[0].sum() == 3  # star center
+    assert js.template.labels == (1, 2, "R")
+    assert js.sizes == (2, 1, 4)
+    assert js.blocks[0].members == (("a", 1), ("a", 3))
+    assert js.blocks[1].members == (("a", 2),)
+    r = js.blocks[2]
+    assert r.members == (("b", 0), ("b", 2), ("b", 1), ("b", 3))  # clique by clique
+    assert r.clique == 2 and r.regularity == 1 and r.join_degree == 1
+    assert template_edges(js.template) == {(1, 2), (2, "R")}
+
+
+def test_block_local_eigenvalues():
+    # -1 inside the cliques, clique - 1 across them; with the all-ones
+    # direction they account for every vertex of the block
+    assert JoinBlock("K5", tuple(range(5)), 5, 0).local_eigenvalues() == ((-1, 4), (4, 0))
+    assert JoinBlock("E4", tuple(range(4)), 1, 0).local_eigenvalues() == ((-1, 0), (0, 3))
+    assert JoinBlock("3K2", tuple(range(6)), 2, 0).local_eigenvalues() == ((-1, 3), (1, 2))
+    for n in (3, 6, 12):
+        for b in build_join(GroupSpec(Q, n), Variant.POWER).blocks:
+            assert 1 + sum(m for _, m in b.local_eigenvalues()) == b.size
 
 
 def test_assemble_z4_complete():
@@ -134,12 +158,39 @@ def test_validation_sweep_small():
         build_join(GroupSpec(Q, n), Variant.PROPER)
 
 
+def test_dicyclic_every_n_validates():
+    for n in range(2, 61):
+        t = len(divisors(2 * n)) + 1
+        assert len(build_join(GroupSpec(Q, n), Variant.POWER).blocks) == t
+        assert len(build_join(GroupSpec(Q, n), Variant.PROPER).blocks) == t - 1
+
+
+def star_structure(n):
+    """A hand-made star join for Q_n: {e, a^n} at the centre, the other
+    a-powers as one clique leaf, and the n pairs {a^k b, a^(n+k) b} as
+    clique leaves.  It is the power graph only when n is a power of two."""
+    members = [[("a", 0), ("a", n)], [("a", j) for j in range(2 * n) if j not in (0, n)]]
+    members += [[("b", k), ("b", n + k)] for k in range(n)]
+    adj = np.zeros((n + 2, n + 2), dtype=bool)
+    adj[0, 1:] = adj[1:, 0] = True
+    sizes = [len(m) for m in members]
+    blocks = tuple(
+        JoinBlock(i, tuple(m), len(m), sum(sizes) - len(m) if i == 0 else 2)
+        for i, m in enumerate(members)
+    )
+    return JoinStructure(GroupSpec(Q, n), Variant.POWER, TemplateGraph(adj, tuple(range(n + 2))), blocks)
+
+
 def test_dicyclic_structure_refused_away_from_two_powers():
+    # the poset builder validates at every n; a star template validates
+    # only at powers of two, and the validator refuses it elsewhere
     for n in (3, 5, 6, 12):
+        build_join(GroupSpec(Q, n), Variant.POWER)
+        build_join(GroupSpec(Q, n), Variant.PROPER)
         with pytest.raises(StructureValidationError):
-            build_join(GroupSpec(Q, n), Variant.POWER)
-        with pytest.raises(StructureValidationError):
-            build_join(GroupSpec(Q, n), Variant.PROPER)
+            validate_structure(star_structure(n))
+    for n in (2, 4, 8):
+        validate_structure(star_structure(n))
 
 
 def test_proper_needs_order_two():

@@ -246,6 +246,25 @@ def test_hjoin_orthonormal_flag():
         assert np.max(np.abs(m.T @ m - np.eye(m.shape[1]))) < 1e-12
 
 
+@pytest.mark.parametrize("variant", [Variant.POWER, Variant.PROPER])
+def test_hjoin_clique_pair_block_q6(variant):
+    # the coset block of Q_6 is six disjoint pairs: -1 inside the pairs
+    # (x6) and 1 across them (x5); all eigenvectors together span R^N
+    js = build_join(GroupSpec(Q, 6), variant)
+    r = js.blocks[-1]
+    assert (r.label, r.clique, r.copies) == ("R", 2, 6)
+    assert r.local_eigenvalues() == ((-1, 6), (1, 5))
+    g = power_graph_oracle(GroupSpec(Q, 6))
+    if variant is Variant.PROPER:
+        g = delete_identity(g)
+    p = sample_params(np.random.default_rng(31))
+    u = universal_matrix(g, p)
+    s = hjoin_spectrum(js, p, want_vectors=True)
+    assert verify_eigenpairs(u, s, tol=1e-8).passed
+    basis = np.column_stack([v for e in s.eigenspaces for v in e.basis])
+    assert np.linalg.matrix_rank(basis) == g.n
+
+
 def test_trace_and_frobenius_identities():
     rng = np.random.default_rng(17)
     for spec in [GroupSpec(Z, 24), GroupSpec(D, 10), GroupSpec(Q, 4)]:
