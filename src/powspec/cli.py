@@ -12,7 +12,8 @@ Subcommands:
 * ``graph``    -- the edge list of the constructed graph, one "u v" per line.
 
 Output on stdout is deterministic for fixed flags and seed: every float is
-serialized with 17 significant digits and JSON field order is fixed.
+serialized with 17 significant digits (an eigenvector basis formats each
+distinct value once) and JSON field order is fixed.
 Diagnostics and timing go to stderr.  Exit codes: 0 success, 1 usage or
 construction error, 2 cross-check mismatch.
 """
@@ -20,6 +21,7 @@ construction error, 2 cross-check mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -83,9 +85,35 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _emit_json(obj, indent: int = 0) -> str:
+def _emit_array(inv: np.ndarray, table: list, indent: int) -> str:
+    """Rows of string-table indices, laid out like the list path."""
+    if len(inv) == 0:
+        return "[]"
     pad = "  " * indent
     inner = "  " * (indent + 1)
+    if inv.ndim == 1:
+        parts = map(table.__getitem__, inv.tolist())
+    else:
+        parts = (_emit_array(row, table, indent + 1) for row in inv)
+    return f"[\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}]"
+
+
+def _emit_json(obj, indent: int = 0) -> str:
+    """Deterministic JSON text: keys in insertion order, two-space indent,
+    every float formatted by ``_fmt_float``.
+
+    A float64 ``np.ndarray`` prints exactly as its ``tolist()`` would, but
+    each distinct value is formatted once: values are keyed by their bit
+    pattern, so -0.0 keeps its sign and every NaN its own entry.
+    """
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(obj, np.ndarray):
+        if obj.dtype != np.float64 or obj.ndim == 0:
+            raise TypeError(f"cannot serialize a {obj.ndim}-d array of {obj.dtype}")
+        bits, inv = np.unique(obj.view(np.int64).ravel(), return_inverse=True)
+        table = [_fmt_float(v) for v in bits.view(np.float64).tolist()]
+        return _emit_array(inv.reshape(obj.shape), table, indent)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -201,11 +229,12 @@ def cmd_spectrum(args) -> int:
     base, g = _variant_graph(spec, variant)
     order = g.n
     p_eff = complement_params(params, order) if args.complement else params
-    target = complement_graph(g) if args.complement else g
-    u = universal_matrix(target, params)
-
     js = _try_structural(spec, variant, oracle=base)
     want_vectors = args.vectors or args.oracle_check
+    u = None
+    if js is None or want_vectors:  # the dense route and the checks read U
+        target = complement_graph(g) if args.complement else g
+        u = universal_matrix(target, params)
     if js is not None:
         route = "structural"
         spectrum = hjoin_spectrum(js, p_eff, want_vectors=want_vectors)
@@ -215,7 +244,7 @@ def cmd_spectrum(args) -> int:
 
     verification = None
     mismatch = []
-    if args.oracle_check or args.vectors:
+    if want_vectors:
         scale = max(1.0, float(np.max(np.abs(u).sum(axis=1)))) if order else 1.0
         tol_eff = args.tol * scale
         residual = verify_eigenpairs(u, spectrum, tol=args.tol)
@@ -268,7 +297,7 @@ def cmd_spectrum(args) -> int:
                 "multiplicity": e.multiplicity,
                 "provenance": e.provenance,
                 **(
-                    {"basis": [[float(x) for x in vec] for vec in e.basis]}
+                    {"basis": np.array(e.basis)}
                     if args.vectors and e.basis is not None
                     else {}
                 ),
@@ -515,8 +544,13 @@ def _attach_values(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _parser() -> _Parser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else list(argv)))
         if getattr(args, "normalized", None) and args.normalized_at is None:

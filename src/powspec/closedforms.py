@@ -467,8 +467,9 @@ def quaternion8_complement_spectrum(params: UniversalParams) -> ClosedFormSpectr
         gtol = 1e-7 * max(1.0, float(np.max(np.abs(k))))
         plus_space = dense.find(float(lam_plus), gtol)
         minus_space = dense.find(float(lam_minus), gtol)
-        plus_basis = tuple(lift(v) for v in plus_space.basis[:1])
-        minus_basis = tuple(lift(v) for v in minus_space.basis[:1])
+        plus_basis = (lift(plus_space.basis[0]),)
+        # lam_plus = lam_minus when the radicand is 0: one space holds both
+        minus_basis = (lift(minus_space.basis[1 if minus_space is plus_space else 0]),)
 
     diff_basis = tuple(tuple(_diff_vectors(total, block)) for block in blocks)
     entries = [

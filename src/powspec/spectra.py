@@ -501,9 +501,28 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+# A basis counts as independent when the Cholesky factor of the Gram matrix
+# of its max-normalised vectors has every pivot above this.
+RANK_PIVOT_MIN = 1e-6
+
+
+def _full_rank(vecs, multiplicity: int) -> bool:
+    """Whether the nonzero ``vecs`` are ``multiplicity`` independent vectors."""
+    if len(vecs) != multiplicity:
+        return False
+    x = np.column_stack(vecs)
+    x = x / np.max(np.abs(x), axis=0)
+    try:
+        pivots = np.diag(np.linalg.cholesky(x.T @ x))
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.min(pivots) > RANK_PIVOT_MIN)
+
+
 def verify_eigenpairs(u: np.ndarray, s: Spectrum, tol: float = 1e-8) -> VerificationReport:
     """Residual check ||U x - lambda x||_inf <= tol * max(1, ||U||_inf) * ||x||_inf
-    for every eigenpair carried by ``s``."""
+    for every eigenpair carried by ``s``.  A zero vector fails, and so does
+    an eigenspace whose basis has rank below its multiplicity."""
     u = np.asarray(u, dtype=float)
     if u.shape != (s.dimension, s.dimension):
         raise ValueError(
@@ -520,11 +539,15 @@ def verify_eigenpairs(u: np.ndarray, s: Spectrum, tol: float = 1e-8) -> Verifica
         bound = 0.0
         for x in e.basis:
             r = float(np.max(np.abs(u @ x - e.value * x)))
-            b = tol * scale * float(np.max(np.abs(x)))
+            size = float(np.max(np.abs(x)))
+            b = tol * scale * size
             res = max(res, r)
             bound = max(bound, b)
-            if r > b:
+            if r > b or not size > 0.0:
                 passed = False
+        # skipped once failed: a zero vector fails above, and would divide by 0
+        if passed and not _full_rank(e.basis, e.multiplicity):
+            passed = False
         rows.append((e.value, e.multiplicity, res, bound))
         worst = max(worst, res)
     return VerificationReport(tuple(rows), tol, worst, passed)

@@ -1,14 +1,20 @@
 """CLI behaviour: flags, exit codes, deterministic machine-readable output."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from powspec.cli import main
-from powspec.joinstruct import StructureValidationError
-from powspec.spectra import charpoly_roots
+import powspec.cli
+from powspec.cli import _emit_json, main
+from powspec.groups import GroupFamily, GroupSpec
+from powspec.joinstruct import StructureValidationError, Variant, build_join
+from powspec.spectra import UniversalParams, charpoly_roots, hjoin_spectrum
 
 
 def run(capsys, *argv):
@@ -295,3 +301,135 @@ def test_memory_error_is_one_line_exit_1(capsys, monkeypatch):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "60000" in lines[0]
+
+
+# ---------------------------------------------------------------------------
+# eigenvector serialization
+# ---------------------------------------------------------------------------
+
+
+def legacy_emit(obj, indent=0):
+    """The list emitter, one ``format(v, ".17g")`` per float."""
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    if isinstance(obj, float):
+        return format(obj, ".17g")
+    if not obj:
+        return "[]"
+    parts = [f"{inner}{legacy_emit(v, indent + 1)}" for v in obj]
+    return "[\n" + ",\n".join(parts) + f"\n{pad}]"
+
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, 5e-324, 1e-310, float("inf"), -float("inf"), float("nan"), 1 / 3, 2.0, 1e300,
+]
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [
+        np.array(SPECIAL_FLOATS),
+        np.array([SPECIAL_FLOATS, SPECIAL_FLOATS[::-1]]),
+        np.array([SPECIAL_FLOATS[::2], [-x for x in SPECIAL_FLOATS[1::2]]]).T,
+        np.array([]),
+        np.zeros((0, 3)),
+        np.zeros((2, 0)),
+        np.random.default_rng(5).standard_normal((7, 11)).round(2),
+        np.random.default_rng(6).standard_normal((4, 9)),
+    ],
+    ids=["special-1d", "special-2d", "special-transposed", "empty", "no-rows", "empty-rows",
+         "random-repeats", "random"],
+)
+@pytest.mark.parametrize("indent", [0, 3])
+def test_emit_json_array_matches_per_float_emitter(arr, indent):
+    assert _emit_json(arr, indent) == legacy_emit(arr.tolist(), indent)
+    assert _emit_json({"basis": arr}, indent) == _emit_json({"basis": arr.tolist()}, indent)
+
+
+def test_emit_json_array_keeps_nan_bit_patterns_apart():
+    bits = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64)
+    arr = np.concatenate([bits.view(np.float64), [-0.0, 0.0, -0.0]])
+    assert _emit_json(arr) == legacy_emit(arr.tolist())
+    with pytest.raises(TypeError):
+        _emit_json(np.arange(3))
+
+
+@pytest.mark.parametrize(
+    "group, n, family", [("zn", 12, "CYCLIC"), ("dn", 6, "DIHEDRAL"), ("qn", 6, "DICYCLIC")]
+)
+def test_spectrum_vectors_tokens_and_bits(capsys, group, n, family):
+    code, out, _ = run(
+        capsys, "spectrum", "--group", group, "--n", str(n), "--params=3/2,-1/3,2,-5/7",
+        "--vectors",
+    )
+    assert code == 0
+    report = json.loads(out, parse_int=float)  # "-0" stays -0.0
+    tokens = [line.split(": ")[-1].strip().rstrip(",") for line in out.splitlines()]
+    numbers = [tok for tok in tokens if tok and tok[0] in "-0123456789"]
+    assert len(numbers) > report["order"] ** 2  # every basis entry, and more
+    for tok in numbers:
+        assert tok == format(float(tok), ".17g")
+    js = build_join(GroupSpec(GroupFamily[family], n), Variant.POWER)
+    params = UniversalParams(Fraction(3, 2), Fraction(-1, 3), Fraction(2), Fraction(-5, 7))
+    expect = hjoin_spectrum(js, params, want_vectors=True)
+    assert len(report["eigenspaces"]) == len(expect.eigenspaces)
+    for got, e in zip(report["eigenspaces"], expect.eigenspaces):
+        basis = np.array(got["basis"], dtype=float)
+        assert basis.shape == (e.multiplicity, js.order)
+        assert basis.tobytes() == np.array(e.basis).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# what a request builds
+# ---------------------------------------------------------------------------
+
+
+def test_structural_spectrum_builds_no_dense_matrix(capsys, monkeypatch):
+    calls = []
+    real = powspec.cli.universal_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    def refuse(*args):
+        raise AssertionError("universal_matrix called")
+
+    def no_join(*args, **kwargs):
+        raise StructureValidationError("refused")
+
+    monkeypatch.setattr("powspec.cli.universal_matrix", refuse)
+    for flags in ((), ("--complement",), ("--variant", "proper", "--format", "csv")):
+        code, out, _ = run(capsys, "spectrum", "--group", "dn", "--n", "15", *flags)
+        assert code == 0 and out
+
+    monkeypatch.setattr("powspec.cli.universal_matrix", counted)
+    code, out, _ = run(capsys, "spectrum", "--group", "zn", "--n", "12", "--vectors")
+    assert code == 0 and len(calls) == 1
+    assert json.loads(out)["verification"]["passed"] is True
+
+    monkeypatch.setattr("powspec.cli.build_join", no_join)
+    code, out, _ = run(capsys, "spectrum", "--group", "zn", "--n", "12")
+    assert code == 0 and len(calls) == 2
+    assert json.loads(out)["route"] == "oracle"
+
+
+def test_successive_main_calls_match_separate_processes(capsys):
+    requests = [
+        ("spectrum", "--group", "qn", "--n", "3", "--complement", "--vectors", "--params=-1,2,0,1"),
+        ("spectrum", "--group", "zn", "--n", "10", "--format", "csv", "--preset", "seidel"),
+        ("charpoly", "--group", "dn", "--n", "5", "--quotient", "--params", "-2,0,-1,1"),
+        ("spectrum", "--group", "zn", "--n", "6", "--preset", "laplacian", "--oracle-check"),
+        ("spectrum", "--group", "zn", "--n", "4", "--bogus"),
+        ("graph", "--group", "dn", "--n", "3", "--variant", "proper"),
+    ]
+    in_process = [run(capsys, *argv)[:2] for argv in requests]
+
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    for argv, (code, out) in zip(requests, in_process):
+        done = subprocess.run(
+            [sys.executable, "-m", "powspec.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (code, out), argv

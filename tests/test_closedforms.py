@@ -373,6 +373,14 @@ def test_quaternion8_eta_zero_fallback():
         assert residuals_pass(u, cf)
 
 
+def test_quaternion8_laplacian_zero_has_full_basis():
+    # eta = 0 and radicand 0: lam_plus = lam_minus = gamma = 0
+    cf = quaternion8_complement_spectrum(LAPLACIAN)
+    zero = next(e for e in cf.entries if float(e.value) == 0.0)
+    assert zero.multiplicity == 3
+    assert np.linalg.matrix_rank(np.column_stack(zero.basis)) == 3
+
+
 def test_quaternion8_multiplicity_sum():
     rng = np.random.default_rng(77)
     for _ in range(5):

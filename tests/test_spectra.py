@@ -217,6 +217,41 @@ def test_verify_eigenpairs_errors():
         verify_eigenpairs(u, s2)
 
 
+def test_verify_eigenpairs_rejects_zero_and_dependent_bases():
+    u = np.array([[2.0, 1.0], [1.0, 2.0]])
+    zero = np.zeros(2)
+    ones, diff = np.array([1.0, 1.0]), np.array([1.0, -1.0])
+
+    def spectrum(*spaces):
+        return Spectrum(tuple(Eigenspace(v, len(b), "x", b) for v, b in spaces), 2)
+
+    # two zero vectors claiming a double eigenvalue 100
+    assert not verify_eigenpairs(u, spectrum((100.0, (zero, zero)))).passed
+    assert not verify_eigenpairs(u, spectrum((3.0, (ones,)), (1.0, (zero,)))).passed
+    assert verify_eigenpairs(u, spectrum((3.0, (ones,)), (1.0, (diff,)))).passed
+    # a repeated vector, and a short basis
+    v = np.eye(3)
+    rep = Spectrum((Eigenspace(1.0, 3, "x", (v[0], v[1], v[1])),), 3)
+    assert not verify_eigenpairs(np.eye(3), rep).passed
+    short = Spectrum((Eigenspace(1.0, 3, "x", (v[0], v[1])),), 3)
+    assert not verify_eigenpairs(np.eye(3), short).passed
+
+
+def test_verify_eigenpairs_accepts_nonorthogonal_block_differences():
+    # K_5: eigenvalue -1 on the differences e_0 - e_r, pairwise non-orthogonal
+    u = universal_matrix(power_graph_oracle(GroupSpec(Z, 5)), ADJACENCY)
+    diffs = tuple(np.eye(5)[0] - np.eye(5)[r] for r in range(1, 5))
+    s = Spectrum(
+        (Eigenspace(4.0, 1, "x", (np.ones(5),)), Eigenspace(-1.0, 4, "x", diffs)), 5
+    )
+    assert verify_eigenpairs(u, s, tol=1e-12).passed
+    chain = tuple(np.eye(5)[r - 1] - np.eye(5)[r] for r in range(1, 5))
+    s = Spectrum(
+        (Eigenspace(4.0, 1, "x", (np.ones(5),)), Eigenspace(-1.0, 4, "x", chain)), 5
+    )
+    assert verify_eigenpairs(u, s, tol=1e-12).passed
+
+
 def test_pipeline_d15_residuals():
     js = build_join(GroupSpec(D, 15), Variant.POWER)
     s = hjoin_spectrum(js, LAPLACIAN, want_vectors=True)
