@@ -55,7 +55,6 @@ from .numtheory import (
 from .spectra import (
     PRESETS,
     Eigenspace,
-    JacobiConvergenceError,
     QuotientMatrix,
     Spectrum,
     UndefinedUniversalMatrixError,
@@ -66,7 +65,6 @@ from .spectra import (
     complement_params,
     dense_eigen,
     hjoin_spectrum,
-    jacobi_eigh,
     multiset_gap,
     normalized_laplacian_charpoly_at,
     quotient_matrix,

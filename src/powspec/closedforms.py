@@ -184,7 +184,7 @@ def cyclic_two_prime_quotient(p: int, q: int, params: UniversalParams) -> Closed
         ]
         return ClosedFormSpectrum(_merged(entries), 4)
     source = "two-prime-quotient-case2" if e == 0 else "two-prime-quotient-case4"
-    spec = dense_eigen(_two_prime_quotient_matrix(p, q, params))
+    spec = dense_eigen(_two_prime_quotient_matrix(p, q, params), vectors=False)
     entries = [
         ClosedFormEntry(es.value, es.multiplicity, source) for es in spec.eigenspaces
     ]

@@ -11,8 +11,8 @@ complement).  Two independent routes to its spectrum live here:
 * the structural route: for a validated join structure, per-block
   difference eigenpairs plus the eigenpairs of a small symmetric
   quotient matrix, lifted to block-constant vectors;
-* the brute-force route: a dense symmetric eigensolver on U itself
-  (cyclic Jacobi rotations, with LAPACK available for large orders).
+* the brute-force route: LAPACK's dense symmetric eigensolver (``eigh``)
+  on U itself.
 
 Everything downstream cross-validates the two against each other.
 """
@@ -31,7 +31,6 @@ from .joinstruct import JoinStructure
 __all__ = [
     "UniversalParams",
     "UndefinedUniversalMatrixError",
-    "JacobiConvergenceError",
     "PRESETS",
     "Eigenspace",
     "Spectrum",
@@ -40,7 +39,6 @@ __all__ = [
     "universal_matrix",
     "complement_params",
     "quotient_matrix",
-    "jacobi_eigh",
     "dense_eigen",
     "hjoin_spectrum",
     "verify_eigenpairs",
@@ -63,10 +61,6 @@ PRESETS = {
 
 class UndefinedUniversalMatrixError(ValueError):
     """alpha = 0 leaves U undefined."""
-
-
-class JacobiConvergenceError(RuntimeError):
-    """Cyclic Jacobi failed to push the off-diagonal mass below tolerance."""
 
 
 @dataclass(frozen=True)
@@ -186,82 +180,12 @@ def _group_tolerance(values, group_tol=None) -> float:
     return GROUPING_RTOL * max(1.0, scale)
 
 
-def jacobi_eigh(m: np.ndarray, tol: float | None = None, max_sweeps: int = 50):
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
+def dense_eigen(m: np.ndarray, group_tol: float | None = None, vectors: bool = True) -> Spectrum:
+    """Full eigendecomposition of a symmetric matrix by LAPACK (``eigh``),
+    grouped into eigenspaces by the merge tolerance.  The brute-force oracle.
 
-    Sweeps row-cyclically through all off-diagonal positions, annihilating
-    each with a Givens rotation, until the off-diagonal Frobenius mass drops
-    below ``tol`` (default 1e-14 * ||m||_F).  Returns (values, vectors) with
-    orthonormal eigenvector columns.  Raises ``JacobiConvergenceError``
-    instead of looping forever.
-    """
-    a = np.array(m, dtype=float, copy=True)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n <= 1:
-        return np.diag(a).copy(), v
-    fro = float(np.linalg.norm(a))
-    if tol is None:
-        tol = 1e-14 * fro
-    for _ in range(max_sweeps):
-        off = sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-        if off <= tol:
-            return np.diag(a).copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                diff = a[q, q] - a[p, p]
-                if diff == 0.0:
-                    t = 1.0 if apq > 0 else -1.0
-                else:
-                    theta = diff / (2.0 * apq)
-                    if abs(theta) > 1e150:  # tan collapses to 1/(2*theta)
-                        t = 1.0 / (2.0 * theta)
-                    else:
-                        t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                app, aqq = a[p, p], a[q, q]
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                # explicit diagonal/pivot update is exacter than the rotation
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    off = sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-    if off <= tol:
-        return np.diag(a).copy(), v
-    raise JacobiConvergenceError(
-        f"off-diagonal mass {off:.3e} above tolerance {tol:.3e} after {max_sweeps} sweeps"
-    )
-
-
-# LAPACK takes over above this order; the Jacobi route stays available via
-# method="jacobi" and is cross-checked against it in the test suite.
-_JACOBI_CUTOFF = 12
-
-
-def dense_eigen(
-    m: np.ndarray,
-    tol: float | None = None,
-    method: str = "auto",
-    group_tol: float | None = None,
-    vectors: bool = True,
-) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix, grouped into
-    eigenspaces by the merge tolerance.  The brute-force oracle.
-
-    ``vectors=False`` skips the eigenvector bases (eigenvalue-multiset
-    consumers like the route-agreement sweeps don't pay for them)."""
+    ``vectors=False`` calls ``eigvalsh`` and skips the eigenvector bases
+    (eigenvalue-multiset consumers don't pay for them)."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("square matrix required")
@@ -270,21 +194,10 @@ def dense_eigen(
     n = m.shape[0]
     if n == 0:
         return Spectrum((), 0)
-    if method == "auto":
-        method = "jacobi" if n <= _JACOBI_CUTOFF else "lapack"
-    if method == "jacobi":
-        vals, vecs = jacobi_eigh(m, tol=tol)
-    elif method == "lapack":
-        if vectors:
-            vals, vecs = np.linalg.eigh(m)
-        else:
-            vals, vecs = np.linalg.eigvalsh(m), None
+    if vectors:
+        vals, vecs = np.linalg.eigh(m)  # ascending
     else:
-        raise ValueError(f"unknown method {method!r}")
-    order = np.argsort(vals)
-    vals = vals[order]
-    if vecs is not None:
-        vecs = vecs[:, order]
+        vals = np.linalg.eigvalsh(m)
     gtol = _group_tolerance(vals.tolist(), group_tol)
     spaces = []
     start = 0
@@ -292,7 +205,7 @@ def dense_eigen(
         if i == n or vals[i] - vals[i - 1] > gtol:
             group = vals[start:i]
             basis = None
-            if vectors and vecs is not None:
+            if vectors:
                 basis = tuple(vecs[:, j].copy() for j in range(start, i))
             spaces.append(
                 Eigenspace(float(np.mean(group)) + 0.0, i - start, "Dense", basis)
@@ -359,7 +272,6 @@ def hjoin_spectrum(
     p: UniversalParams,
     want_vectors: bool = False,
     group_tol: float | None = None,
-    orthonormal: bool = False,
 ) -> Spectrum:
     """Spectrum of U over a validated join structure.
 
@@ -370,8 +282,7 @@ def hjoin_spectrum(
     difference vectors (+1 at a clique's first vertex, -1 at its r-th) as
     eigenvectors; lam = c - 1 has multiplicity copies-1, with the
     differences of clique indicator vectors (first clique minus the r-th).
-    ``orthonormal=True`` returns an orthonormal basis of their span
-    instead.  Part two: the eigenpairs of the quotient matrix, each lifted
+    Part two: the eigenpairs of the quotient matrix, each lifted
     to a block-constant vector scaled by sqrt(n_last / n_block).  Values
     are then grouped into eigenspaces by the merge tolerance.
 
@@ -406,10 +317,7 @@ def hjoin_spectrum(
         candidates.append((value, mult, "BlockDiff", ("blocks", parts)))
 
     qm = quotient_matrix(js, p)
-    if qm.dimension <= _JACOBI_CUTOFF:
-        qvals, qvecs = jacobi_eigh(qm.sym)
-    else:
-        qvals, qvecs = np.linalg.eigh(qm.sym)
+    qvals, qvecs = np.linalg.eigh(qm.sym)
     for k in range(qm.dimension):
         candidates.append((float(qvals[k]), 1, "Quotient", ("quotient", k)))
 
@@ -442,20 +350,16 @@ def hjoin_spectrum(
     group: list = []
     for cand in candidates:
         if group and cand[0] - group[-1][0] > gtol:
-            spaces.append(
-                _merge_candidates(group, want_vectors, block_vectors, lifted_vector, orthonormal)
-            )
+            spaces.append(_merge_candidates(group, want_vectors, block_vectors, lifted_vector))
             group = []
         group.append(cand)
     if group:
-        spaces.append(
-            _merge_candidates(group, want_vectors, block_vectors, lifted_vector, orthonormal)
-        )
+        spaces.append(_merge_candidates(group, want_vectors, block_vectors, lifted_vector))
     spaces.sort(key=lambda e: -e.value)
     return Spectrum(tuple(spaces), total)
 
 
-def _merge_candidates(group, want_vectors, block_vectors, lifted_vector, orthonormal=False):
+def _merge_candidates(group, want_vectors, block_vectors, lifted_vector):
     total_mult = sum(m for _, m, _, _ in group)
     value = sum(v * m for v, m, _, _ in group) / total_mult + 0.0  # -0.0 -> 0.0
     provs = []
@@ -471,9 +375,6 @@ def _merge_candidates(group, want_vectors, block_vectors, lifted_vector, orthono
                 vecs.extend(block_vectors(arg))
             else:
                 vecs.append(lifted_vector(arg))
-        if orthonormal:
-            q, _ = np.linalg.qr(np.column_stack(vecs))
-            vecs = [q[:, j].copy() for j in range(len(vecs))]
         basis = tuple(vecs)
     return Eigenspace(value, total_mult, provenance, basis)
 
@@ -698,34 +599,14 @@ def _fraction_det(rows: list[list[Fraction]]) -> Fraction:
     return det
 
 
-def _logdet_pivoted(m: np.ndarray) -> tuple[float, float]:
-    """(sign, log|det|) by partial-pivot Gaussian elimination."""
-    a = np.array(m, dtype=float, copy=True)
-    n = a.shape[0]
-    sign = 1.0
-    logabs = 0.0
-    for col in range(n):
-        pivot = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[pivot, col] == 0.0:
-            return 0.0, float("-inf")
-        if pivot != col:
-            a[[col, pivot]] = a[[pivot, col]]
-            sign = -sign
-        pv = a[col, col]
-        sign = sign if pv > 0 else -sign
-        logabs += float(np.log(abs(pv)))
-        a[col + 1 :, col:] -= np.outer(a[col + 1 :, col] / pv, a[col, col:])
-    return sign, logabs
-
-
 def normalized_laplacian_charpoly_at(g: LabeledGraph, lam):
     """Characteristic polynomial of the normalized Laplacian evaluated at
     ``lam``, through det(U(g, (-1, 1-lam, 0, 0))) / prod(deg).
 
     With an int or Fraction argument the whole computation is exact and a
-    Fraction comes back; a float argument uses pivoted elimination in
-    log space (the raw determinant and degree product overflow binary64
-    long before the ratio does).  Isolated vertices are rejected.
+    Fraction comes back; a float argument works in log space with
+    ``np.linalg.slogdet`` (the raw determinant and degree product overflow
+    binary64 long before the ratio does).  Isolated vertices are rejected.
     """
     deg = g.degrees()
     if g.n == 0:
@@ -745,7 +626,7 @@ def normalized_laplacian_charpoly_at(g: LabeledGraph, lam):
             denom *= int(d)
         return det / denom
     p = UniversalParams(-1.0, 1.0 - float(lam), 0.0, 0.0)
-    sign, logabs = _logdet_pivoted(universal_matrix(g, p))
+    sign, logabs = np.linalg.slogdet(universal_matrix(g, p))
     if sign == 0.0:
         return 0.0
     logdeg = float(np.sum(np.log(deg.astype(float))))

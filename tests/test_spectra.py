@@ -16,7 +16,6 @@ from powspec.groups import (
 from powspec.joinstruct import StructureValidationError, Variant, build_join
 from powspec.spectra import (
     Eigenspace,
-    JacobiConvergenceError,
     QuotientMatrix,
     Spectrum,
     UndefinedUniversalMatrixError,
@@ -26,7 +25,6 @@ from powspec.spectra import (
     complement_params,
     dense_eigen,
     hjoin_spectrum,
-    jacobi_eigh,
     multiset_gap,
     normalized_laplacian_charpoly_at,
     quotient_matrix,
@@ -162,21 +160,25 @@ def test_dense_eigen_rejects_asymmetric():
         dense_eigen(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
-def test_jacobi_matches_lapack():
-    rng = np.random.default_rng(7)
-    for n in (2, 3, 10, 33):
-        m = rng.normal(size=(n, n))
-        m = m + m.T
-        vals, vecs = jacobi_eigh(m)
-        assert np.max(np.abs(np.sort(vals) - np.linalg.eigvalsh(m))) < 1e-11
-        assert np.max(np.abs(vecs.T @ vecs - np.eye(n))) < 1e-12
-        assert np.max(np.abs(vecs @ np.diag(vals) @ vecs.T - m)) < 1e-11
-
-
-def test_jacobi_reports_nonconvergence():
-    m = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(JacobiConvergenceError):
-        jacobi_eigh(m, max_sweeps=0)
+@pytest.mark.parametrize(
+    "spec", [GroupSpec(Z, 12), GroupSpec(D, 15), GroupSpec(Q, 6)], ids=["Z12", "D15", "Q6"]
+)
+@pytest.mark.parametrize("variant", [Variant.POWER, Variant.PROPER])
+def test_hjoin_quotient_values_are_lapack_eigenvalues(spec, variant):
+    # t <= 12 here: the quotient goes to the same LAPACK solver as any other
+    js = build_join(spec, variant)
+    assert js.template.adj.shape[0] <= 12
+    rng = np.random.default_rng(41)
+    for p in [LAPLACIAN, SEIDEL] + [sample_params(rng) for _ in range(3)]:
+        lapack = set(np.linalg.eigh(quotient_matrix(js, p).sym)[0].tolist())
+        single = [
+            e.value
+            for e in hjoin_spectrum(js, p).eigenspaces
+            if e.provenance == "Quotient" and e.multiplicity == 1
+        ]
+        assert single
+        for value in single:
+            assert value in lapack
 
 
 def test_verify_eigenpairs_exact_k4_laplacian():
@@ -269,16 +271,6 @@ def test_part1_part2_orthogonality_exact():
     for x in block:
         for y in lifted:
             assert float(x @ y) == 0.0
-
-
-def test_hjoin_orthonormal_flag():
-    js = build_join(GroupSpec(D, 15), Variant.POWER)
-    s = hjoin_spectrum(js, LAPLACIAN, want_vectors=True, orthonormal=True)
-    u = universal_matrix(power_graph_oracle(GroupSpec(D, 15)), LAPLACIAN)
-    assert verify_eigenpairs(u, s, tol=1e-8).passed
-    for e in s.eigenspaces:
-        m = np.column_stack(e.basis)
-        assert np.max(np.abs(m.T @ m - np.eye(m.shape[1]))) < 1e-12
 
 
 @pytest.mark.parametrize("variant", [Variant.POWER, Variant.PROPER])
@@ -512,6 +504,9 @@ def test_normalized_laplacian_k2():
     g = k2()
     assert normalized_laplacian_charpoly_at(g, 1) == -1
     assert normalized_laplacian_charpoly_at(g, 0) == 0
+    # the float branch at a root: a zero pivot gives exactly 0.0
+    assert normalized_laplacian_charpoly_at(g, 0.0) == 0.0
+    assert normalized_laplacian_charpoly_at(g, 2.0) == 0.0
     # eigenvalues of the normalized Laplacian of K_2 are 0 and 2
     assert abs(normalized_laplacian_charpoly_at(g, 0.5) - (0 - 0.5) * (2 - 0.5)) < 1e-12
 
@@ -519,6 +514,7 @@ def test_normalized_laplacian_k2():
 def test_normalized_laplacian_z4_at_zero():
     g = power_graph_oracle(GroupSpec(Z, 4))
     assert normalized_laplacian_charpoly_at(g, 0) == 0
+    assert normalized_laplacian_charpoly_at(g, 0.0) == 0.0
 
 
 def test_normalized_laplacian_float_matches_exact():
