@@ -43,6 +43,7 @@ from .joinstruct import (
     build_join,
     divisor_graph,
     validate_structure,
+    variant_graph,
 )
 from .numtheory import (
     divisors,

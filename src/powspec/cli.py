@@ -3,8 +3,8 @@
 Subcommands:
 
 * ``spectrum`` -- eigenvalues (optionally eigenvectors) of U over a chosen
-  power graph, computed through the structural route when the join
-  validates and through the dense eigensolver otherwise;
+  power graph, computed through the validated join structure; the dense
+  eigensolver and the closed forms check it under ``--oracle-check``;
 * ``verify``   -- the invariant battery (route agreement, residuals, trace,
   Frobenius norm, complement identity) over seeded random parameters;
 * ``charpoly`` -- exact rational characteristic polynomial of the quotient
@@ -15,7 +15,8 @@ Output on stdout is deterministic for fixed flags and seed: every float is
 serialized with 17 significant digits (an eigenvector basis formats each
 distinct value once) and JSON field order is fixed.
 Diagnostics and timing go to stderr.  Exit codes: 0 success, 1 usage or
-construction error, 2 cross-check mismatch.
+construction error, 2 cross-check mismatch or a join structure that fails
+validation.
 """
 
 from __future__ import annotations
@@ -41,11 +42,10 @@ from .groups import (
     GroupFamily,
     GroupSpec,
     complement_graph,
-    delete_identity,
     edge_lines,
     power_graph_oracle,
 )
-from .joinstruct import StructureValidationError, Variant, build_join
+from .joinstruct import StructureValidationError, Variant, build_join, variant_graph
 from .numtheory import factorize, prime_power
 from .spectra import (
     UndefinedUniversalMatrixError,
@@ -162,24 +162,6 @@ def _build_spec(args) -> GroupSpec:
     return GroupSpec(GroupFamily(args.group), args.n)
 
 
-def _variant_graph(spec: GroupSpec, variant: Variant):
-    """(power graph, variant graph) pair; the former feeds validation."""
-    base = power_graph_oracle(spec)
-    g = base
-    if variant is Variant.PROPER:
-        if g.n < 2:
-            raise ValueError("proper variant needs group order >= 2")
-        g = delete_identity(g)
-    return base, g
-
-
-def _try_structural(spec, variant, oracle=None):
-    try:
-        return build_join(spec, variant, oracle=oracle)
-    except StructureValidationError:
-        return None
-
-
 def _two_distinct_primes(n: int):
     facs = factorize(n)
     if len(facs) == 2 and facs[0][1] == 1 and facs[1][1] == 1:
@@ -192,7 +174,7 @@ def _two_distinct_primes(n: int):
 # ---------------------------------------------------------------------------
 
 
-def _closed_form_checks(spec, variant, complement, params, js, computed, qvals):
+def _closed_form_checks(spec, variant, complement, params, computed, qvals):
     """Closed-form comparisons applicable to this instance: (name, gap)."""
     checks = []
     n = spec.n
@@ -202,7 +184,7 @@ def _closed_form_checks(spec, variant, complement, params, js, computed, qvals):
             cf = cyclic_prime_power_spectrum(p, r, params)
             checks.append(("prime-power", multiset_gap(cf.expanded(), computed)))
         pq = _two_distinct_primes(n)
-        if pq and not complement and js is not None and qvals is not None:
+        if pq and not complement:
             cf = cyclic_two_prime_quotient(*pq, params)
             checks.append(("two-prime-quotient", multiset_gap(cf.expanded(), qvals)))
         if pq and complement and params.eta == 0:
@@ -226,21 +208,15 @@ def cmd_spectrum(args) -> int:
     spec = _build_spec(args)
     params, preset_name = _parse_params(args)
     variant = Variant(args.variant)
-    base, g = _variant_graph(spec, variant)
+    g = variant_graph(power_graph_oracle(spec), variant)
     order = g.n
     p_eff = complement_params(params, order) if args.complement else params
-    js = _try_structural(spec, variant, oracle=base)
+    js = build_join(spec, variant, oracle=g)
     want_vectors = args.vectors or args.oracle_check
-    u = None
-    if js is None or want_vectors:  # the dense route and the checks read U
+    if want_vectors:  # only the checks read U
         target = complement_graph(g) if args.complement else g
         u = universal_matrix(target, params)
-    if js is not None:
-        route = "structural"
-        spectrum = hjoin_spectrum(js, p_eff, want_vectors=want_vectors)
-    else:
-        route = "oracle"
-        spectrum = dense_eigen(u)
+    spectrum = hjoin_spectrum(js, p_eff, want_vectors=want_vectors)
 
     verification = None
     mismatch = []
@@ -252,18 +228,16 @@ def cmd_spectrum(args) -> int:
         checked = ["residual"]
         passed = residual.passed
         if args.oracle_check:
-            qvals = None
-            if js is not None:
-                dense = dense_eigen(u, vectors=False)
-                gap = multiset_gap(spectrum, dense)
-                checked.append("dense-route")
-                worst = max(worst, gap)
-                if gap > tol_eff:
-                    passed = False
-                    mismatch.append(f"structural vs dense gap {gap:.3e} > {tol_eff:.3e}")
-                qvals = dense_eigen(quotient_matrix(js, p_eff).sym, vectors=False).expanded()
+            dense = dense_eigen(u, vectors=False)
+            gap = multiset_gap(spectrum, dense)
+            checked.append("dense-route")
+            worst = max(worst, gap)
+            if gap > tol_eff:
+                passed = False
+                mismatch.append(f"structural vs dense gap {gap:.3e} > {tol_eff:.3e}")
+            qvals = dense_eigen(quotient_matrix(js, p_eff).sym, vectors=False).expanded()
             for name, gap in _closed_form_checks(
-                spec, variant, args.complement, params, js, spectrum.expanded(), qvals
+                spec, variant, args.complement, params, spectrum.expanded(), qvals
             ):
                 checked.append(name)
                 worst = max(worst, gap)
@@ -290,7 +264,7 @@ def cmd_spectrum(args) -> int:
             "preset": preset_name,
         },
         "order": order,
-        "route": route,
+        "route": "structural",
         "eigenspaces": [
             {
                 "value": e.value,
@@ -326,7 +300,7 @@ def cmd_spectrum(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_battery(spec, variant, params, g, js, tol):
+def _run_battery(params, g, js, tol):
     """One parameter quadruple through the invariant battery.
 
     Returns (lines, ok); float comparisons are scaled by max(1, ||U||_inf).
@@ -344,27 +318,15 @@ def _run_battery(spec, variant, params, g, js, tol):
         target = complement_graph(g) if complement else g
         u = universal_matrix(target, params)
         scale = max(1.0, float(np.max(np.abs(u).sum(axis=1)))) if order else 1.0
-        dense = dense_eigen(u, vectors=js is None)  # the oracle route checks its vectors
+        dense = dense_eigen(u, vectors=False)
         tag = "complement" if complement else "plain"
 
-        if js is not None:
-            p_eff = complement_params(params, order) if complement else params
-            structural = hjoin_spectrum(js, p_eff, want_vectors=True)
-            gap = multiset_gap(structural, dense)
-            check(f"route-agreement[{tag}]", gap <= tol * scale, f"gap {gap:.3e}")
-            residual = verify_eigenpairs(u, structural, tol=tol)
-            check(
-                f"residual[{tag}]",
-                residual.passed,
-                f"max residual {residual.max_residual:.3e}",
-            )
-        else:
-            residual = verify_eigenpairs(u, dense, tol=tol)
-            check(
-                f"residual[{tag}]",
-                residual.passed,
-                f"max residual {residual.max_residual:.3e} (oracle route)",
-            )
+        p_eff = complement_params(params, order) if complement else params
+        structural = hjoin_spectrum(js, p_eff, want_vectors=True)
+        gap = multiset_gap(structural, dense)
+        check(f"route-agreement[{tag}]", gap <= tol * scale, f"gap {gap:.3e}")
+        residual = verify_eigenpairs(u, structural, tol=tol)
+        check(f"residual[{tag}]", residual.passed, f"max residual {residual.max_residual:.3e}")
 
         values = dense.expanded()
         alpha, beta, gamma, eta = params.as_floats()
@@ -381,8 +343,8 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     spec = _build_spec(args)
     variant = Variant(args.variant)
-    base, g = _variant_graph(spec, variant)
-    js = _try_structural(spec, variant, oracle=base)
+    g = variant_graph(power_graph_oracle(spec), variant)
+    js = build_join(spec, variant, oracle=g)
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("POWSPEC_SEED", "0"))
@@ -390,16 +352,14 @@ def cmd_verify(args) -> int:
 
     print(
         f"verify group={spec.family.value} n={spec.n} variant={variant.value} "
-        f"order={g.n} route={'structural' if js is not None else 'oracle'} seed={seed}"
+        f"order={g.n} route=structural seed={seed}"
     )
-    if js is None:
-        print("  note: structural route refused; running oracle-only checks")
     all_ok = True
     for k in range(args.count):
         params = sample_params(rng)
         a, b, gm, e = params.as_floats()
         print(f"quadruple {k}: alpha={a:.6g} beta={b:.6g} gamma={gm:.6g} eta={e:.6g}")
-        lines, ok = _run_battery(spec, variant, params, g, js, args.tol)
+        lines, ok = _run_battery(params, g, js, args.tol)
         print("\n".join(lines))
         all_ok = all_ok and ok
 
@@ -430,7 +390,7 @@ def cmd_charpoly(args) -> int:
     if args.quotient:
         if not params.is_rational:
             raise _UsageError("charpoly --quotient needs rational parameters")
-        js = build_join(spec, variant)  # StructureValidationError -> exit 1
+        js = build_join(spec, variant)
         p_eff = complement_params(params, js.order) if args.complement else params
         coeffs = charpoly_exact(quotient_matrix(js, p_eff))
         report = {
@@ -446,7 +406,7 @@ def cmd_charpoly(args) -> int:
         print(_emit_json(report))
         return 0
 
-    _, g = _variant_graph(spec, variant)
+    g = variant_graph(power_graph_oracle(spec), variant)
     if args.complement:
         g = complement_graph(g)
     try:
@@ -475,7 +435,7 @@ def cmd_charpoly(args) -> int:
 def cmd_graph(args) -> int:
     spec = _build_spec(args)
     variant = Variant(args.variant)
-    _, g = _variant_graph(spec, variant)
+    g = variant_graph(power_graph_oracle(spec), variant)
     if args.complement:
         g = complement_graph(g)
     for line in edge_lines(g):
@@ -559,9 +519,11 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except StructureValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (
         UndefinedUniversalMatrixError,
-        StructureValidationError,
         ValueError,
         KeyError,
         TypeError,

@@ -23,7 +23,8 @@ Every block is thus a set of disjoint cliques of one size, a regular
 graph whose spectrum is known, which is all the H-join theorem for
 regular blocks needs.  ``build_join`` still validates the assembled
 graph vertex-for-vertex against the definitional oracle and raises
-``StructureValidationError`` on any mismatch rather than trusting it.
+``StructureValidationError``, naming the first mismatching pair, rather
+than trusting it: a refused structure is a defect, not a route.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .groups import (
     GroupSpec,
     LabeledGraph,
     delete_identity,
+    element_label,
     power_graph_oracle,
 )
 from .numtheory import divisors
@@ -51,6 +53,7 @@ __all__ = [
     "StructureValidationError",
     "divisor_graph",
     "build_join",
+    "variant_graph",
     "assemble",
     "validate_structure",
 ]
@@ -172,9 +175,9 @@ def build_join(
 
     Blocks follow the ascending divisors of m, then "R"; the proper variant
     drops the identity block m.  Raises ``StructureValidationError`` when
-    the assembled graph does not reproduce the oracle; callers then fall
-    back to the oracle-only route.  A precomputed power graph of ``spec``
-    can be passed as ``oracle`` to skip rebuilding it during validation.
+    the assembled graph does not reproduce the oracle.  A precomputed
+    graph of ``spec`` and ``variant`` (see ``variant_graph``) can be passed
+    as ``oracle`` to skip rebuilding it during validation.
     """
     variant = Variant(variant)
     n = spec.n
@@ -237,20 +240,22 @@ def assemble(js: JoinStructure) -> LabeledGraph:
     return LabeledGraph(adj, labels, identity_index=identity_index)
 
 
-def reference_graph(
-    spec: GroupSpec, variant: Variant, base: LabeledGraph | None = None
-) -> LabeledGraph:
-    """Definitional graph the structure must reproduce; ``base`` is an
-    already-built power graph of ``spec``."""
-    g = base if base is not None else power_graph_oracle(spec)
+def variant_graph(power: LabeledGraph, variant: Variant) -> LabeledGraph:
+    """The graph of ``variant`` from a power graph: the power graph itself,
+    or the proper power graph without the identity."""
     if Variant(variant) is Variant.PROPER:
-        g = delete_identity(g)
-    return g
+        if power.n < 2:
+            raise ValueError("proper variant needs group order >= 2")
+        return delete_identity(power)
+    return power
 
 
 def validate_structure(js: JoinStructure, oracle: LabeledGraph | None = None) -> None:
-    """Hard check: assembled graph == oracle graph vertex-for-vertex."""
-    oracle = reference_graph(js.spec, js.variant, base=oracle)
+    """Hard check: assembled graph == oracle graph vertex-for-vertex.  The
+    oracle graph is the (proper) power graph of ``js``, built here when not
+    given.  A refusal names the first mismatching vertex pair."""
+    if oracle is None:
+        oracle = variant_graph(power_graph_oracle(js.spec), js.variant)
     built = assemble(js)
     if built.n != oracle.n:
         raise StructureValidationError(
@@ -263,8 +268,12 @@ def validate_structure(js: JoinStructure, oracle: LabeledGraph | None = None) ->
         raise StructureValidationError(
             f"block member {missing} is not a vertex of the oracle graph"
         ) from None
-    if not np.array_equal(built.adj, oracle.adj[np.ix_(perm, perm)]):
+    mismatch = built.adj != oracle.adj[np.ix_(perm, perm)]
+    if mismatch.any():
+        i, j = np.argwhere(mismatch)[0]
+        x, y = element_label(built.labels[i]), element_label(built.labels[j])
+        has, lacks = ("join", "power graph") if built.adj[i, j] else ("power graph", "join")
         raise StructureValidationError(
-            f"assembled join of {js.spec.family.value} n={js.spec.n} "
-            f"({js.variant.value}) disagrees with the definitional power graph"
+            f"join of {js.spec.family.value} n={js.spec.n} ({js.variant.value}) refused: "
+            f"{x} ~ {y} in the {has}, not in the {lacks}"
         )

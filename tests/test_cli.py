@@ -13,7 +13,7 @@ import pytest
 import powspec.cli
 from powspec.cli import _emit_json, main
 from powspec.groups import GroupFamily, GroupSpec
-from powspec.joinstruct import StructureValidationError, Variant, build_join
+from powspec.joinstruct import Variant, build_join
 from powspec.spectra import UniversalParams, charpoly_roots, hjoin_spectrum
 
 
@@ -21,6 +21,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def flip_divisor_edge(monkeypatch, a=2, b=4):
+    """Make ``build_join`` assemble a template with the a-b divisor edge
+    flipped, which the real validator must refuse."""
+    real = powspec.joinstruct.divisor_graph
+
+    def flipped(n):
+        template = real(n)
+        i, j = template.labels.index(a), template.labels.index(b)
+        template.adj[i, j] = template.adj[j, i] = not template.adj[i, j]
+        return template
+
+    monkeypatch.setattr("powspec.joinstruct.divisor_graph", flipped)
 
 
 def test_spectrum_z4_laplacian(capsys):
@@ -66,18 +80,37 @@ def test_spectrum_qn6_structural(capsys):
     assert report["verification"]["passed"] is True
 
 
-def test_spectrum_qn_falls_back_to_oracle(capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise StructureValidationError("refused")
-
-    monkeypatch.setattr("powspec.cli.build_join", refuse)
-    code, out, _ = run(
+def test_spectrum_qn_refused_structure_exit_2(capsys, monkeypatch):
+    flip_divisor_edge(monkeypatch)
+    code, out, err = run(
         capsys, "spectrum", "--group", "qn", "--n", "6", "--preset", "adjacency", "--oracle-check",
     )
-    assert code == 0
-    report = json.loads(out)
-    assert report["route"] == "oracle"
-    assert report["verification"]["passed"] is True
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: join of qn n=6 (power) refused: a^2 ~ a^4 in the power graph, not in the join"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--group", "zn", "--n", "12", "--vectors"),
+        ("spectrum", "--group", "zn", "--n", "12", "--variant", "proper", "--format", "csv"),
+        ("verify", "--group", "zn", "--n", "12", "--seed", "3"),
+        ("charpoly", "--group", "zn", "--n", "12", "--quotient", "--preset", "laplacian"),
+    ],
+    ids=["spectrum", "spectrum-proper", "verify", "charpoly-quotient"],
+)
+def test_refused_structure_exit_2(capsys, monkeypatch, argv):
+    flip_divisor_edge(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: join of zn n=12 (")
+    assert lines[0].endswith(" refused: 2 ~ 4 in the power graph, not in the join")
 
 
 def test_spectrum_dicyclic_small_n_exit_1(capsys):
@@ -394,9 +427,6 @@ def test_structural_spectrum_builds_no_dense_matrix(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("universal_matrix called")
 
-    def no_join(*args, **kwargs):
-        raise StructureValidationError("refused")
-
     monkeypatch.setattr("powspec.cli.universal_matrix", refuse)
     for flags in ((), ("--complement",), ("--variant", "proper", "--format", "csv")):
         code, out, _ = run(capsys, "spectrum", "--group", "dn", "--n", "15", *flags)
@@ -407,10 +437,9 @@ def test_structural_spectrum_builds_no_dense_matrix(capsys, monkeypatch):
     assert code == 0 and len(calls) == 1
     assert json.loads(out)["verification"]["passed"] is True
 
-    monkeypatch.setattr("powspec.cli.build_join", no_join)
+    flip_divisor_edge(monkeypatch)
     code, out, _ = run(capsys, "spectrum", "--group", "zn", "--n", "12")
-    assert code == 0 and len(calls) == 2
-    assert json.loads(out)["route"] == "oracle"
+    assert code == 2 and out == "" and len(calls) == 1
 
 
 def test_successive_main_calls_match_separate_processes(capsys):

@@ -1,5 +1,7 @@
 """Join templates, block partitions, assembly, and oracle validation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from powspec.joinstruct import (
     build_join,
     divisor_graph,
     validate_structure,
+    variant_graph,
 )
 from powspec.numtheory import divisors, totient
 
@@ -257,3 +260,51 @@ def test_join_degree_field():
 def test_validate_structure_direct_call():
     js = build_join(GroupSpec(Z, 12), Variant.POWER, validate=False)
     validate_structure(js)  # no error
+
+
+def flipped(spec, variant, a, b):
+    """Unvalidated structure of ``spec`` with the a-b template edge flipped."""
+    js = build_join(spec, variant, validate=False)
+    i, j = js.template.labels.index(a), js.template.labels.index(b)
+    js.template.adj[i, j] = js.template.adj[j, i] = not js.template.adj[i, j]
+    return js
+
+
+@pytest.mark.parametrize(
+    "spec, variant, a, b, reason",
+    [
+        (GroupSpec(Z, 12), Variant.POWER, 2, 4, "2 ~ 4 in the power graph, not in the join"),
+        (GroupSpec(Z, 12), Variant.PROPER, 2, 3, "2 ~ 3 in the join, not in the power graph"),
+        (GroupSpec(D, 6), Variant.PROPER, 3, "R", "a^3 ~ b in the join, not in the power graph"),
+        (GroupSpec(Q, 6), Variant.POWER, 1, 4, "a ~ a^4 in the power graph, not in the join"),
+    ],
+    ids=["Z12-2-4", "Z12-proper-2-3", "D6-proper-3-R", "Q6-1-4"],
+)
+def test_refusal_names_first_mismatching_pair(spec, variant, a, b, reason):
+    js = flipped(spec, variant, a, b)
+    with pytest.raises(StructureValidationError) as exc:
+        validate_structure(js)
+    assert str(exc.value) == (
+        f"join of {spec.family.value} n={spec.n} ({variant.value}) refused: {reason}"
+    )
+    with pytest.raises(StructureValidationError, match=re.escape(reason)):
+        validate_structure(js, oracle=variant_graph(power_graph_oracle(spec), variant))
+
+
+def test_variant_graph():
+    g = power_graph_oracle(GroupSpec(D, 6))
+    assert variant_graph(g, Variant.POWER) is g
+    proper = variant_graph(g, Variant.PROPER)
+    assert np.array_equal(proper.adj, delete_identity(g).adj)
+    assert proper.labels == delete_identity(g).labels
+    with pytest.raises(ValueError):
+        variant_graph(power_graph_oracle(GroupSpec(Z, 1)), Variant.PROPER)
+
+
+def test_validation_against_a_graph_of_another_shape():
+    spec = GroupSpec(Z, 12)
+    js = build_join(spec, Variant.PROPER, validate=False)
+    with pytest.raises(StructureValidationError, match="covers 11 vertices, oracle has 12"):
+        validate_structure(js, oracle=power_graph_oracle(spec))
+    with pytest.raises(StructureValidationError, match="is not a vertex of the oracle graph"):
+        validate_structure(js, oracle=variant_graph(power_graph_oracle(GroupSpec(D, 6)), "proper"))
