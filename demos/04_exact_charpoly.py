@@ -23,7 +23,6 @@ from powspec import (
     dense_eigen,
     multiset_gap,
     normalized_laplacian_charpoly_at,
-    power_graph_oracle,
     quotient_matrix,
 )
 
@@ -50,23 +49,24 @@ print("  degree", len(coeffs) - 1, "constant term", coeffs[-1])
 # --- a pointwise polynomial identity ------------------------------------------
 
 # for Z_pq with eta = 0 the quotient determinant collapses to a short
-# product-sum expression; evaluate both sides at a rational point
+# product-sum expression; evaluate both sides at a rational point, the
+# right one as det(B - lambda*I) = (-1)^t p(lambda) from the exact charpoly
 params = UniversalParams(2, Fraction(-1, 2), Fraction(1, 3), 0)
-lhs = cyclic_two_prime_case2_charpoly(2, 3, params, Fraction(7, 5))
+lam = Fraction(7, 5)
+lhs = cyclic_two_prime_case2_charpoly(2, 3, params, lam)
 q = quotient_matrix(build_join(GroupSpec(GroupFamily.CYCLIC, 6), Variant.POWER), params)
-from powspec.spectra import _fraction_det
+p_at = Fraction(0)
+for c in charpoly_exact(q):
+    p_at = p_at * lam + c
+rhs = (-1) ** q.dimension * p_at
+print("\nproduct-sum formula vs exact charpoly at lambda = 7/5:")
+print(f"  {lhs} == {rhs}: {lhs == rhs}")
 
-rows = [
-    [Fraction(q.similar[i][j]) - (Fraction(7, 5) if i == j else 0) for j in range(4)]
-    for i in range(4)
-]
-print("\nproduct-sum formula vs exact determinant at lambda = 7/5:")
-print(f"  {lhs} == {_fraction_det(rows)}: {lhs == _fraction_det(rows)}")
+# --- normalized Laplacian through the join --------------------------------------
 
-# --- normalized Laplacian through a determinant ratio ---------------------------
-
-g = power_graph_oracle(GroupSpec(GroupFamily.CYCLIC, 4))
+# det(D - A - lambda*D) / det(D): block values times the quotient determinant
+js = build_join(GroupSpec(GroupFamily.CYCLIC, 4), Variant.POWER)
 print("\nnormalized-Laplacian characteristic value of the power graph of Z_4:")
 for lam in (0, Fraction(1, 2), Fraction(4, 3), 2):
-    value = normalized_laplacian_charpoly_at(g, lam)
+    value = normalized_laplacian_charpoly_at(js, lam)
     print(f"  psi({lam}) = {value}")

@@ -382,47 +382,40 @@ def cmd_verify(args) -> int:
 
 def cmd_charpoly(args) -> int:
     spec = _build_spec(args)
-    params, preset_name = _parse_params(args)
     variant = Variant(args.variant)
     if args.quotient == (args.normalized is not None):
         raise _UsageError("choose exactly one of --quotient or --normalized --at X")
-
     if args.quotient:
+        params, preset_name = _parse_params(args)
         if not params.is_rational:
             raise _UsageError("charpoly --quotient needs rational parameters")
-        js = build_join(spec, variant)
-        p_eff = complement_params(params, js.order) if args.complement else params
-        coeffs = charpoly_exact(quotient_matrix(js, p_eff))
-        report = {
-            "schema": SCHEMA_VERSION,
-            "group": {"family": spec.family.value, "n": spec.n},
-            "variant": variant.value,
-            "complement": bool(args.complement),
-            "preset": preset_name,
-            "kind": "quotient-charpoly",
-            "degree": len(coeffs) - 1,
-            "coefficients": [str(c) for c in coeffs],
-        }
-        print(_emit_json(report))
-        return 0
+    else:
+        if args.params is not None or args.preset is not None:
+            raise _UsageError("--normalized takes no --params or --preset")
+        try:
+            at = Fraction(args.normalized_at)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise _UsageError(f"bad --at value: {exc}")
 
-    g = variant_graph(power_graph_oracle(spec), variant)
-    if args.complement:
-        g = complement_graph(g)
-    try:
-        at = Fraction(args.normalized_at)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _UsageError(f"bad --at value: {exc}")
-    value = normalized_laplacian_charpoly_at(g, at)
+    js = build_join(spec, variant)
     report = {
         "schema": SCHEMA_VERSION,
         "group": {"family": spec.family.value, "n": spec.n},
         "variant": variant.value,
         "complement": bool(args.complement),
-        "kind": "normalized-laplacian-charpoly",
-        "at": float(at),
-        "value": float(value),
     }
+    if args.quotient:
+        p_eff = complement_params(params, js.order) if args.complement else params
+        coeffs = charpoly_exact(quotient_matrix(js, p_eff))
+        report["preset"] = preset_name
+        report["kind"] = "quotient-charpoly"
+        report["degree"] = len(coeffs) - 1
+        report["coefficients"] = [str(c) for c in coeffs]
+    else:
+        value = normalized_laplacian_charpoly_at(js, at, complement=args.complement)
+        report["kind"] = "normalized-laplacian-charpoly"
+        report["at"] = float(at)
+        report["value"] = float(value)
     print(_emit_json(report))
     return 0
 

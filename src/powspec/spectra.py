@@ -15,6 +15,11 @@ complement).  Two independent routes to its spectrum live here:
   on U itself.
 
 Everything downstream cross-validates the two against each other.
+
+Exact answers take one determinant path: the characteristic polynomial of
+the quotient's rational similar form.  The normalized-Laplacian value is
+the U determinant at (-1, 1-X, 0, 0) over the degree product, so it too is
+block values times that polynomial's constant term.
 """
 
 from __future__ import annotations
@@ -296,11 +301,12 @@ def hjoin_spectrum(
     blocks = js.blocks
     sizes = js.sizes
     total = js.order
-    canon = elements(js.spec)
-    if js.variant is Variant.PROPER:
-        canon = [x for x in canon if x != js.spec.identity]
-    index = {x: i for i, x in enumerate(canon)}
-    coords = [np.array([index[x] for x in b.members], dtype=int) for b in blocks]
+    if want_vectors:  # block members -> positions in the canonical order
+        canon = elements(js.spec)
+        if js.variant is Variant.PROPER:
+            canon = [x for x in canon if x != js.spec.identity]
+        index = {x: i for i, x in enumerate(canon)}
+        coords = [np.array([index[x] for x in b.members], dtype=int) for b in blocks]
 
     # part 1, grouped by exact formula value
     block_groups: dict[float, list] = {}
@@ -578,59 +584,38 @@ def charpoly_roots(coeffs, dps: int = 50) -> list[float]:
     return sorted(out)
 
 
-def _fraction_det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    a = [row[:] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            factor = a[r][col] / inv
-            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return det
+def normalized_laplacian_charpoly_at(js: JoinStructure, lam, complement: bool = False):
+    """Characteristic polynomial of the normalized Laplacian of the graph of
+    ``js`` (its complement under ``complement``) evaluated at ``lam``:
+    det(U(H, (-1, 1-lam, 0, 0))) / prod(deg), by the H-join theorem.
 
-
-def normalized_laplacian_charpoly_at(g: LabeledGraph, lam):
-    """Characteristic polynomial of the normalized Laplacian evaluated at
-    ``lam``, through det(U(g, (-1, 1-lam, 0, 0))) / prod(deg).
-
-    With an int or Fraction argument the whole computation is exact and a
-    Fraction comes back; a float argument works in log space with
-    ``np.linalg.slogdet`` (the raw determinant and degree product overflow
-    binary64 long before the ratio does).  Isolated vertices are rejected.
+    det U is the product of the block values over the blocks' local
+    eigenvalues times det B of the quotient's similar form, which is
+    (-1)^t times the constant term of ``charpoly_exact``.  The arithmetic
+    is exact: an int or Fraction ``lam`` gives a Fraction, a float ``lam``
+    is converted exactly and the value comes back as a float.  Isolated
+    vertices are rejected.
     """
-    deg = g.degrees()
-    if g.n == 0:
-        raise ValueError("empty graph has no normalized Laplacian")
-    if int(deg.min()) == 0:
-        raise ValueError("graph has an isolated vertex; det(D) = 0")
-    if isinstance(lam, (int, Fraction)) and not isinstance(lam, bool):
-        lam = Fraction(lam)
-        rows = []
-        for i in range(g.n):
-            row = [Fraction(-1) if g.adj[i, j] else Fraction(0) for j in range(g.n)]
-            row[i] = (1 - lam) * int(deg[i])
-            rows.append(row)
-        det = _fraction_det(rows)
-        denom = 1
-        for d in deg.tolist():
-            denom *= int(d)
-        return det / denom
-    p = UniversalParams(-1.0, 1.0 - float(lam), 0.0, 0.0)
-    sign, logabs = np.linalg.slogdet(universal_matrix(g, p))
-    if sign == 0.0:
-        return 0.0
-    logdeg = float(np.sum(np.log(deg.astype(float))))
-    return sign * float(np.exp(logabs - logdeg))
+    exact = isinstance(lam, (int, Fraction)) and not isinstance(lam, bool)
+    x = Fraction(lam)
+    order = js.order
+    p = UniversalParams(-1, 1 - x, 0, 0)
+    if complement:
+        p = complement_params(p, order)
+    value = Fraction(1)
+    denom = 1
+    for b in js.blocks:
+        deg = b.regularity + b.join_degree
+        if complement:
+            deg = order - 1 - deg
+        if deg == 0:
+            raise ValueError("graph has an isolated vertex; det(D) = 0")
+        denom *= deg**b.size
+        for loc, mult in b.local_eigenvalues():
+            value *= (p.alpha * loc + p.beta * (b.regularity + b.join_degree) + p.gamma) ** mult
+    value *= (-1) ** len(js.blocks) * charpoly_exact(quotient_matrix(js, p))[-1]
+    value /= denom
+    return value if exact else float(value)
 
 
 # ---------------------------------------------------------------------------

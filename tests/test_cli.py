@@ -12,7 +12,7 @@ import pytest
 
 import powspec.cli
 from powspec.cli import _emit_json, main
-from powspec.groups import GroupFamily, GroupSpec
+from powspec.groups import GroupFamily, GroupSpec, delete_identity, power_graph_oracle
 from powspec.joinstruct import Variant, build_join
 from powspec.spectra import UniversalParams, charpoly_roots, hjoin_spectrum
 
@@ -99,8 +99,9 @@ def test_spectrum_qn_refused_structure_exit_2(capsys, monkeypatch):
         ("spectrum", "--group", "zn", "--n", "12", "--variant", "proper", "--format", "csv"),
         ("verify", "--group", "zn", "--n", "12", "--seed", "3"),
         ("charpoly", "--group", "zn", "--n", "12", "--quotient", "--preset", "laplacian"),
+        ("charpoly", "--group", "zn", "--n", "12", "--normalized", "--at", "1/2"),
     ],
-    ids=["spectrum", "spectrum-proper", "verify", "charpoly-quotient"],
+    ids=["spectrum", "spectrum-proper", "verify", "charpoly-quotient", "charpoly-normalized"],
 )
 def test_refused_structure_exit_2(capsys, monkeypatch, argv):
     flip_divisor_edge(monkeypatch)
@@ -236,7 +237,7 @@ def test_charpoly_quotient_roots_match(capsys):
     coeffs = [Fraction(c) for c in json.loads(out)["coefficients"]]
     roots = charpoly_roots(coeffs)
 
-    from powspec.groups import GroupFamily, GroupSpec
+    from powspec.groups import GroupFamily, GroupSpec, delete_identity, power_graph_oracle
     from powspec.joinstruct import Variant, build_join
     from powspec.spectra import UniversalParams, dense_eigen, multiset_gap, quotient_matrix
 
@@ -262,6 +263,37 @@ def test_charpoly_normalized_isolated_vertex_exit_1(capsys):
     )
     assert code == 1
     assert "isolated" in err
+
+
+@pytest.mark.parametrize("extra", [("--preset", "seidel"), ("--params", "0,1,1,1")])
+def test_charpoly_normalized_rejects_params_and_preset(capsys, extra):
+    # the normalized Laplacian fixes its own matrix; a given U is a usage error
+    code, out, err = run(
+        capsys,
+        "charpoly", "--group", "zn", "--n", "12", "--normalized", "--at", "1/2", *extra,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_charpoly_normalized_proper_z60(capsys):
+    code, out, _ = run(
+        capsys,
+        "charpoly", "--group", "zn", "--n", "60", "--variant", "proper",
+        "--normalized", "--at", "5/4",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["kind"] == "normalized-laplacian-charpoly"
+    assert report["at"] == 1.25
+    # psi(X) = prod(mu - X) over the eigenvalues mu of D^-1/2 (D - A) D^-1/2
+    g = delete_identity(power_graph_oracle(GroupSpec(GroupFamily.CYCLIC, 60)))
+    s = 1.0 / np.sqrt(g.degrees().astype(float))
+    lap = np.diag(g.degrees().astype(float)) - g.adj.astype(float)
+    mu = np.linalg.eigvalsh(s[:, None] * lap * s[None, :])
+    expected = float(np.prod(mu - 1.25))
+    assert abs(report["value"] - expected) <= 1e-9 * abs(expected)
 
 
 def test_charpoly_needs_exactly_one_mode(capsys):

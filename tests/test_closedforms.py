@@ -29,6 +29,7 @@ from powspec.spectra import (
     Spectrum,
     UndefinedUniversalMatrixError,
     UniversalParams,
+    charpoly_exact,
     dense_eigen,
     multiset_gap,
     quotient_matrix,
@@ -36,7 +37,6 @@ from powspec.spectra import (
     universal_matrix,
     verify_eigenpairs,
 )
-from powspec.spectra import _fraction_det
 
 Z = GroupFamily.CYCLIC
 D = GroupFamily.DIHEDRAL
@@ -159,24 +159,29 @@ def test_two_prime_cases_2_and_4_match_engine(params):
         assert multiset_gap(cf.expanded(), dense_eigen(k)) < 1e-10
 
 
+def quotient_det_minus(q, lam) -> Fraction:
+    """det(B - lam*I) of the quotient's similar form B: (-1)^t p(lam), with p
+    the monic characteristic polynomial from ``charpoly_exact``."""
+    value = Fraction(0)
+    for c in charpoly_exact(q):
+        value = value * lam + c
+    return (-1) ** q.dimension * value
+
+
 def test_case2_charpoly_exact_agreement():
     params = UniversalParams(2, Fraction(-1, 2), Fraction(1, 3), 0)
     js = build_join(GroupSpec(Z, 6), Variant.POWER)
     q = quotient_matrix(js, params)
     for lam in [Fraction(0), Fraction(1), Fraction(-3, 7), Fraction(22, 5)]:
         formula = cyclic_two_prime_case2_charpoly(2, 3, params, lam)
-        rows = [
-            [Fraction(q.similar[i][j]) - (lam if i == j else 0) for j in range(4)]
-            for i in range(4)
-        ]
-        assert formula == _fraction_det(rows)
+        assert formula == quotient_det_minus(q, lam)
 
 
 def test_case2_charpoly_at_zero_is_determinant():
     params = UniversalParams(-1, 1, 0, 0)
     js = build_join(GroupSpec(Z, 6), Variant.POWER)
     q = quotient_matrix(js, params)
-    det_b = _fraction_det([[Fraction(x) for x in row] for row in q.similar])
+    det_b = (-1) ** q.dimension * charpoly_exact(q)[-1]
     assert cyclic_two_prime_case2_charpoly(2, 3, params, 0) == det_b
 
 

@@ -13,7 +13,7 @@ from powspec.groups import (
     delete_identity,
     power_graph_oracle,
 )
-from powspec.joinstruct import Variant, build_join
+from powspec.joinstruct import Variant, build_join, variant_graph
 from powspec.spectra import (
     Eigenspace,
     QuotientMatrix,
@@ -496,41 +496,117 @@ def test_charpoly_similar_matches_symmetric():
 # ---------------------------------------------------------------------------
 
 
+def _exact_det(rows) -> int:
+    """Determinant of an integer matrix by Bareiss fraction-free elimination."""
+    a = [row[:] for row in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def dense_normalized_value(g, lam: Fraction) -> Fraction:
+    """det(D - A - lam*D) / det(D) from the N x N matrix of ``g``: the
+    reference the join route must reproduce exactly."""
+    deg = [int(d) for d in g.degrees()]
+    if min(deg) == 0:
+        raise ValueError("graph has an isolated vertex; det(D) = 0")
+    num, den = lam.numerator, lam.denominator  # den * U has integer entries
+    rows = [[-den if g.adj[i, j] else 0 for j in range(g.n)] for i in range(g.n)]
+    for i, d in enumerate(deg):
+        rows[i][i] = (den - num) * d
+    product = 1
+    for d in deg:
+        product *= d
+    return Fraction(_exact_det(rows), den**g.n * product)
+
+
+SWEEP = [
+    (GroupSpec(family, n), variant)
+    for family, top in ((Z, 24), (D, 12), (Q, 6))
+    for n in range(2, top + 1)
+    for variant in Variant
+]
+
+
+NORMALIZED_POINTS = [Fraction(0), Fraction(1, 2), Fraction(-3, 4), Fraction(7, 4), Fraction(2)]
+
+
+@pytest.mark.parametrize(
+    "spec, variant", SWEEP, ids=[f"{s.family.value}{s.n}-{v.value}" for s, v in SWEEP]
+)
+def test_normalized_laplacian_join_matches_dense_determinant(spec, variant):
+    js = build_join(spec, variant)
+    g = variant_graph(power_graph_oracle(spec), variant)
+    for complement, graph in ((False, g), (True, complement_graph(g))):
+        for lam in NORMALIZED_POINTS:
+            try:
+                expected = dense_normalized_value(graph, lam)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    normalized_laplacian_charpoly_at(js, lam, complement=complement)
+                assert str(got.value) == str(exc)
+                continue
+            value = normalized_laplacian_charpoly_at(js, lam, complement=complement)
+            assert isinstance(value, Fraction)
+            assert value == expected, (spec, variant, complement, lam)
+
+
 def test_normalized_laplacian_k2():
-    g = k2()
-    assert normalized_laplacian_charpoly_at(g, 1) == -1
-    assert normalized_laplacian_charpoly_at(g, 0) == 0
-    # the float branch at a root: a zero pivot gives exactly 0.0
-    assert normalized_laplacian_charpoly_at(g, 0.0) == 0.0
-    assert normalized_laplacian_charpoly_at(g, 2.0) == 0.0
+    js = build_join(GroupSpec(Z, 2), Variant.POWER)
+    assert normalized_laplacian_charpoly_at(js, 1) == -1
+    assert normalized_laplacian_charpoly_at(js, 0) == 0
+    # a float argument at a root gives exactly 0.0
+    assert normalized_laplacian_charpoly_at(js, 0.0) == 0.0
+    assert normalized_laplacian_charpoly_at(js, 2.0) == 0.0
     # eigenvalues of the normalized Laplacian of K_2 are 0 and 2
-    assert abs(normalized_laplacian_charpoly_at(g, 0.5) - (0 - 0.5) * (2 - 0.5)) < 1e-12
+    assert abs(normalized_laplacian_charpoly_at(js, 0.5) - (0 - 0.5) * (2 - 0.5)) < 1e-12
 
 
 def test_normalized_laplacian_z4_at_zero():
-    g = power_graph_oracle(GroupSpec(Z, 4))
-    assert normalized_laplacian_charpoly_at(g, 0) == 0
-    assert normalized_laplacian_charpoly_at(g, 0.0) == 0.0
+    js = build_join(GroupSpec(Z, 4), Variant.POWER)
+    assert normalized_laplacian_charpoly_at(js, 0) == 0
+    assert normalized_laplacian_charpoly_at(js, 0.0) == 0.0
 
 
 def test_normalized_laplacian_float_matches_exact():
-    g = power_graph_oracle(GroupSpec(Z, 12))
+    js = build_join(GroupSpec(Z, 12), Variant.POWER)
     lam = Fraction(3, 10)
-    exact = normalized_laplacian_charpoly_at(g, lam)
-    approx = normalized_laplacian_charpoly_at(g, 0.3)
+    exact = normalized_laplacian_charpoly_at(js, lam)
+    approx = normalized_laplacian_charpoly_at(js, 0.3)
+    assert isinstance(approx, float)
     assert abs(approx - float(exact)) <= 1e-9 * max(1.0, abs(float(exact)))
 
 
 def test_normalized_laplacian_large_graph_no_overflow():
-    g = power_graph_oracle(GroupSpec(Z, 200))
-    value = normalized_laplacian_charpoly_at(g, 0.37)
+    # det U and the degree product overflow binary64 here; their ratio does not
+    spec = GroupSpec(Z, 200)
+    value = normalized_laplacian_charpoly_at(build_join(spec, Variant.POWER), 0.37)
     assert np.isfinite(value)
+    g = power_graph_oracle(spec)
+    sign, logabs = np.linalg.slogdet(universal_matrix(g, UniversalParams(-1.0, 1.0 - 0.37, 0.0, 0.0)))
+    dense = sign * np.exp(logabs - np.sum(np.log(g.degrees().astype(float))))
+    assert abs(value - dense) <= 1e-9 * abs(dense)
 
 
 def test_normalized_laplacian_rejects_isolated():
-    g = delete_identity(power_graph_oracle(GroupSpec(D, 2)))
-    with pytest.raises(ValueError):
-        normalized_laplacian_charpoly_at(g, 1)
+    js = build_join(GroupSpec(D, 2), Variant.PROPER)
+    with pytest.raises(ValueError, match="isolated vertex"):
+        normalized_laplacian_charpoly_at(js, 1)
+    # the identity of a power graph is isolated in the complement
+    js = build_join(GroupSpec(Z, 6), Variant.POWER)
+    with pytest.raises(ValueError, match="isolated vertex"):
+        normalized_laplacian_charpoly_at(js, Fraction(1, 2), complement=True)
 
 
 def test_multiset_gap_count_mismatch():
