@@ -23,6 +23,8 @@ from powspec import (
     build_join,
     complement_params,
     dense_eigen,
+    element_label,
+    elements,
     hjoin_spectrum,
     multiset_gap,
     power_graph_oracle,
@@ -40,6 +42,12 @@ for b in js.blocks:
         f"  label {b.label!r:>5}: {b.size:>2} vertices, {b.copies} clique(s) of "
         f"{b.clique}, join degree {b.join_degree}"
     )
+
+# a block holds vertex positions, indices into the element order
+block = next(b for b in js.blocks if b.label == 3)
+vertices = elements(spec)
+names = ", ".join(element_label(vertices[i]) for i in block.members)
+print(f"block 3 holds the vertex positions {block.members.tolist()}: {names}")
 
 laplacian = UniversalParams.preset("laplacian")
 qm = quotient_matrix(js, laplacian)

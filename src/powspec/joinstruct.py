@@ -21,8 +21,10 @@ the other.  For Z_n, D_n and Q_n the rule is symbolic:
 
 Every block is thus a set of disjoint cliques of one size, a regular
 graph whose spectrum is known, which is all the H-join theorem for
-regular blocks needs.  ``build_join`` still validates the assembled
-graph vertex-for-vertex against the definitional oracle and raises
+regular blocks needs.  Blocks hold vertex positions: i stands for
+``elements(spec)[i]``, or ``elements(spec)[i + 1]`` in the proper
+variant.  ``build_join`` still validates the assembled graph
+vertex-for-vertex against the definitional oracle and raises
 ``StructureValidationError``, naming the first mismatching pair, rather
 than trusting it: a refused structure is a defect, not a route.
 """
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .groups import (
     LabeledGraph,
     delete_identity,
     element_label,
+    elements,
     power_graph_oracle,
 )
 from .numtheory import divisors
@@ -91,14 +93,14 @@ class TemplateGraph:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JoinBlock:
-    """One block: its template label, its members listed clique by clique,
-    the size of its disjoint cliques, and the total size of the
-    template-adjacent blocks."""
+    """One block: its template label, its members (an int array of vertex
+    positions of the graph, listed clique by clique), the size of its
+    disjoint cliques, and the total size of the template-adjacent blocks."""
 
     label: object
-    members: tuple
+    members: np.ndarray
     clique: int
     join_degree: int
 
@@ -155,12 +157,11 @@ def divisor_graph(n: int) -> TemplateGraph:
     return TemplateGraph(adj, tuple(divs))
 
 
-# family -> (m / n, rotation tag, coset tag, clique size of the coset block);
-# a tag of None leaves the exponent bare, as in Z_n
+# family -> (m / n, clique size of the coset block, None without one)
 _FAMILIES = {
-    GroupFamily.CYCLIC: (1, None, None, None),
-    GroupFamily.DIHEDRAL: (1, "r", "s", 1),
-    GroupFamily.DICYCLIC: (2, "a", "b", 2),
+    GroupFamily.CYCLIC: (1, None),
+    GroupFamily.DIHEDRAL: (1, 1),
+    GroupFamily.DICYCLIC: (2, 2),
 }
 
 
@@ -174,40 +175,44 @@ def build_join(
     from the cyclic-subgroup rule of the module docstring.
 
     Blocks follow the ascending divisors of m, then "R"; the proper variant
-    drops the identity block m.  Raises ``StructureValidationError`` when
-    the assembled graph does not reproduce the oracle.  A precomputed
-    graph of ``spec`` and ``variant`` (see ``variant_graph``) can be passed
-    as ``oracle`` to skip rebuilding it during validation.
+    drops the identity block m.  Members are vertex positions: a^k sits at
+    k and the coset element of exponent k at m + k, one less in the proper
+    variant.  Raises ``StructureValidationError`` when the assembled graph
+    does not reproduce the oracle.  A precomputed graph of ``spec`` and
+    ``variant`` (see ``variant_graph``) can be passed as ``oracle`` to skip
+    rebuilding it during validation.
     """
     variant = Variant(variant)
     n = spec.n
     if variant is Variant.PROPER and spec.order < 2:
         raise ValueError("proper variant needs group order >= 2")
 
-    m_over_n, rotation, coset, clique = _FAMILIES[spec.family]
+    m_over_n, clique = _FAMILIES[spec.family]
     m = m_over_n * n
     template = divisor_graph(m)
-    by_gcd: dict[int, list] = {d: [] for d in template.labels}
-    for k in range(m):
-        by_gcd[gcd(k, m) if k else m].append(k if rotation is None else (rotation, k))
-    members = [by_gcd[d] for d in template.labels]
+    classes = np.gcd(np.arange(m), m)
+    classes[0] = m
+    by_class = np.argsort(classes, kind="stable")
+    members = np.split(by_class, np.flatnonzero(np.diff(classes[by_class])) + 1)
     cliques = [len(group) for group in members]
-    if coset is not None:
+    if clique is not None:
         t = template.n
         adj = np.zeros((t + 1, t + 1), dtype=bool)
         adj[:t, :t] = template.adj
         adj[t, :t] = adj[:t, t] = [d % n == 0 for d in template.labels]
         template = TemplateGraph(adj, template.labels + ("R",))
-        members.append([(coset, k + j * n) for k in range(n) for j in range(clique)])
+        # clique by clique: the clique of k < n is m + k + j*n, j < clique
+        members.append((m + np.arange(n)[:, None] + n * np.arange(clique)).ravel())
         cliques.append(clique)
     if variant is Variant.PROPER:
         drop = template.labels.index(m)
         template = template.drop_vertex(m)
         del members[drop], cliques[drop]
+        members = [group - 1 for group in members]
 
     sizes = np.array([len(group) for group in members])
     blocks = tuple(
-        JoinBlock(label, tuple(group), c, int(sizes[template.adj[i]].sum()))
+        JoinBlock(label, group, c, int(sizes[template.adj[i]].sum()))
         for i, (label, group, c) in enumerate(zip(template.labels, members, cliques))
     )
     js = JoinStructure(spec, variant, template, blocks)
@@ -217,27 +222,23 @@ def build_join(
 
 
 def assemble(js: JoinStructure) -> LabeledGraph:
-    """Concrete graph of a join structure: each block a set of disjoint
-    cliques, plus complete bipartite gluing between template-adjacent
-    blocks."""
-    sizes = js.sizes
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    total = int(offsets[-1])
-    adj = np.zeros((total, total), dtype=bool)
-    for i, block in enumerate(js.blocks):
-        lo, hi = offsets[i], offsets[i + 1]
-        clique_of = np.arange(hi - lo) // block.clique
-        adj[lo:hi, lo:hi] = clique_of[:, None] == clique_of[None, :]
-        for j in range(i + 1, js.template.n):
-            if js.template.adj[i, j]:
-                lo2, hi2 = offsets[j], offsets[j + 1]
-                adj[lo:hi, lo2:hi2] = True
-                adj[lo2:hi2, lo:hi] = True
+    """Concrete graph of a join structure in the vertex order of its
+    (proper) power graph: each block a set of disjoint cliques, plus
+    complete bipartite gluing between template-adjacent blocks.  The block
+    members must be a permutation of the vertex positions."""
+    clique_of = np.empty(js.order, dtype=np.intp)
+    first = 0  # cliques are numbered across all blocks
+    for block in js.blocks:
+        clique_of[block.members] = first + np.arange(block.size) // block.clique
+        first += block.copies
+    block_of = np.repeat(np.arange(js.template.n), [b.copies for b in js.blocks])  # per clique
+    joined = js.template.adj[np.ix_(block_of, block_of)] | np.eye(first, dtype=bool)
+    adj = joined[:, clique_of][clique_of]  # whole-row copies, C order; np.ix_ is slower
     np.fill_diagonal(adj, False)
-    labels = tuple(x for block in js.blocks for x in block.members)
-    ident = js.spec.identity
-    identity_index = labels.index(ident) if ident in labels else None
-    return LabeledGraph(adj, labels, identity_index=identity_index)
+    labels = tuple(elements(js.spec))
+    if js.variant is Variant.PROPER:
+        return LabeledGraph(adj, labels[1:])
+    return LabeledGraph(adj, labels, identity_index=0)
 
 
 def variant_graph(power: LabeledGraph, variant: Variant) -> LabeledGraph:
@@ -253,22 +254,26 @@ def variant_graph(power: LabeledGraph, variant: Variant) -> LabeledGraph:
 def validate_structure(js: JoinStructure, oracle: LabeledGraph | None = None) -> None:
     """Hard check: assembled graph == oracle graph vertex-for-vertex.  The
     oracle graph is the (proper) power graph of ``js``, built here when not
-    given.  A refusal names the first mismatching vertex pair."""
+    given.  The block members must hold every vertex position exactly
+    once.  A refusal names the first mismatching vertex pair."""
     if oracle is None:
         oracle = variant_graph(power_graph_oracle(js.spec), js.variant)
-    built = assemble(js)
-    if built.n != oracle.n:
+    if js.order != oracle.n:
         raise StructureValidationError(
-            f"join structure for {js.spec} covers {built.n} vertices, oracle has {oracle.n}"
+            f"join structure for {js.spec} covers {js.order} vertices, oracle has {oracle.n}"
         )
-    pos = {lab: i for i, lab in enumerate(oracle.labels)}
-    try:
-        perm = np.array([pos[lab] for lab in built.labels], dtype=int)
-    except KeyError as missing:
+    positions = np.sort(np.concatenate([b.members for b in js.blocks]))
+    if not np.array_equal(positions, np.arange(oracle.n)):
         raise StructureValidationError(
-            f"block member {missing} is not a vertex of the oracle graph"
-        ) from None
-    mismatch = built.adj != oracle.adj[np.ix_(perm, perm)]
+            f"block members of {js.spec} are not the positions 0..{oracle.n - 1}, each once"
+        )
+    built = assemble(js)
+    if built.labels != oracle.labels:
+        i, x = next((i, x) for i, (x, y) in enumerate(zip(built.labels, oracle.labels)) if x != y)
+        raise StructureValidationError(
+            f"element {x!r} is not a vertex of the oracle graph at position {i}"
+        )
+    mismatch = built.adj != oracle.adj
     if mismatch.any():
         i, j = np.argwhere(mismatch)[0]
         x, y = element_label(built.labels[i]), element_label(built.labels[j])

@@ -291,22 +291,13 @@ def hjoin_spectrum(
     to a block-constant vector scaled by sqrt(n_last / n_block).  Values
     are then grouped into eigenspaces by the merge tolerance.
 
-    Eigenvectors come back in the canonical vertex order of the underlying
-    graph (the oracle's element order), so they pair directly with
+    Block members are vertex positions of the underlying graph (the
+    oracle's element order), so the eigenvectors pair directly with
     ``universal_matrix`` of that graph.
     """
-    from .groups import elements
-    from .joinstruct import Variant
-
     blocks = js.blocks
     sizes = js.sizes
     total = js.order
-    if want_vectors:  # block members -> positions in the canonical order
-        canon = elements(js.spec)
-        if js.variant is Variant.PROPER:
-            canon = [x for x in canon if x != js.spec.identity]
-        index = {x: i for i, x in enumerate(canon)}
-        coords = [np.array([index[x] for x in b.members], dtype=int) for b in blocks]
 
     # part 1, grouped by exact formula value
     block_groups: dict[float, list] = {}
@@ -330,7 +321,7 @@ def hjoin_spectrum(
     def block_vectors(parts):
         vecs = []
         for i, lam, _ in parts:
-            cliques = coords[i].reshape(-1, blocks[i].clique)
+            cliques = blocks[i].members.reshape(-1, blocks[i].clique)
             if lam == -1:  # in-clique differences
                 pairs = [(c[:1], c[r : r + 1]) for c in cliques for r in range(1, len(c))]
             else:  # differences of clique indicators
@@ -347,7 +338,7 @@ def hjoin_spectrum(
         last = sizes[-1]
         x = np.empty(total)
         for l in range(len(sizes)):
-            x[coords[l]] = nu[l] * sqrt(last / sizes[l])
+            x[blocks[l].members] = nu[l] * sqrt(last / sizes[l])
         return x
 
     gtol = _group_tolerance([v for v, *_ in candidates], group_tol)
@@ -396,6 +387,7 @@ class VerificationReport:
     tolerance: float
     max_residual: float
     passed: bool
+    scale: float  # max(1, ||U||_inf), the factor of every bound
 
     def __str__(self):
         lines = [
@@ -457,7 +449,7 @@ def verify_eigenpairs(u: np.ndarray, s: Spectrum, tol: float = 1e-8) -> Verifica
             passed = False
         rows.append((e.value, e.multiplicity, res, bound))
         worst = max(worst, res)
-    return VerificationReport(tuple(rows), tol, worst, passed)
+    return VerificationReport(tuple(rows), tol, worst, passed, scale)
 
 
 # ---------------------------------------------------------------------------

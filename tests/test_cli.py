@@ -368,6 +368,22 @@ def test_memory_error_is_one_line_exit_1(capsys, monkeypatch):
     assert "60000" in lines[0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("charpoly", "--group", "zn", "--n", "60", "--normalized", "--at", "1000000"),
+        ("spectrum", "--group", "zn", "--n", "6", "--params=1e400,0,0,0"),
+        ("charpoly", "--group", "zn", "--n", "6", "--quotient", "--params=1e400,0,0,0"),
+    ],
+    ids=["normalized-value", "spectrum-params", "quotient-params"],
+)
+def test_value_beyond_float_is_one_line_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: a value does not fit a float (beyond about 1.8e308)"]
+
+
 # ---------------------------------------------------------------------------
 # eigenvector serialization
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Join templates, block partitions, assembly, and oracle validation."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from powspec.groups import (
     GroupFamily,
     GroupSpec,
+    cyclic_subgroup,
     delete_identity,
+    elements,
     power_graph_oracle,
 )
 from powspec.joinstruct import (
@@ -104,10 +107,14 @@ def test_build_join_q2_proper_blocks():
     js = build_join(GroupSpec(Q, 2), Variant.PROPER)
     assert js.template.labels == (1, 2, "R")
     assert js.sizes == (2, 1, 4)
-    assert js.blocks[0].members == (("a", 1), ("a", 3))
-    assert js.blocks[1].members == (("a", 2),)
+    # vertex positions of the proper power graph: elements(spec)[i + 1]
+    assert js.blocks[0].members.tolist() == [0, 2]
+    assert js.blocks[1].members.tolist() == [1]
     r = js.blocks[2]
-    assert r.members == (("b", 0), ("b", 2), ("b", 1), ("b", 3))  # clique by clique
+    assert r.members.tolist() == [3, 5, 4, 6]  # clique by clique
+    vertices = elements(js.spec)[1:]
+    assert [vertices[i] for i in js.blocks[0].members] == [("a", 1), ("a", 3)]
+    assert [vertices[i] for i in r.members] == [("b", 0), ("b", 2), ("b", 1), ("b", 3)]
     assert r.clique == 2 and r.regularity == 1 and r.join_degree == 1
     assert template_edges(js.template) == {(1, 2), (2, "R")}
 
@@ -115,9 +122,9 @@ def test_build_join_q2_proper_blocks():
 def test_block_local_eigenvalues():
     # -1 inside the cliques, clique - 1 across them; with the all-ones
     # direction they account for every vertex of the block
-    assert JoinBlock("K5", tuple(range(5)), 5, 0).local_eigenvalues() == ((-1, 4), (4, 0))
-    assert JoinBlock("E4", tuple(range(4)), 1, 0).local_eigenvalues() == ((-1, 0), (0, 3))
-    assert JoinBlock("3K2", tuple(range(6)), 2, 0).local_eigenvalues() == ((-1, 3), (1, 2))
+    assert JoinBlock("K5", np.arange(5), 5, 0).local_eigenvalues() == ((-1, 4), (4, 0))
+    assert JoinBlock("E4", np.arange(4), 1, 0).local_eigenvalues() == ((-1, 0), (0, 3))
+    assert JoinBlock("3K2", np.arange(6), 2, 0).local_eigenvalues() == ((-1, 3), (1, 2))
     for n in (3, 6, 12):
         for b in build_join(GroupSpec(Q, n), Variant.POWER).blocks:
             assert 1 + sum(m for _, m in b.local_eigenvalues()) == b.size
@@ -143,9 +150,9 @@ def test_assemble_matches_oracle_vertexwise(spec, variant):
     oracle = power_graph_oracle(spec)
     if variant is Variant.PROPER:
         oracle = delete_identity(oracle)
-    pos = {lab: i for i, lab in enumerate(oracle.labels)}
-    perm = np.array([pos[lab] for lab in built.labels])
-    assert np.array_equal(built.adj, oracle.adj[np.ix_(perm, perm)])
+    assert built.labels == oracle.labels
+    assert built.identity_index == oracle.identity_index
+    assert np.array_equal(built.adj, oracle.adj)
 
 
 def test_validation_sweep_small():
@@ -171,14 +178,15 @@ def test_dicyclic_every_n_validates():
 def star_structure(n):
     """A hand-made star join for Q_n: {e, a^n} at the centre, the other
     a-powers as one clique leaf, and the n pairs {a^k b, a^(n+k) b} as
-    clique leaves.  It is the power graph only when n is a power of two."""
-    members = [[("a", 0), ("a", n)], [("a", j) for j in range(2 * n) if j not in (0, n)]]
-    members += [[("b", k), ("b", n + k)] for k in range(n)]
+    clique leaves.  It is the power graph only when n is a power of two.
+    a^k sits at position k and a^k b at 2n + k."""
+    members = [[0, n], [j for j in range(2 * n) if j not in (0, n)]]
+    members += [[2 * n + k, 3 * n + k] for k in range(n)]
     adj = np.zeros((n + 2, n + 2), dtype=bool)
     adj[0, 1:] = adj[1:, 0] = True
     sizes = [len(m) for m in members]
     blocks = tuple(
-        JoinBlock(i, tuple(m), len(m), sum(sizes) - len(m) if i == 0 else 2)
+        JoinBlock(i, np.array(m), len(m), sum(sizes) - len(m) if i == 0 else 2)
         for i, m in enumerate(members)
     )
     return JoinStructure(GroupSpec(Q, n), Variant.POWER, TemplateGraph(adj, tuple(range(n + 2))), blocks)
@@ -194,6 +202,82 @@ def test_dicyclic_structure_refused_away_from_two_powers():
             validate_structure(star_structure(n))
     for n in (2, 4, 8):
         validate_structure(star_structure(n))
+
+
+def test_members_are_vertex_positions_of_cyclic_subgroups():
+    # the blocks together hold each vertex position once, and every clique
+    # of a block is the set of generators of one cyclic subgroup, its own
+    specs = (
+        [GroupSpec(Z, n) for n in range(1, 61)]
+        + [GroupSpec(D, n) for n in range(1, 31)]
+        + [GroupSpec(Q, n) for n in range(2, 16)]
+    )
+    for spec in specs:
+        elts = elements(spec)
+        subgroup = [frozenset(cyclic_subgroup(spec, x)) for x in elts]
+        for variant in (Variant.POWER, Variant.PROPER):
+            if variant is Variant.PROPER and spec.order < 2:
+                continue
+            js = build_join(spec, variant, validate=False)
+            shift = 1 if variant is Variant.PROPER else 0
+            every = np.sort(np.concatenate([b.members for b in js.blocks]))
+            assert np.array_equal(every, np.arange(spec.order - shift)), (spec, variant)
+            seen = set()
+            for b in js.blocks:
+                assert b.members.dtype.kind == "i"
+                for clique in b.members.reshape(-1, b.clique) + shift:
+                    generated = {subgroup[i] for i in clique.tolist()}
+                    assert len(generated) == 1, (spec, variant, b.label)
+                    seen |= generated
+            assert len(seen) == sum(b.copies for b in js.blocks), (spec, variant)
+
+
+def mutant(js, edit):
+    """``js`` with its block members replaced by ``edit(list of member lists)``."""
+    members = edit([b.members.tolist() for b in js.blocks])
+    blocks = tuple(replace(b, members=np.array(m)) for b, m in zip(js.blocks, members))
+    return JoinStructure(js.spec, js.variant, js.template, blocks)
+
+
+def swap_first(ms, i, j):
+    ms[i][0], ms[j][0] = ms[j][0], ms[i][0]
+    return ms
+
+
+def set_first(ms, value):
+    ms[0][0] = value
+    return ms
+
+
+@pytest.mark.parametrize(
+    "spec, variant",
+    [
+        (GroupSpec(Z, 12), Variant.POWER),
+        (GroupSpec(D, 6), Variant.PROPER),
+        (GroupSpec(Q, 6), Variant.POWER),
+    ],
+    ids=["Z12", "D6-proper", "Q6"],
+)
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda ms: swap_first(ms, 0, 1), "refused: "),
+        # not block 0 with the last: in Z_n the generators and e are twins
+        (lambda ms: swap_first(ms, 1, -1), "refused: "),
+        (lambda ms: set_first(ms, ms[1][0]), "are not the positions"),
+        (lambda ms: set_first(ms, -1), "are not the positions"),
+        (lambda ms: set_first(ms, sum(map(len, ms))), "are not the positions"),
+        (lambda ms: [m[1:] if k == 0 else m for k, m in enumerate(ms)], "covers"),
+        (lambda ms: [m + m[:1] if k == 0 else m for k, m in enumerate(ms)], "covers"),
+    ],
+    ids=[
+        "swapped", "swapped-with-last", "repeated", "negative", "at-N", "missing", "extra",
+    ],
+)
+def test_validation_refuses_member_mutants(spec, variant, edit, reason):
+    js = build_join(spec, variant)
+    with pytest.raises(StructureValidationError, match=reason):
+        validate_structure(mutant(js, edit))
 
 
 def test_proper_needs_order_two():

@@ -209,6 +209,17 @@ def test_verify_eigenpairs_exact_k4_laplacian():
     assert not verify_eigenpairs(u, bad, tol=1e-8).passed
 
 
+def test_verify_eigenpairs_reports_its_scale():
+    # scale = max(1, ||U||_inf), the factor of every residual bound
+    u = universal_matrix(power_graph_oracle(GroupSpec(Z, 4)), LAPLACIAN)
+    s = dense_eigen(u)
+    report = verify_eigenpairs(u, s, tol=1e-8)
+    assert report.scale == 6.0  # degree 3 plus three off-diagonal -1
+    assert all(bound <= 1e-8 * 6.0 for _, _, _, bound in report.rows)  # |x|_inf <= 1
+    small = 0.25 * np.eye(2)
+    assert verify_eigenpairs(small, dense_eigen(small)).scale == 1.0
+
+
 def test_verify_eigenpairs_errors():
     u = np.eye(3)
     s = Spectrum((Eigenspace(1.0, 2, "x", (np.ones(2),)),), 2)
