@@ -37,9 +37,10 @@ print("subgroup <8> =", sorted(cyclic_subgroup(spec, 8)))
 spec = GroupSpec(GroupFamily.DIHEDRAL, 6)
 g = power_graph_oracle(spec)
 print(f"\nD_6: {g.n} vertices, {g.edge_count()} edges")
-# every reflection has order two, so it only touches the identity:
-for lab, deg in zip(g.labels, g.degrees()):
-    print(f"  {element_label(lab):>6}  degree {int(deg)}")
+# every reflection has order two, so it only touches the identity; vertex i
+# is the element at position i (a^k at k, b·a^k at 6 + k):
+for i, deg in enumerate(g.degrees()):
+    print(f"  {element_label(spec, i):>6}  degree {int(deg)}")
 
 proper = delete_identity(g)
 print(f"proper power graph of D_6: {proper.n} vertices, {proper.edge_count()} edges")

@@ -24,7 +24,6 @@ from powspec import (
     complement_params,
     dense_eigen,
     element_label,
-    elements,
     hjoin_spectrum,
     multiset_gap,
     power_graph_oracle,
@@ -43,10 +42,9 @@ for b in js.blocks:
         f"{b.clique}, join degree {b.join_degree}"
     )
 
-# a block holds vertex positions, indices into the element order
+# a block holds vertex positions: a^k sits at k, b·a^k at 15 + k
 block = next(b for b in js.blocks if b.label == 3)
-vertices = elements(spec)
-names = ", ".join(element_label(vertices[i]) for i in block.members)
+names = ", ".join(element_label(spec, i) for i in block.members)
 print(f"block 3 holds the vertex positions {block.members.tolist()}: {names}")
 
 laplacian = UniversalParams.preset("laplacian")

@@ -33,7 +33,7 @@ from powspec import (
 params = UniversalParams.preset("signless")
 cf = cyclic_prime_power_spectrum(3, 2, params)
 print("signless Laplacian of the power graph of Z_9:")
-for e in cf.entries:
+for e in cf.eigenspaces:
     print(f"  {float(e.value):8.3f} x{e.multiplicity}")
 
 js = build_join(GroupSpec(GroupFamily.CYCLIC, 9), Variant.POWER)
@@ -59,7 +59,7 @@ cf = cyclic_two_prime_complement_adjacency(3, 5)
 g = complement_graph(power_graph_oracle(GroupSpec(GroupFamily.CYCLIC, 15)))
 u = universal_matrix(g, UniversalParams.preset("adjacency"))
 print("\nadjacency spectrum of the complement of the power graph of Z_15:")
-print("  closed form:", {round(float(e.value), 6): e.multiplicity for e in cf.entries})
+print("  closed form:", {round(float(e.value), 6): e.multiplicity for e in cf.eigenspaces})
 print("  matches dense:", multiset_gap(cf.expanded(), dense_eigen(u)) < 1e-10)
 
 # --- dicyclic families --------------------------------------------------------
@@ -72,6 +72,6 @@ cf = quaternion8_complement_spectrum(params)
 g = complement_graph(power_graph_oracle(GroupSpec(GroupFamily.DICYCLIC, 2)))
 u = universal_matrix(g, params)
 print("\nA + J over the complement of the power graph of the quaternion group:")
-for e in cf.entries:
+for e in cf.eigenspaces:
     print(f"  {float(e.value):12.6f} x{e.multiplicity}")
 print("  matches dense:", multiset_gap(cf.expanded(), dense_eigen(u)) < 1e-10)

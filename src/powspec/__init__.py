@@ -9,8 +9,6 @@ closed-form evaluators as a third cross-check.
 """
 
 from .closedforms import (
-    ClosedFormEntry,
-    ClosedFormSpectrum,
     cyclic_prime_power_spectrum,
     cyclic_two_prime_case2_charpoly,
     cyclic_two_prime_complement_adjacency,
@@ -29,7 +27,6 @@ from .groups import (
     delete_identity,
     edge_lines,
     element_label,
-    elements,
     mul,
     power_graph_oracle,
 )

@@ -143,9 +143,9 @@ def _emit_json(obj, indent: int = 0) -> str:
 
 
 def _parse_params(args) -> tuple[UniversalParams, str | None]:
-    if getattr(args, "params", None) and getattr(args, "preset", None):
+    if args.params and args.preset:
         raise _UsageError("give either --preset or --params, not both")
-    if getattr(args, "params", None):
+    if args.params:
         pieces = args.params.split(",")
         if len(pieces) != 4:
             raise _UsageError("--params needs four comma-separated values a,b,g,e")
@@ -154,7 +154,7 @@ def _parse_params(args) -> tuple[UniversalParams, str | None]:
         except (ValueError, ZeroDivisionError) as exc:
             raise _UsageError(f"bad --params value: {exc}")
         return UniversalParams(*vals), None
-    name = getattr(args, "preset", None) or "adjacency"
+    name = args.preset or "adjacency"
     return UniversalParams.preset(name), name
 
 
@@ -182,14 +182,14 @@ def _closed_form_checks(spec, variant, complement, params, computed, qvals):
         if not complement and prime_power(n):
             p, r = prime_power(n)
             cf = cyclic_prime_power_spectrum(p, r, params)
-            checks.append(("prime-power", multiset_gap(cf.expanded(), computed)))
+            checks.append(("prime-power", multiset_gap(cf, computed)))
         pq = _two_distinct_primes(n)
         if pq and not complement:
             cf = cyclic_two_prime_quotient(*pq, params)
-            checks.append(("two-prime-quotient", multiset_gap(cf.expanded(), qvals)))
+            checks.append(("two-prime-quotient", multiset_gap(cf, qvals)))
         if pq and complement and params.eta == 0:
             cf = cyclic_two_prime_complement_eta0(*pq, params)
-            checks.append(("two-prime-complement", multiset_gap(cf.expanded(), computed)))
+            checks.append(("two-prime-complement", multiset_gap(cf, computed)))
     if spec.family is GroupFamily.DICYCLIC:
         value, mult = dicyclic_repeated_eigenvalue(
             n, params, proper=variant is Variant.PROPER, complemented=complement
@@ -199,7 +199,7 @@ def _closed_form_checks(spec, variant, complement, params, computed, qvals):
         checks.append(("dicyclic-repeated-eigenvalue", float(nearest[mult - 1])))
         if n == 2 and variant is Variant.POWER and complement:
             cf = quaternion8_complement_spectrum(params)
-            checks.append(("quaternion8-complement", multiset_gap(cf.expanded(), computed)))
+            checks.append(("quaternion8-complement", multiset_gap(cf, computed)))
     return checks
 
 
@@ -440,14 +440,16 @@ def cmd_graph(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub):
+def _add_group(sub):
+    """Flags of every subcommand; each adds only the further flags it reads."""
     sub.add_argument("--group", required=True, choices=["zn", "dn", "qn"])
     sub.add_argument("--n", required=True, type=int)
     sub.add_argument("--variant", default="power", choices=["power", "proper"])
-    sub.add_argument("--complement", action="store_true")
+
+
+def _add_params(sub):
     sub.add_argument("--preset", choices=["adjacency", "laplacian", "signless", "seidel"])
     sub.add_argument("--params", help="alpha,beta,gamma,eta (rationals accepted)")
-    sub.add_argument("--tol", type=float, default=1e-8)
 
 
 def build_parser() -> _Parser:
@@ -455,27 +457,34 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("spectrum", help="eigenvalues of U over a power graph")
-    _add_common(sp)
+    _add_group(sp)
+    sp.add_argument("--complement", action="store_true")
+    _add_params(sp)
+    sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--vectors", action="store_true")
     sp.add_argument("--oracle-check", dest="oracle_check", action="store_true")
     sp.add_argument("--format", default="json", choices=["json", "csv"])
     sp.set_defaults(func=cmd_spectrum)
 
     vf = subs.add_parser("verify", help="invariant battery over random parameters")
-    _add_common(vf)
+    _add_group(vf)
+    vf.add_argument("--tol", type=float, default=1e-8)
     vf.add_argument("--seed", type=int, default=None)
     vf.add_argument("--count", type=int, default=5)
     vf.set_defaults(func=cmd_verify)
 
     cp = subs.add_parser("charpoly", help="exact quotient charpoly / normalized value")
-    _add_common(cp)
+    _add_group(cp)
+    cp.add_argument("--complement", action="store_true")
+    _add_params(cp)
     cp.add_argument("--quotient", action="store_true")
     cp.add_argument("--normalized", dest="normalized", action="store_true", default=None)
     cp.add_argument("--at", dest="normalized_at", default=None)
     cp.set_defaults(func=cmd_charpoly)
 
     gr = subs.add_parser("graph", help="edge list of the constructed graph")
-    _add_common(gr)
+    _add_group(gr)
+    gr.add_argument("--complement", action="store_true")
     gr.set_defaults(func=cmd_graph)
 
     return parser

@@ -5,22 +5,22 @@ These evaluators are deliberately independent of the join engine: block
 memberships and quotient entries are written out from the formulas, so
 they serve as a third leg of cross-validation next to the structural
 route and the dense eigensolver.  Each evaluator refuses inputs outside
-its hypotheses instead of extrapolating.
+its hypotheses instead of extrapolating.  A spectrum comes back as a
+``Spectrum`` of ``Eigenspace`` values whose provenance names the closed
+form; int and Fraction parameters keep the values exact where the formula
+is rational.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, sqrt
 
 import numpy as np
 
 from .numtheory import is_prime, totient
-from .spectra import UniversalParams, dense_eigen
+from .spectra import Eigenspace, Spectrum, UniversalParams, dense_eigen
 
 __all__ = [
-    "ClosedFormEntry",
-    "ClosedFormSpectrum",
     "cyclic_prime_power_spectrum",
     "cyclic_two_prime_quotient",
     "cyclic_two_prime_case2_charpoly",
@@ -32,34 +32,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ClosedFormEntry:
-    value: object  # numeric; stays exact (int/Fraction) when the inputs are
-    multiplicity: int
-    source: str
-    basis: tuple | None = None
-
-
-@dataclass(eq=False)
-class ClosedFormSpectrum:
-    entries: tuple
-    dimension: int
-
-    def __post_init__(self):
-        total = sum(e.multiplicity for e in self.entries)
-        if total != self.dimension:
-            raise ValueError(
-                f"multiplicities sum to {total}, ambient dimension is {self.dimension}"
-            )
-
-    def expanded(self) -> np.ndarray:
-        vals = [float(e.value) for e in self.entries for _ in range(e.multiplicity)]
-        return np.sort(np.array(vals, dtype=float))
-
-
 def _merged(entries) -> tuple:
     """Collapse exactly-equal values, drop zero multiplicities."""
-    out: list[ClosedFormEntry] = []
+    out: list[Eigenspace] = []
     for e in entries:
         if e.multiplicity == 0:
             continue
@@ -70,10 +45,12 @@ def _merged(entries) -> tuple:
             basis = None
             if hit.basis is not None and e.basis is not None:
                 basis = tuple(hit.basis) + tuple(e.basis)
-            out[out.index(hit)] = ClosedFormEntry(
+            out[out.index(hit)] = Eigenspace(
                 hit.value,
                 hit.multiplicity + e.multiplicity,
-                hit.source if hit.source == e.source else f"{hit.source}+{e.source}",
+                hit.provenance
+                if hit.provenance == e.provenance
+                else f"{hit.provenance}+{e.provenance}",
                 basis,
             )
     out.sort(key=lambda e: -float(e.value))
@@ -108,7 +85,7 @@ def _indicator(total: int, support: list[int], value: float = 1.0):
 # ---------------------------------------------------------------------------
 
 
-def cyclic_prime_power_spectrum(p: int, r: int, params: UniversalParams) -> ClosedFormSpectrum:
+def cyclic_prime_power_spectrum(p: int, r: int, params: UniversalParams) -> Spectrum:
     """Full spectrum of U over the power graph of Z_{p^r} (a complete graph):
     one simple eigenvalue on the all-ones vector and one of multiplicity
     p^r - 1 on the difference vectors."""
@@ -122,10 +99,10 @@ def cyclic_prime_power_spectrum(p: int, r: int, params: UniversalParams) -> Clos
     ones = _indicator(n, list(range(n)))
     diffs = tuple(_diff_vectors(n, list(range(n))))
     entries = [
-        ClosedFormEntry(top, 1, "prime-power", (ones,)),
-        ClosedFormEntry(rest, n - 1, "prime-power", diffs),
+        Eigenspace(top, 1, "prime-power", (ones,)),
+        Eigenspace(rest, n - 1, "prime-power", diffs),
     ]
-    return ClosedFormSpectrum(_merged(entries), n)
+    return Spectrum(_merged(entries), n)
 
 
 def _two_prime_blocks(p: int, q: int):
@@ -155,7 +132,7 @@ def _two_prime_quotient_matrix(p: int, q: int, params: UniversalParams) -> np.nd
     return k
 
 
-def cyclic_two_prime_quotient(p: int, q: int, params: UniversalParams) -> ClosedFormSpectrum:
+def cyclic_two_prime_quotient(p: int, q: int, params: UniversalParams) -> Spectrum:
     """The four quotient eigenvalues of U over the power graph of Z_{pq},
     p != q prime.
 
@@ -178,17 +155,17 @@ def cyclic_two_prime_quotient(p: int, q: int, params: UniversalParams) -> Closed
         lam3 = (mean + rad) / 2
         lam4 = (mean - rad) / 2
         entries = [
-            ClosedFormEntry(lam12, 2, "two-prime-quotient-case1"),
-            ClosedFormEntry(lam3, 1, "two-prime-quotient-case1"),
-            ClosedFormEntry(lam4, 1, "two-prime-quotient-case1"),
+            Eigenspace(lam12, 2, "two-prime-quotient-case1"),
+            Eigenspace(lam3, 1, "two-prime-quotient-case1"),
+            Eigenspace(lam4, 1, "two-prime-quotient-case1"),
         ]
-        return ClosedFormSpectrum(_merged(entries), 4)
+        return Spectrum(_merged(entries), 4)
     source = "two-prime-quotient-case2" if e == 0 else "two-prime-quotient-case4"
     spec = dense_eigen(_two_prime_quotient_matrix(p, q, params), vectors=False)
     entries = [
-        ClosedFormEntry(es.value, es.multiplicity, source) for es in spec.eigenspaces
+        Eigenspace(es.value, es.multiplicity, source) for es in spec.eigenspaces
     ]
-    return ClosedFormSpectrum(_merged(entries), 4)
+    return Spectrum(_merged(entries), 4)
 
 
 def cyclic_two_prime_case2_charpoly(p: int, q: int, params: UniversalParams, lam):
@@ -234,7 +211,7 @@ def _two_prime_members(p: int, q: int):
     return [by_d[n], by_d[1], by_d[q], by_d[p]]
 
 
-def cyclic_two_prime_complement_adjacency(p: int, q: int) -> ClosedFormSpectrum:
+def cyclic_two_prime_complement_adjacency(p: int, q: int) -> Spectrum:
     """Adjacency spectrum of the complement of the power graph of Z_{pq}:
     0 with multiplicity pq-2 and the pair +-sqrt((p-1)(q-1)) carried by the
     complete bipartite part between the gcd-q and gcd-p blocks."""
@@ -255,16 +232,16 @@ def cyclic_two_prime_complement_adjacency(p: int, q: int) -> ClosedFormSpectrum:
     minus = plus.copy()
     minus[p_block] = -1.0
     entries = [
-        ClosedFormEntry(rad, 1, "two-prime-complement", (plus,)),
-        ClosedFormEntry(0, n - 2, "two-prime-complement", tuple(zero_basis)),
-        ClosedFormEntry(-rad, 1, "two-prime-complement", (minus,)),
+        Eigenspace(rad, 1, "two-prime-complement", (plus,)),
+        Eigenspace(0, n - 2, "two-prime-complement", tuple(zero_basis)),
+        Eigenspace(-rad, 1, "two-prime-complement", (minus,)),
     ]
-    return ClosedFormSpectrum(_merged(entries), n)
+    return Spectrum(_merged(entries), n)
 
 
 def cyclic_two_prime_complement_eta0(
     p: int, q: int, params: UniversalParams
-) -> ClosedFormSpectrum:
+) -> Spectrum:
     """Full spectrum of U (eta = 0) over the complement of the power graph
     of Z_{pq}.
 
@@ -301,23 +278,23 @@ def cyclic_two_prime_complement_eta0(
         return x
 
     entries = [
-        ClosedFormEntry(g, totient(n) + 1, "two-prime-complement-eta0", tuple(gamma_basis)),
-        ClosedFormEntry(
+        Eigenspace(g, totient(n) + 1, "two-prime-complement-eta0", tuple(gamma_basis)),
+        Eigenspace(
             b * (q - 1) + g,
             p - 2,
             "two-prime-complement-eta0",
             tuple(_diff_vectors(n, q_block)),
         ),
-        ClosedFormEntry(
+        Eigenspace(
             b * (p - 1) + g,
             q - 2,
             "two-prime-complement-eta0",
             tuple(_diff_vectors(n, p_block)),
         ),
-        ClosedFormEntry(lam_plus, 1, "two-prime-complement-eta0", (bipartite_vector(rad),)),
-        ClosedFormEntry(lam_minus, 1, "two-prime-complement-eta0", (bipartite_vector(-rad),)),
+        Eigenspace(lam_plus, 1, "two-prime-complement-eta0", (bipartite_vector(rad),)),
+        Eigenspace(lam_minus, 1, "two-prime-complement-eta0", (bipartite_vector(-rad),)),
     ]
-    return ClosedFormSpectrum(_merged(entries), n)
+    return Spectrum(_merged(entries), n)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +319,7 @@ def _two_by_two_eigen(k11, k12, k22):
 
 def dihedral_prime_power_proper(
     p: int, r: int, params: UniversalParams, complemented: bool = False
-) -> ClosedFormSpectrum:
+) -> Spectrum:
     """Full spectrum of U over the proper power graph of D_{p^r} (or its
     complement): the non-identity rotations form one clique, the p^r
     reflections an independent set, with no edges between the two in the
@@ -376,22 +353,22 @@ def dihedral_prime_power_proper(
         return x
 
     entries = [
-        ClosedFormEntry(
+        Eigenspace(
             rot_val,
             m - 2,
             "dihedral-proper",
             tuple(_diff_vectors(total, rotations)),
         ),
-        ClosedFormEntry(
+        Eigenspace(
             ref_val,
             m - 1,
             "dihedral-proper",
             tuple(_diff_vectors(total, reflections)),
         ),
-        ClosedFormEntry(lam1, 1, "dihedral-proper", (lift(nu1),)),
-        ClosedFormEntry(lam2, 1, "dihedral-proper", (lift(nu2),)),
+        Eigenspace(lam1, 1, "dihedral-proper", (lift(nu1),)),
+        Eigenspace(lam2, 1, "dihedral-proper", (lift(nu2),)),
     ]
-    return ClosedFormSpectrum(_merged(entries), total)
+    return Spectrum(_merged(entries), total)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +403,7 @@ def dicyclic_repeated_eigenvalue(
     return value, n - 1
 
 
-def quaternion8_complement_spectrum(params: UniversalParams) -> ClosedFormSpectrum:
+def quaternion8_complement_spectrum(params: UniversalParams) -> Spectrum:
     """All eight eigenvalues of U over the complement of the power graph of
     the quaternion group Q_2 (order 8), with explicit eigenvectors.
 
@@ -473,20 +450,20 @@ def quaternion8_complement_spectrum(params: UniversalParams) -> ClosedFormSpectr
 
     diff_basis = tuple(tuple(_diff_vectors(total, block)) for block in blocks)
     entries = [
-        ClosedFormEntry(g, 1, "quaternion8-complement", diff_basis[0]),
-        ClosedFormEntry(
+        Eigenspace(g, 1, "quaternion8-complement", diff_basis[0]),
+        Eigenspace(
             4 * b + g,
             3,
             "quaternion8-complement",
             diff_basis[1] + diff_basis[2] + diff_basis[3],
         ),
-        ClosedFormEntry(lam_plus, 1, "quaternion8-complement", plus_basis),
-        ClosedFormEntry(lam_minus, 1, "quaternion8-complement", minus_basis),
-        ClosedFormEntry(
+        Eigenspace(lam_plus, 1, "quaternion8-complement", plus_basis),
+        Eigenspace(lam_minus, 1, "quaternion8-complement", minus_basis),
+        Eigenspace(
             -2 * a + 4 * b + g,
             2,
             "quaternion8-complement",
             (lift([0.0, 1.0, -1.0, 0.0]), lift([0.0, 1.0, 0.0, -1.0])),
         ),
     ]
-    return ClosedFormSpectrum(_merged(entries), total)
+    return Spectrum(_merged(entries), total)

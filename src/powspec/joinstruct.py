@@ -21,12 +21,13 @@ the other.  For Z_n, D_n and Q_n the rule is symbolic:
 
 Every block is thus a set of disjoint cliques of one size, a regular
 graph whose spectrum is known, which is all the H-join theorem for
-regular blocks needs.  Blocks hold vertex positions: i stands for
-``elements(spec)[i]``, or ``elements(spec)[i + 1]`` in the proper
-variant.  ``build_join`` still validates the assembled graph
-vertex-for-vertex against the definitional oracle and raises
-``StructureValidationError``, naming the first mismatching pair, rather
-than trusting it: a refused structure is a defect, not a route.
+regular blocks needs.  Blocks hold vertex positions: vertex i is the
+group element at position i (see ``groups``), or at i + 1 in the proper
+variant, which drops the identity 0.  ``build_join`` still validates the
+assembled graph vertex-for-vertex against the definitional oracle and
+raises ``StructureValidationError``, naming the first mismatching pair
+by ``element_label``, rather than trusting it: a refused structure is a
+defect, not a route.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .groups import (
     LabeledGraph,
     delete_identity,
     element_label,
-    elements,
     power_graph_oracle,
 )
 from .numtheory import divisors
@@ -235,10 +235,7 @@ def assemble(js: JoinStructure) -> LabeledGraph:
     joined = js.template.adj[np.ix_(block_of, block_of)] | np.eye(first, dtype=bool)
     adj = joined[:, clique_of][clique_of]  # whole-row copies, C order; np.ix_ is slower
     np.fill_diagonal(adj, False)
-    labels = tuple(elements(js.spec))
-    if js.variant is Variant.PROPER:
-        return LabeledGraph(adj, labels[1:])
-    return LabeledGraph(adj, labels, identity_index=0)
+    return LabeledGraph(adj, None if js.variant is Variant.PROPER else 0)
 
 
 def variant_graph(power: LabeledGraph, variant: Variant) -> LabeledGraph:
@@ -268,15 +265,11 @@ def validate_structure(js: JoinStructure, oracle: LabeledGraph | None = None) ->
             f"block members of {js.spec} are not the positions 0..{oracle.n - 1}, each once"
         )
     built = assemble(js)
-    if built.labels != oracle.labels:
-        i, x = next((i, x) for i, (x, y) in enumerate(zip(built.labels, oracle.labels)) if x != y)
-        raise StructureValidationError(
-            f"element {x!r} is not a vertex of the oracle graph at position {i}"
-        )
     mismatch = built.adj != oracle.adj
     if mismatch.any():
         i, j = np.argwhere(mismatch)[0]
-        x, y = element_label(built.labels[i]), element_label(built.labels[j])
+        shift = 1 if js.variant is Variant.PROPER else 0
+        x, y = element_label(js.spec, i + shift), element_label(js.spec, j + shift)
         has, lacks = ("join", "power graph") if built.adj[i, j] else ("power graph", "join")
         raise StructureValidationError(
             f"join of {js.spec.family.value} n={js.spec.n} ({js.variant.value}) refused: "

@@ -134,9 +134,9 @@ def universal_matrix(g: LabeledGraph, p: UniversalParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Eigenspace:
-    value: float
+    value: float  # a closed form keeps an int or Fraction value exact
     multiplicity: int
-    provenance: str  # "BlockDiff" | "Quotient" | "BlockDiff+Quotient" | "Dense"
+    provenance: str  # "BlockDiff" | "Quotient" | "BlockDiff+Quotient" | "Dense" | closed form
     basis: tuple | None = None  # full-dimension vectors, one per multiplicity
 
 
@@ -178,14 +178,12 @@ def multiset_gap(a, b) -> float:
     return float(np.max(np.abs(va - vb)))
 
 
-def _group_tolerance(values, group_tol=None) -> float:
-    if group_tol is not None:
-        return group_tol
+def _group_tolerance(values) -> float:
     scale = max((abs(v) for v in values), default=0.0)
     return GROUPING_RTOL * max(1.0, scale)
 
 
-def dense_eigen(m: np.ndarray, group_tol: float | None = None, vectors: bool = True) -> Spectrum:
+def dense_eigen(m: np.ndarray, vectors: bool = True) -> Spectrum:
     """Full eigendecomposition of a symmetric matrix by LAPACK (``eigh``),
     grouped into eigenspaces by the merge tolerance.  The brute-force oracle.
 
@@ -203,7 +201,7 @@ def dense_eigen(m: np.ndarray, group_tol: float | None = None, vectors: bool = T
         vals, vecs = np.linalg.eigh(m)  # ascending
     else:
         vals = np.linalg.eigvalsh(m)
-    gtol = _group_tolerance(vals.tolist(), group_tol)
+    gtol = _group_tolerance(vals.tolist())
     spaces = []
     start = 0
     for i in range(1, n + 1):
@@ -272,12 +270,7 @@ def quotient_matrix(js: JoinStructure, p: UniversalParams) -> QuotientMatrix:
     return QuotientMatrix(sym, similar, sizes)
 
 
-def hjoin_spectrum(
-    js: JoinStructure,
-    p: UniversalParams,
-    want_vectors: bool = False,
-    group_tol: float | None = None,
-) -> Spectrum:
+def hjoin_spectrum(js: JoinStructure, p: UniversalParams, want_vectors: bool = False) -> Spectrum:
     """Spectrum of U over a validated join structure.
 
     Part one: every block is ``copies`` disjoint cliques of size c, with
@@ -291,8 +284,8 @@ def hjoin_spectrum(
     to a block-constant vector scaled by sqrt(n_last / n_block).  Values
     are then grouped into eigenspaces by the merge tolerance.
 
-    Block members are vertex positions of the underlying graph (the
-    oracle's element order), so the eigenvectors pair directly with
+    Block members are vertex positions of the underlying graph (element
+    positions, see ``groups``), so the eigenvectors pair directly with
     ``universal_matrix`` of that graph.
     """
     blocks = js.blocks
@@ -341,7 +334,7 @@ def hjoin_spectrum(
             x[blocks[l].members] = nu[l] * sqrt(last / sizes[l])
         return x
 
-    gtol = _group_tolerance([v for v, *_ in candidates], group_tol)
+    gtol = _group_tolerance([v for v, *_ in candidates])
     candidates.sort(key=lambda c: c[0])
     spaces = []
     group: list = []
@@ -434,10 +427,11 @@ def verify_eigenpairs(u: np.ndarray, s: Spectrum, tol: float = 1e-8) -> Verifica
     for e in s.eigenspaces:
         if e.basis is None:
             raise ValueError("spectrum carries no eigenvector bases")
+        value = float(e.value)
         res = 0.0
         bound = 0.0
         for x in e.basis:
-            r = float(np.max(np.abs(u @ x - e.value * x)))
+            r = float(np.max(np.abs(u @ x - value * x)))
             size = float(np.max(np.abs(x)))
             b = tol * scale * size
             res = max(res, r)
@@ -447,7 +441,7 @@ def verify_eigenpairs(u: np.ndarray, s: Spectrum, tol: float = 1e-8) -> Verifica
         # skipped once failed: a zero vector fails above, and would divide by 0
         if passed and not _full_rank(e.basis, e.multiplicity):
             passed = False
-        rows.append((e.value, e.multiplicity, res, bound))
+        rows.append((value, e.multiplicity, res, bound))
         worst = max(worst, res)
     return VerificationReport(tuple(rows), tol, worst, passed, scale)
 

@@ -324,6 +324,30 @@ def test_graph_complement(capsys):
     assert out.strip().splitlines() == ["2 3", "3 4"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--preset", "laplacian"),
+        ("verify", "--params", "1,0,0,0"),
+        ("verify", "--complement"),
+        ("graph", "--preset", "laplacian"),
+        ("graph", "--params", "1,0,0,0"),
+        ("graph", "--tol", "1e-6"),
+        ("charpoly", "--quotient", "--tol", "1e-6"),
+    ],
+    ids=[
+        "verify-preset", "verify-params", "verify-complement",
+        "graph-preset", "graph-params", "graph-tol", "charpoly-tol",
+    ],
+)
+def test_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, argv):
+    # a flag that would be ignored is refused rather than silently dropped
+    code, out, err = run(capsys, argv[0], "--group", "zn", "--n", "6", *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: unrecognized arguments: ") and err.count("\n") == 1
+
+
 def test_usage_error_unknown_group(capsys):
     code, _, err = run(capsys, "spectrum", "--group", "xx", "--n", "4")
     assert code == 1

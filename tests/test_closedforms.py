@@ -47,18 +47,8 @@ ADJACENCY = UniversalParams.preset("adjacency")
 SIGNLESS = UniversalParams.preset("signless")
 
 
-def as_spectrum(cf) -> Spectrum:
-    return Spectrum(
-        tuple(
-            Eigenspace(float(e.value), e.multiplicity, e.source, e.basis)
-            for e in cf.entries
-        ),
-        cf.dimension,
-    )
-
-
 def residuals_pass(u, cf, tol=1e-8) -> bool:
-    return verify_eigenpairs(u, as_spectrum(cf), tol=tol).passed
+    return verify_eigenpairs(u, cf, tol=tol).passed
 
 
 # ---------------------------------------------------------------------------
@@ -68,11 +58,23 @@ def residuals_pass(u, cf, tol=1e-8) -> bool:
 
 def test_prime_power_examples():
     cf = cyclic_prime_power_spectrum(2, 2, LAPLACIAN)
-    assert [(e.value, e.multiplicity) for e in cf.entries] == [(4, 3), (0, 1)]
+    assert [(e.value, e.multiplicity) for e in cf.eigenspaces] == [(4, 3), (0, 1)]
     cf = cyclic_prime_power_spectrum(3, 1, SIGNLESS)
-    assert [(e.value, e.multiplicity) for e in cf.entries] == [(4, 1), (1, 2)]
+    assert [(e.value, e.multiplicity) for e in cf.eigenspaces] == [(4, 1), (1, 2)]
     cf = cyclic_prime_power_spectrum(2, 1, ADJACENCY)
-    assert [(e.value, e.multiplicity) for e in cf.entries] == [(1, 1), (-1, 1)]
+    assert [(e.value, e.multiplicity) for e in cf.eigenspaces] == [(1, 1), (-1, 1)]
+
+
+def test_closed_forms_are_spectra_with_exact_values():
+    # one spectrum type: eigenspaces tagged with the closed form, and
+    # rational parameters give exact values
+    params = UniversalParams(Fraction(3, 2), Fraction(-1, 3), Fraction(2), Fraction(5, 7))
+    cf = cyclic_prime_power_spectrum(3, 1, params)
+    assert isinstance(cf, Spectrum) and cf.dimension == 3
+    assert all(isinstance(e, Eigenspace) for e in cf.eigenspaces)
+    assert [e.provenance for e in cf.eigenspaces] == ["prime-power", "prime-power"]
+    assert [e.value for e in cf.eigenspaces] == [Fraction(136, 21), Fraction(-1, 6)]
+    assert all(isinstance(e.value, Fraction) for e in cf.eigenspaces)
 
 
 def test_prime_power_rejects_composite_base():
@@ -93,7 +95,7 @@ def test_prime_power_exact_formula_matches_engine():
         part1 = params.alpha * (-1) + params.beta * (
             block.regularity + block.join_degree
         ) + params.gamma
-        values = {e.value: e.multiplicity for e in cf.entries}
+        values = {e.value: e.multiplicity for e in cf.eigenspaces}
         assert part1 in values  # exact Fraction membership
         # the join of all the clique blocks is the complete graph; its top
         # quotient eigenvalue equals the closed form exactly on the
@@ -238,7 +240,7 @@ def test_complement_eta0_reduces_to_adjacency():
 def test_complement_eta0_multiplicity_sum():
     for p, q in [(2, 3), (3, 5), (5, 7)]:
         cf = cyclic_two_prime_complement_eta0(p, q, LAPLACIAN)
-        assert sum(e.multiplicity for e in cf.entries) == p * q
+        assert sum(e.multiplicity for e in cf.eigenspaces) == p * q
 
 
 def test_complement_eta0_rejects_eta():
@@ -268,7 +270,7 @@ def test_dihedral_proper_multiplicity_sum():
     for p, r in [(2, 1), (3, 1), (2, 3), (5, 1)]:
         m = p**r
         cf = dihedral_prime_power_proper(p, r, LAPLACIAN)
-        assert sum(e.multiplicity for e in cf.entries) == 2 * m - 1
+        assert sum(e.multiplicity for e in cf.eigenspaces) == 2 * m - 1
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (3, 1), (5, 1)])
@@ -359,7 +361,7 @@ def test_quaternion8_radical_example():
     params = UniversalParams(1, 0, 0, 1)
     cf = quaternion8_complement_spectrum(params)
     rad = 2 * sqrt(1 + 0 + 4 + 0 + 2 + 0)
-    values = {round(float(e.value), 10): e.multiplicity for e in cf.entries}
+    values = {round(float(e.value), 10): e.multiplicity for e in cf.eigenspaces}
     assert values[round(2 + 4 + rad, 10)] == 1
     assert values[round(2 + 4 - rad, 10)] == 1
     assert values[round(-2.0, 10)] == 2
@@ -381,7 +383,7 @@ def test_quaternion8_eta_zero_fallback():
 def test_quaternion8_laplacian_zero_has_full_basis():
     # eta = 0 and radicand 0: lam_plus = lam_minus = gamma = 0
     cf = quaternion8_complement_spectrum(LAPLACIAN)
-    zero = next(e for e in cf.entries if float(e.value) == 0.0)
+    zero = next(e for e in cf.eigenspaces if float(e.value) == 0.0)
     assert zero.multiplicity == 3
     assert np.linalg.matrix_rank(np.column_stack(zero.basis)) == 3
 
@@ -390,7 +392,7 @@ def test_quaternion8_multiplicity_sum():
     rng = np.random.default_rng(77)
     for _ in range(5):
         cf = quaternion8_complement_spectrum(sample_params(rng))
-        assert sum(e.multiplicity for e in cf.entries) == 8
+        assert sum(e.multiplicity for e in cf.eigenspaces) == 8
 
 
 def test_quaternion8_random_params_match_oracle():

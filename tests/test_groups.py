@@ -1,4 +1,4 @@
-"""Group element enumeration and the definitional power-graph oracle."""
+"""Group laws on element positions and the definitional power-graph oracle."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,15 @@ import pytest
 from powspec.groups import (
     GroupFamily,
     GroupSpec,
+    LabeledGraph,
     complement_graph,
     cyclic_subgroup,
     delete_identity,
     edge_lines,
-    elements,
+    element_label,
     mul,
     power_graph_oracle,
 )
-from powspec.groups import _mul_index
 from powspec.numtheory import prime_power
 
 Z = GroupFamily.CYCLIC
@@ -22,17 +22,34 @@ D = GroupFamily.DIHEDRAL
 Q = GroupFamily.DICYCLIC
 
 
+def labels(spec):
+    return [element_label(spec, i) for i in range(spec.order)]
+
+
 def test_enumerate_orders():
-    assert elements(GroupSpec(Z, 4)) == [0, 1, 2, 3]
-    assert len(elements(GroupSpec(D, 3))) == 6
-    assert len(elements(GroupSpec(Q, 2))) == 8
+    assert labels(GroupSpec(Z, 4)) == ["0", "1", "2", "3"]
+    assert len(set(labels(GroupSpec(D, 3)))) == 6
+    assert len(set(labels(GroupSpec(Q, 2)))) == 8
 
 
 def test_enumerate_identity_first_and_unique():
+    # position 0 is the identity on both sides of every element, and every
+    # position has its own name
     for spec in [GroupSpec(Z, 9), GroupSpec(D, 5), GroupSpec(Q, 3)]:
-        elts = elements(spec)
-        assert elts[0] == spec.identity
-        assert len(set(elts)) == len(elts) == spec.order
+        g = np.arange(spec.order)
+        assert np.array_equal(mul(spec, 0, g), g) and np.array_equal(mul(spec, g, 0), g)
+        assert element_label(spec, 0) == ("0" if spec.family is Z else "e")
+        assert len(set(labels(spec))) == spec.order
+        assert power_graph_oracle(spec).identity_index == 0
+
+
+def test_element_labels_name_every_position():
+    # D_n: a^k at k and b·a^k at n + k; Q_n: a^k at k and a^k·b at 2n + k
+    assert labels(GroupSpec(D, 3)) == ["e", "a", "a^2", "b", "b·a", "b·a^2"]
+    assert labels(GroupSpec(Q, 3)) == [
+        "e", "a", "a^2", "a^3", "a^4", "a^5", "b", "a·b", "a^2·b", "a^3·b", "a^4·b", "a^5·b",
+    ]
+    assert element_label(GroupSpec(Z, 12), np.int64(7)) == "7"
 
 
 def test_dicyclic_needs_n_at_least_two():
@@ -42,33 +59,37 @@ def test_dicyclic_needs_n_at_least_two():
         GroupSpec(Z, 0)
 
 
+def power(spec, x, k):
+    y = 0
+    for _ in range(k):
+        y = mul(spec, y, x)
+    return y
+
+
 def test_multiplication_relations():
-    # defining relations of each presentation
+    # defining relations of each presentation, on positions
     spec = GroupSpec(D, 7)
-    a, b = ("r", 1), ("s", 0)
-    x = a
-    for _ in range(6):
-        x = mul(spec, x, a)
-    assert x == ("r", 0)  # a^7 = e
-    assert mul(spec, b, b) == ("r", 0)  # b^2 = e
+    a, b = 1, 7
+    assert power(spec, a, 7) == 0  # a^7 = e
+    assert power(spec, a, 6) != 0
+    assert mul(spec, b, b) == 0  # b^2 = e
     # b*a = a^(-1)*b
-    assert mul(spec, b, a) == mul(spec, mul(spec, ("r", 6), b), ("r", 0))
+    assert mul(spec, b, a) == mul(spec, power(spec, a, 6), b)
+    assert element_label(spec, mul(spec, b, a)) == "b·a"
 
     spec = GroupSpec(Q, 3)
-    a, b = ("a", 1), ("b", 0)
-    x = a
-    for _ in range(5):
-        x = mul(spec, x, a)
-    assert x == ("a", 0)  # a^6 = e
-    assert mul(spec, b, b) == ("a", 3)  # b^2 = a^n
+    a, b = 1, 6
+    assert power(spec, a, 6) == 0  # a^6 = e
+    assert mul(spec, b, b) == power(spec, a, 3)  # b^2 = a^n
     # a*b = b*a^(-1)
-    assert mul(spec, a, b) == mul(spec, b, ("a", 5))
+    assert mul(spec, a, b) == mul(spec, b, power(spec, a, 5))
+    assert element_label(spec, mul(spec, a, b)) == "a·b"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 30])
 def test_index_law_relations_on_whole_arrays(n):
     # a^(order of a) = e, b^2 = e or a^n, b*a = a^(-1)*b, applied on the
-    # right of every element at once through the index-coded law
+    # right of every element at once through the group law on positions
     for family, ord_a, b_squared in ((D, n, 0), (Q, 2 * n, n)):
         if family is Q and n < 2:
             continue
@@ -78,7 +99,7 @@ def test_index_law_relations_on_whole_arrays(n):
 
         def times(x, *ys):
             for y in ys:
-                x = _mul_index(spec, x, y)
+                x = mul(spec, x, y)
             return x
 
         assert np.array_equal(times(g, *[a] * ord_a), g)
@@ -94,14 +115,27 @@ def test_index_law_relations_on_whole_arrays(n):
 
 def test_cyclic_subgroup_examples():
     assert cyclic_subgroup(GroupSpec(Z, 6), 2) == {0, 2, 4}
-    # b in Q_2 generates {e, b, a^2, a^2 b}, written b^3 = a^2 b
-    got = cyclic_subgroup(GroupSpec(Q, 2), ("b", 0))
-    assert got == {("a", 0), ("b", 0), ("a", 2), ("b", 2)}
-    assert len(got) == 4
+    # b in Q_2 (position 4) generates {e, b, a^2, a^2 b}, written b^3 = a^2 b
+    got = cyclic_subgroup(GroupSpec(Q, 2), 4)
+    assert got == {0, 4, 2, 6}
+    assert sorted(element_label(GroupSpec(Q, 2), x) for x in got) == ["a^2", "a^2·b", "b", "e"]
     # every reflection of D_n has order 2
     for n in (2, 5, 9):
         for k in range(n):
-            assert cyclic_subgroup(GroupSpec(D, n), ("s", k)) == {("r", 0), ("s", k)}
+            assert cyclic_subgroup(GroupSpec(D, n), n + k) == {0, n + k}
+
+
+@pytest.mark.parametrize(
+    "spec", [GroupSpec(Z, 12), GroupSpec(D, 6), GroupSpec(Q, 3), GroupSpec(Q, 4)],
+    ids=["Z12", "D6", "Q3", "Q4"],
+)
+def test_cyclic_subgroup_matches_oracle_rows(spec):
+    # x ~ y iff x != y and one lies in the subgroup the other generates
+    g = power_graph_oracle(spec)
+    subgroup = [cyclic_subgroup(spec, x) for x in range(spec.order)]
+    for x in range(spec.order):
+        row = {y for y in range(spec.order) if y != x and (y in subgroup[x] or x in subgroup[y])}
+        assert set(np.flatnonzero(g.adj[x]).tolist()) == row, x
 
 
 def brute_power_graph_zn(n):
@@ -133,10 +167,7 @@ def test_power_graph_d3():
     g = power_graph_oracle(GroupSpec(D, 3))
     # triangle on {e, a, a^2} plus e joined to the three reflections
     assert g.edge_count() == 6
-    labels = list(g.labels)
-    idx = {lab: i for i, lab in enumerate(labels)}
-    rot = [idx[("r", k)] for k in range(3)]
-    refl = [idx[("s", k)] for k in range(3)]
+    rot, refl = [0, 1, 2], [3, 4, 5]  # a^k at k, b·a^k at 3 + k
     assert all(g.adj[i, j] for i in rot for j in rot if i != j)
     assert all(g.adj[0, j] for j in refl)
     assert not any(g.adj[i, j] for i in refl for j in refl if i != j)
@@ -157,6 +188,18 @@ def test_delete_identity():
         delete_identity(g4)  # identity already gone
 
 
+@pytest.mark.parametrize(
+    "spec", [GroupSpec(Z, 12), GroupSpec(D, 7), GroupSpec(Q, 5)], ids=["Z12", "D7", "Q5"]
+)
+def test_delete_identity_equals_gather_without_vertex_zero(spec):
+    g = power_graph_oracle(spec)
+    keep = np.arange(1, g.n)
+    proper = delete_identity(g)
+    assert np.array_equal(proper.adj, g.adj[np.ix_(keep, keep)])
+    assert proper.identity_index is None and proper.n == spec.order - 1
+    assert proper.adj.flags.owndata  # a copy, not a view of the power graph
+
+
 def test_complement_examples():
     k4 = power_graph_oracle(GroupSpec(Z, 4))
     assert complement_graph(k4).edge_count() == 0
@@ -171,9 +214,7 @@ def test_complement_involution():
         adj = np.triu(rng.uniform(size=(n, n)) < 0.5, 1)
         g = power_graph_oracle(GroupSpec(Z, n))  # plus a random graph below
         assert np.array_equal(complement_graph(complement_graph(g)).adj, g.adj)
-        from powspec.groups import LabeledGraph
-
-        h = LabeledGraph(adj | adj.T, tuple(range(n)))
+        h = LabeledGraph(adj | adj.T)
         assert np.array_equal(complement_graph(complement_graph(h)).adj, h.adj)
 
 
@@ -191,9 +232,8 @@ def test_identity_universal_and_reflection_degree():
         assert int(g.degrees()[g.identity_index]) == g.n - 1
     for n in (2, 3, 10):
         g = power_graph_oracle(GroupSpec(D, n))
-        idx = {lab: i for i, lab in enumerate(g.labels)}
         for k in range(n):
-            assert int(g.degrees()[idx[("s", k)]]) == 1
+            assert int(g.degrees()[n + k]) == 1  # the reflection b·a^k
 
 
 def test_edge_lines_format():

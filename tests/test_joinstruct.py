@@ -11,7 +11,7 @@ from powspec.groups import (
     GroupSpec,
     cyclic_subgroup,
     delete_identity,
-    elements,
+    element_label,
     power_graph_oracle,
 )
 from powspec.joinstruct import (
@@ -107,14 +107,17 @@ def test_build_join_q2_proper_blocks():
     js = build_join(GroupSpec(Q, 2), Variant.PROPER)
     assert js.template.labels == (1, 2, "R")
     assert js.sizes == (2, 1, 4)
-    # vertex positions of the proper power graph: elements(spec)[i + 1]
+    # vertices of the proper power graph: vertex i is the element at i + 1
     assert js.blocks[0].members.tolist() == [0, 2]
     assert js.blocks[1].members.tolist() == [1]
     r = js.blocks[2]
     assert r.members.tolist() == [3, 5, 4, 6]  # clique by clique
-    vertices = elements(js.spec)[1:]
-    assert [vertices[i] for i in js.blocks[0].members] == [("a", 1), ("a", 3)]
-    assert [vertices[i] for i in r.members] == [("b", 0), ("b", 2), ("b", 1), ("b", 3)]
+
+    def names(block):
+        return [element_label(js.spec, i + 1) for i in block.members]
+
+    assert names(js.blocks[0]) == ["a", "a^3"]
+    assert names(r) == ["b", "a^2·b", "a·b", "a^3·b"]
     assert r.clique == 2 and r.regularity == 1 and r.join_degree == 1
     assert template_edges(js.template) == {(1, 2), (2, "R")}
 
@@ -150,7 +153,7 @@ def test_assemble_matches_oracle_vertexwise(spec, variant):
     oracle = power_graph_oracle(spec)
     if variant is Variant.PROPER:
         oracle = delete_identity(oracle)
-    assert built.labels == oracle.labels
+    assert built.n == oracle.n
     assert built.identity_index == oracle.identity_index
     assert np.array_equal(built.adj, oracle.adj)
 
@@ -213,8 +216,7 @@ def test_members_are_vertex_positions_of_cyclic_subgroups():
         + [GroupSpec(Q, n) for n in range(2, 16)]
     )
     for spec in specs:
-        elts = elements(spec)
-        subgroup = [frozenset(cyclic_subgroup(spec, x)) for x in elts]
+        subgroup = [frozenset(cyclic_subgroup(spec, x)) for x in range(spec.order)]
         for variant in (Variant.POWER, Variant.PROPER):
             if variant is Variant.PROPER and spec.order < 2:
                 continue
@@ -380,7 +382,7 @@ def test_variant_graph():
     assert variant_graph(g, Variant.POWER) is g
     proper = variant_graph(g, Variant.PROPER)
     assert np.array_equal(proper.adj, delete_identity(g).adj)
-    assert proper.labels == delete_identity(g).labels
+    assert proper.identity_index is None
     with pytest.raises(ValueError):
         variant_graph(power_graph_oracle(GroupSpec(Z, 1)), Variant.PROPER)
 
@@ -390,5 +392,9 @@ def test_validation_against_a_graph_of_another_shape():
     js = build_join(spec, Variant.PROPER, validate=False)
     with pytest.raises(StructureValidationError, match="covers 11 vertices, oracle has 12"):
         validate_structure(js, oracle=power_graph_oracle(spec))
-    with pytest.raises(StructureValidationError, match="is not a vertex of the oracle graph"):
+    # D_6 proper has 11 vertices too; the adjacency comparison names a pair
+    with pytest.raises(StructureValidationError) as exc:
         validate_structure(js, oracle=variant_graph(power_graph_oracle(GroupSpec(D, 6)), "proper"))
+    assert str(exc.value) == (
+        "join of zn n=12 (proper) refused: 1 ~ 6 in the join, not in the power graph"
+    )

@@ -360,7 +360,7 @@ def test_complement_matrix_identity_exact():
     for _ in range(20):
         n = int(rng.integers(2, 30))
         adj = np.triu(rng.uniform(size=(n, n)) < 0.4, 1)
-        g = LabeledGraph(adj | adj.T, tuple(range(n)))
+        g = LabeledGraph(adj | adj.T)
         p = sample_params(rng, integer=True)
         lhs = universal_matrix(complement_graph(g), p)
         rhs = universal_matrix(g, complement_params(p, n))
@@ -418,7 +418,7 @@ def test_universal_matrix_bit_identical_to_loop_formula():
     for _ in range(20):
         n = int(rng.integers(1, 25))
         adj = np.triu(rng.uniform(size=(n, n)) < rng.uniform(), 1)
-        graphs.append(LabeledGraph(adj | adj.T, tuple(range(n))))
+        graphs.append(LabeledGraph(adj | adj.T))
     for g in graphs:
         for p in BIT_IDENTITY_PARAMS:
             for target, q in ((g, p), (complement_graph(g), p), (g, complement_params(p, g.n))):
