@@ -3,8 +3,10 @@
 The symmetric quotient matrix carries square roots of block sizes, but it
 is similar to an integer-weighted form with the same characteristic
 polynomial, so rational parameters give exact rational coefficients.
-Roots located from those coefficients (after an exact square-free
-decomposition) cross-check the floating-point eigensolvers.
+The exact remainder sequence of that polynomial and its derivative
+certifies that its roots are real and counts their multiplicities; the
+roots themselves, eigenvalues of tridiagonal matrices read off that
+sequence, cross-check the quotient's floating-point eigenvalues.
 """
 
 from fractions import Fraction
@@ -36,7 +38,7 @@ print(" ", [str(c) for c in coeffs])
 print("  constant term zero, so 0 is an eigenvalue (as every Laplacian demands)")
 
 roots = charpoly_roots(coeffs)
-print("  roots:", [round(r, 9) for r in roots])
+print("  roots:", [round(r, 9) + 0.0 for r in roots])
 print("  match dense eigensolver:", multiset_gap(np.array(roots), dense_eigen(q.sym)) < 1e-10)
 
 # rational (non-preset) parameters stay exact

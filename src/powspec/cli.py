@@ -174,7 +174,7 @@ def _two_distinct_primes(n: int):
 # ---------------------------------------------------------------------------
 
 
-def _closed_form_checks(spec, variant, complement, params, computed, qvals):
+def _closed_form_checks(spec, variant, complement, params, computed, js):
     """Closed-form comparisons applicable to this instance: (name, gap)."""
     checks = []
     n = spec.n
@@ -186,6 +186,7 @@ def _closed_form_checks(spec, variant, complement, params, computed, qvals):
         pq = _two_distinct_primes(n)
         if pq and not complement:
             cf = cyclic_two_prime_quotient(*pq, params)
+            qvals = dense_eigen(quotient_matrix(js, params).sym, vectors=False).expanded()
             checks.append(("two-prime-quotient", multiset_gap(cf, qvals)))
         if pq and complement and params.eta == 0:
             cf = cyclic_two_prime_complement_eta0(*pq, params)
@@ -234,9 +235,8 @@ def cmd_spectrum(args) -> int:
             if gap > tol_eff:
                 passed = False
                 mismatch.append(f"structural vs dense gap {gap:.3e} > {tol_eff:.3e}")
-            qvals = dense_eigen(quotient_matrix(js, p_eff).sym, vectors=False).expanded()
             for name, gap in _closed_form_checks(
-                spec, variant, args.complement, params, spectrum.expanded(), qvals
+                spec, variant, args.complement, params, spectrum.expanded(), js
             ):
                 checked.append(name)
                 worst = max(worst, gap)

@@ -19,14 +19,16 @@ Everything downstream cross-validates the two against each other.
 Exact answers take one determinant path: the characteristic polynomial of
 the quotient's rational similar form.  The normalized-Laplacian value is
 the U determinant at (-1, 1-X, 0, 0) over the degree product, so it too is
-block values times that polynomial's constant term.
+block values times that polynomial's constant term.  The polynomial's roots
+come from its exact remainder sequence, which certifies real-rootedness and
+multiplicities, through the same LAPACK eigensolver on a tridiagonal matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import lcm, sqrt
 
 import numpy as np
 
@@ -453,9 +455,12 @@ def verify_eigenpairs(u: np.ndarray, s: Spectrum, tol: float = 1e-8) -> Verifica
 
 def charpoly_exact(q: QuotientMatrix) -> list[Fraction]:
     """Monic characteristic polynomial det(lambda*I - B) of the similar form,
-    by the Faddeev-LeVerrier recurrence in exact rational arithmetic.
-    Coefficients descend from lambda^t; identical to the polynomial of the
-    symmetric form by similarity."""
+    in exact arithmetic.  Coefficients descend from lambda^t; identical to the polynomial
+    of the symmetric form by similarity.
+
+    The Faddeev-LeVerrier recurrence runs on the integer matrix d*B, with d
+    the lcm of the denominators of B, whose coefficients are integers; the
+    k-th one is then divided by d^k."""
     for row in q.similar:
         for x in row:
             if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
@@ -463,111 +468,57 @@ def charpoly_exact(q: QuotientMatrix) -> list[Fraction]:
                     "charpoly_exact needs rational parameters (int or Fraction)"
                 )
     t = q.dimension
-    b = [[Fraction(x) for x in row] for row in q.similar]
-    coeffs = [Fraction(1)]
-    m = [row[:] for row in b]
+    d = lcm(*(Fraction(x).denominator for row in q.similar for x in row))
+    b = np.array([[int(x * d) for x in row] for row in q.similar], dtype=object)
+    ident = np.eye(t, dtype=object)
+    coeffs = [1]
+    m = b
     for k in range(1, t + 1):
-        ck = -sum(m[i][i] for i in range(t)) / k
+        ck = -m.trace() // k  # exact: an integer matrix has integer coefficients
         coeffs.append(ck)
-        if k == t:
-            break
-        for i in range(t):
-            m[i][i] += ck
-        m = [
-            [sum(b[i][l] * m[l][j] for l in range(t)) for j in range(t)]
-            for i in range(t)
-        ]
-    return coeffs
+        if k < t:
+            m = b @ (m + ck * ident)
+    return [Fraction(c, d**k) for k, c in enumerate(coeffs)]
 
 
-def _poly_trim(c: list[Fraction]) -> list[Fraction]:
-    i = 0
-    while i < len(c) - 1 and c[i] == 0:
-        i += 1
-    return c[i:]
+def _monic(f: list[Fraction]) -> list[Fraction]:
+    return [c / f[0] for c in f]
 
 
-def _poly_derivative(c: list[Fraction]) -> list[Fraction]:
-    n = len(c) - 1
-    if n == 0:
-        return [Fraction(0)]
-    return [c[i] * (n - i) for i in range(n)]
+def charpoly_roots(coeffs) -> list[float]:
+    """Real roots (with multiplicity) of a real-rooted polynomial from exact
+    coefficients (leading one nonzero), ascending.
 
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = _poly_trim(a[:])
-    b = _poly_trim(b[:])
-    if len(a) < len(b):
-        return [Fraction(0)], a
-    deg_q = len(a) - len(b)
-    rem = a[:]
-    quot = [Fraction(0)] * (deg_q + 1)
-    for k in range(deg_q + 1):
-        factor = rem[k] / b[0]
-        quot[k] = factor
-        if factor != 0:
-            for j in range(len(b)):
-                rem[k + j] -= factor * b[j]
-    return _poly_trim(quot), _poly_trim(rem[deg_q + 1 :] or [Fraction(0)])
-
-
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _poly_trim(a[:]), _poly_trim(b[:])
-    while b != [Fraction(0)]:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    return [x / a[0] for x in a]  # monic
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    width = max(len(a), len(b))
-    pa = [Fraction(0)] * (width - len(a)) + a
-    pb = [Fraction(0)] * (width - len(b)) + b
-    return _poly_trim([x - y for x, y in zip(pa, pb)])
-
-
-def _squarefree_parts(f: list[Fraction]):
-    """Yun decomposition: f = prod part^mult with each part square-free.
-    Returns [(part, multiplicity)] for the non-constant parts."""
-    f = [x / f[0] for x in _poly_trim(f)]
-    if len(f) == 1:
-        return []
-    df = _poly_derivative(f)
-    a = _poly_gcd(f, df)
-    b, _ = _poly_divmod(f, a)
-    c, _ = _poly_divmod(df, a)
-    d = _poly_sub(c, _poly_derivative(b))
-    parts = []
-    mult = 1
-    while len(b) > 1:
-        ai = _poly_gcd(b, d)
-        if len(ai) > 1:
-            parts.append((ai, mult))
-        b, _ = _poly_divmod(b, ai)
-        c, _ = _poly_divmod(d, ai)
-        d = _poly_sub(c, _poly_derivative(b))
-        mult += 1
-    return parts
-
-
-def charpoly_roots(coeffs, dps: int = 50) -> list[float]:
-    """Real roots (with multiplicity) of a monic real-rooted polynomial from
-    exact coefficients, ascending.
-
-    The exact square-free decomposition is taken first, so repeated
-    eigenvalues never degrade the numeric root finding; each square-free
-    part is then solved at high precision with mpmath."""
-    import mpmath
-
-    exact = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-    out: list[float] = []
-    with mpmath.workdps(dps):
-        for part, mult in _squarefree_parts(exact):
-            poly = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) for c in part]
-            roots = mpmath.polyroots(poly, maxsteps=200, extraprec=160)
-            for r in roots:
-                out.extend([float(mpmath.re(r))] * mult)
-    return sorted(out)
+    The exact remainder sequence of f and f' with monic members,
+    f_{k-1} = (x - a_k) f_k - b_k f_{k+1}, ends in g = gcd(f, f').  f is
+    real-rooted exactly when every b_k > 0 and every step lowers the degree
+    by one; then f/g is the characteristic polynomial of the symmetric
+    tridiagonal matrix with diagonal a_k and off-diagonal sqrt(b_k), whose
+    eigenvalues (LAPACK ``eigvalsh``) are the distinct roots.  The roots of
+    g are the repeated roots of f, each one time fewer, so the same step on
+    g adds them.  A polynomial with a non-real root raises ``ValueError``."""
+    f = _monic([Fraction(c) for c in coeffs])
+    roots: list[float] = []
+    while len(f) > 1:
+        n = len(f) - 1
+        prev, cur = f, _monic([c * (n - i) for i, c in enumerate(f[:-1])])
+        diag, off = [], []
+        while True:
+            a = (cur[1] if len(cur) > 1 else 0) - prev[1]
+            diag.append(float(a))
+            # prev - (x - a) cur, whose two leading terms cancel
+            r = [p - c + a * e for p, c, e in zip(prev, cur + [0], [0] + cur)][2:]
+            if not any(r):
+                break
+            b = -r[0]
+            if b <= 0:  # b = 0: the degree fell by more than one
+                raise ValueError("polynomial has non-real roots")
+            off.append(sqrt(b))
+            prev, cur = cur, [c / -b for c in r]
+        jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        roots.extend(np.linalg.eigvalsh(jacobi).tolist())
+        f = cur
+    return sorted(roots)
 
 
 def normalized_laplacian_charpoly_at(js: JoinStructure, lam, complement: bool = False):

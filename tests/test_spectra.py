@@ -502,6 +502,79 @@ def test_charpoly_similar_matches_symmetric():
     assert multiset_gap(np.array(roots), dense_eigen(q.sym)) < 1e-8
 
 
+def _charpoly_by_fraction_loop(similar) -> list[Fraction]:
+    """Faddeev-LeVerrier with every entry a Fraction: the reference."""
+    t = len(similar)
+    b = [[Fraction(x) for x in row] for row in similar]
+    coeffs = [Fraction(1)]
+    m = [row[:] for row in b]
+    for k in range(1, t + 1):
+        ck = -sum(m[i][i] for i in range(t)) / k
+        coeffs.append(ck)
+        if k == t:
+            break
+        for i in range(t):
+            m[i][i] += ck
+        m = [
+            [sum(b[i][l] * m[l][j] for l in range(t)) for j in range(t)]
+            for i in range(t)
+        ]
+    return coeffs
+
+
+def test_charpoly_exact_matches_fraction_loop():
+    # parameters of several denominators, so d*B scales every row
+    p = UniversalParams(Fraction(7, 2), Fraction(-5, 3), Fraction(8, 5), Fraction(-9, 7))
+    for spec in (GroupSpec(Z, 120), GroupSpec(D, 60), GroupSpec(Q, 15)):
+        for variant in Variant:
+            js = build_join(spec, variant)
+            for q in (p, complement_params(p, js.order)):
+                qm = quotient_matrix(js, q)
+                coeffs = charpoly_exact(qm)
+                assert coeffs == _charpoly_by_fraction_loop(qm.similar)
+                assert all(type(c) is Fraction for c in coeffs)
+
+
+def _from_roots(roots) -> list[Fraction]:
+    coeffs = [Fraction(1)]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [
+        [Fraction(1, 3)] * 4 + [Fraction(-2, 7)] * 2 + [Fraction(10)],
+        [Fraction(2)] * 2,
+        [Fraction(-5), Fraction(0), Fraction(0), Fraction(0), Fraction(7, 9)],
+        [],
+    ],
+)
+def test_charpoly_roots_repeated_rational_roots(roots):
+    for lead in (1, Fraction(-3, 4)):  # a non-monic input is made monic
+        found = charpoly_roots([lead * c for c in _from_roots(roots)])
+        assert len(found) == len(roots)
+        scale = max([1.0] + [abs(float(r)) for r in roots])
+        assert multiset_gap(np.array(found), [float(r) for r in roots]) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("coeffs", [[1, 0, 1], [1, -3, 3, -2], [1, 0, 0, 0, 1]])
+def test_charpoly_roots_rejects_non_real_roots(coeffs):
+    with pytest.raises(ValueError):
+        charpoly_roots(coeffs)
+
+
+def test_charpoly_roots_z2520_quotient():
+    # t = 48, coefficients of about 500 bits: the case high-precision
+    # polynomial root finding failed to converge on
+    js = build_join(GroupSpec(Z, 2520), Variant.POWER, validate=False)
+    q = quotient_matrix(js, UniversalParams(1, -1, 2, 3))
+    roots = charpoly_roots(charpoly_exact(q))
+    scale = max(1.0, float(np.max(np.abs(q.sym).sum(axis=1))))
+    assert multiset_gap(np.array(roots), np.linalg.eigvalsh(q.sym)) <= 1e-8 * scale
+
+
 # ---------------------------------------------------------------------------
 # normalized Laplacian evaluations
 # ---------------------------------------------------------------------------
