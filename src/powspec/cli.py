@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -153,9 +154,19 @@ def _parse_params(args) -> tuple[UniversalParams, str | None]:
             vals = [Fraction(piece.strip()) for piece in pieces]
         except (ValueError, ZeroDivisionError) as exc:
             raise _UsageError(f"bad --params value: {exc}")
-        return UniversalParams(*vals), None
+        params = UniversalParams(*vals)
+        if params.as_floats()[0] == 0.0:  # a value beyond the float range raises OverflowError
+            raise _UsageError(
+                f"--params alpha {pieces[0].strip()} rounds to 0 as a float, where U is undefined"
+            )
+        return params, None
     name = args.preset or "adjacency"
     return UniversalParams.preset(name), name
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise _UsageError(f"--tol must be finite and positive, got {tol}")
 
 
 def _build_spec(args) -> GroupSpec:
@@ -208,13 +219,14 @@ def cmd_spectrum(args) -> int:
     t0 = time.perf_counter()
     spec = _build_spec(args)
     params, preset_name = _parse_params(args)
+    _check_tol(args.tol)
     variant = Variant(args.variant)
-    g = variant_graph(power_graph_oracle(spec), variant)
-    order = g.n
+    js = build_join(spec, variant)
+    order = js.order
     p_eff = complement_params(params, order) if args.complement else params
-    js = build_join(spec, variant, oracle=g)
     want_vectors = args.vectors or args.oracle_check
-    if want_vectors:  # only the checks read U
+    if want_vectors:  # only the checks read U, and U needs the definitional graph
+        g = variant_graph(power_graph_oracle(spec), variant)
         target = complement_graph(g) if args.complement else g
         u = universal_matrix(target, params)
     spectrum = hjoin_spectrum(js, p_eff, want_vectors=want_vectors)
@@ -232,7 +244,7 @@ def cmd_spectrum(args) -> int:
             gap = multiset_gap(spectrum, dense)
             checked.append("dense-route")
             worst = max(worst, gap)
-            if gap > tol_eff:
+            if not gap <= tol_eff:  # a NaN gap fails
                 passed = False
                 mismatch.append(f"structural vs dense gap {gap:.3e} > {tol_eff:.3e}")
             for name, gap in _closed_form_checks(
@@ -240,7 +252,7 @@ def cmd_spectrum(args) -> int:
             ):
                 checked.append(name)
                 worst = max(worst, gap)
-                if gap > tol_eff:
+                if not gap <= tol_eff:
                     passed = False
                     mismatch.append(f"{name} gap {gap:.3e} > {tol_eff:.3e}")
         verification = {
@@ -341,9 +353,12 @@ def _run_battery(params, g, js, tol):
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     spec = _build_spec(args)
+    _check_tol(args.tol)
+    if args.count < 1:
+        raise _UsageError(f"--count must be at least 1, got {args.count}")
     variant = Variant(args.variant)
     g = variant_graph(power_graph_oracle(spec), variant)
-    js = build_join(spec, variant, oracle=g)
+    js = build_join(spec, variant)
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("POWSPEC_SEED", "0"))
@@ -534,6 +549,9 @@ def main(argv=None) -> int:
     except OverflowError:
         print("error: a value does not fit a float (beyond about 1.8e308)", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # the reader of stdout has gone, as under "| head"
+        _drop_stdout()
+        return 1
     except MemoryError:
         spec = _build_spec(args)
         print(
@@ -544,8 +562,22 @@ def main(argv=None) -> int:
         return 1
 
 
+def _drop_stdout() -> None:
+    """Points stdout at the null device, so that flushing what is still
+    buffered for a reader that has gone fails no more."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, sys.stdout.fileno())
+    os.close(null)
+
+
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -164,11 +164,11 @@ def test_spectrum_complement_flag(capsys):
 
 
 def test_spectrum_oracle_check_mismatch_exit_2(capsys):
-    # tolerance zero force-fails the dense cross-check
+    # a tolerance far below rounding force-fails the dense cross-check
     code, _, err = run(
         capsys,
         "spectrum", "--group", "zn", "--n", "12", "--preset", "laplacian",
-        "--oracle-check", "--tol", "0",
+        "--oracle-check", "--tol", "1e-300",
     )
     assert code == 2
     assert "mismatch" in err
@@ -384,7 +384,8 @@ def test_memory_error_is_one_line_exit_1(capsys, monkeypatch):
         raise MemoryError
 
     monkeypatch.setattr("powspec.cli.power_graph_oracle", no_memory)
-    code, out, err = run(capsys, "spectrum", "--group", "zn", "--n", "60000")
+    # only --vectors and --oracle-check build the N x N graph
+    code, out, err = run(capsys, "spectrum", "--group", "zn", "--n", "60000", "--vectors")
     assert code == 1
     assert out == ""
     lines = err.splitlines()
@@ -534,3 +535,80 @@ def test_successive_main_calls_match_separate_processes(capsys):
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert (done.returncode, done.stdout) == (code, out), argv
+
+
+def test_plain_requests_build_no_oracle(capsys, monkeypatch):
+    def refuse(*args):
+        raise ValueError("power_graph_oracle called")  # main turns it into exit 1
+
+    monkeypatch.setattr("powspec.groups.power_graph_oracle", refuse)
+    monkeypatch.setattr("powspec.cli.power_graph_oracle", refuse)
+    for argv in (
+        ("spectrum", "--group", "zn", "--n", "5040"),
+        ("spectrum", "--group", "dn", "--n", "15", "--complement", "--variant", "proper"),
+        ("spectrum", "--group", "qn", "--n", "6", "--format", "csv"),
+        ("charpoly", "--group", "zn", "--n", "12", "--quotient", "--params=1,-1,2,3"),
+        ("charpoly", "--group", "qn", "--n", "15", "--normalized", "--at", "1/2"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out, (argv, err)
+    code, _, err = run(capsys, "spectrum", "--group", "zn", "--n", "12", "--vectors")
+    assert code == 1 and "power_graph_oracle called" in err
+
+
+def test_spectrum_beyond_the_oracle(capsys):
+    code, out, _ = run(capsys, "spectrum", "--group", "zn", "--n", "27720")
+    assert code == 0
+    report = json.loads(out)
+    assert report["order"] == 27720
+    assert sum(e["multiplicity"] for e in report["eigenspaces"]) == 27720
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (("spectrum", "--tol", "nan"), "--tol must be finite and positive"),
+        (("spectrum", "--tol", "inf"), "--tol must be finite and positive"),
+        (("spectrum", "--tol", "0"), "--tol must be finite and positive"),
+        (("spectrum", "--tol=-1e-8"), "--tol must be finite and positive"),
+        (("verify", "--tol", "nan"), "--tol must be finite and positive"),
+        (("verify", "--count", "-3"), "--count must be at least 1"),
+        (("verify", "--count", "0"), "--count must be at least 1"),
+        (("spectrum", "--params=1e-400,0,0,0"), "rounds to 0 as a float"),
+        (("charpoly", "--quotient", "--params=-1e-400,1,0,0"), "rounds to 0 as a float"),
+    ],
+    ids=[
+        "tol-nan", "tol-inf", "tol-zero", "tol-negative", "verify-tol-nan", "count-negative",
+        "count-zero", "alpha-underflow", "quotient-alpha-underflow",
+    ],
+)
+def test_inputs_that_would_pass_vacuously_exit_1(capsys, argv, reason):
+    code, out, err = run(capsys, argv[0], "--group", "zn", "--n", "12", *argv[1:])
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: ") and reason in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--group", "zn", "--n", "360", "--vectors"),
+        ("verify", "--group", "zn", "--n", "60", "--count", "400"),
+    ],
+    ids=["spectrum", "verify"],
+)
+def test_closed_stdout_exits_quietly(argv):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "powspec.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline()  # then the reader goes away, like "| head -1"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -1,5 +1,7 @@
-"""Join templates, block partitions, assembly, and oracle validation."""
+"""Join templates, block partitions, and the cyclic-subgroup certificate,
+checked against the assembled graph and the definitional oracle."""
 
+import random
 import re
 from dataclasses import replace
 
@@ -9,6 +11,7 @@ import pytest
 from powspec.groups import (
     GroupFamily,
     GroupSpec,
+    LabeledGraph,
     cyclic_subgroup,
     delete_identity,
     element_label,
@@ -20,7 +23,6 @@ from powspec.joinstruct import (
     StructureValidationError,
     TemplateGraph,
     Variant,
-    assemble,
     build_join,
     divisor_graph,
     validate_structure,
@@ -31,6 +33,50 @@ from powspec.numtheory import divisors, totient
 Z = GroupFamily.CYCLIC
 D = GroupFamily.DIHEDRAL
 Q = GroupFamily.DICYCLIC
+
+
+def assemble(js):
+    """Concrete graph of a join structure in the vertex order of its
+    (proper) power graph: each block a set of disjoint cliques, plus
+    complete bipartite gluing between template-adjacent blocks.  The block
+    members must be a permutation of the vertex positions."""
+    clique_of = np.empty(js.order, dtype=np.intp)
+    first = 0  # cliques are numbered across all blocks
+    for block in js.blocks:
+        clique_of[block.members] = first + np.arange(block.size) // block.clique
+        first += block.copies
+    block_of = np.repeat(np.arange(js.template.n), [b.copies for b in js.blocks])  # per clique
+    joined = js.template.adj[np.ix_(block_of, block_of)] | np.eye(first, dtype=bool)
+    adj = joined[:, clique_of][clique_of]
+    np.fill_diagonal(adj, False)
+    return LabeledGraph(adj, None if js.variant is Variant.PROPER else 0)
+
+
+def oracle_refusal(js):
+    """The refusal of ``js`` by the vertex-for-vertex comparison of its
+    assembled graph with the oracle, or None: the reference the certificate
+    must reproduce, naming the row-major first mismatching pair."""
+    oracle = variant_graph(power_graph_oracle(js.spec), js.variant)
+    built = assemble(js).adj
+    mismatch = built != oracle.adj
+    if not mismatch.any():
+        return None
+    i, j = np.argwhere(mismatch)[0]
+    shift = 1 if js.variant is Variant.PROPER else 0
+    x, y = element_label(js.spec, i + shift), element_label(js.spec, j + shift)
+    has, lacks = ("join", "power graph") if built[i, j] else ("power graph", "join")
+    return (
+        f"join of {js.spec.family.value} n={js.spec.n} ({js.variant.value}) refused: "
+        f"{x} ~ {y} in the {has}, not in the {lacks}"
+    )
+
+
+def certificate_refusal(js):
+    try:
+        validate_structure(js)
+    except StructureValidationError as exc:
+        return str(exc)
+    return None
 
 
 def template_edges(t):
@@ -373,8 +419,7 @@ def test_refusal_names_first_mismatching_pair(spec, variant, a, b, reason):
     assert str(exc.value) == (
         f"join of {spec.family.value} n={spec.n} ({variant.value}) refused: {reason}"
     )
-    with pytest.raises(StructureValidationError, match=re.escape(reason)):
-        validate_structure(js, oracle=variant_graph(power_graph_oracle(spec), variant))
+    assert oracle_refusal(js) == str(exc.value)
 
 
 def test_variant_graph():
@@ -387,14 +432,172 @@ def test_variant_graph():
         variant_graph(power_graph_oracle(GroupSpec(Z, 1)), Variant.PROPER)
 
 
-def test_validation_against_a_graph_of_another_shape():
-    spec = GroupSpec(Z, 12)
-    js = build_join(spec, Variant.PROPER, validate=False)
-    with pytest.raises(StructureValidationError, match="covers 11 vertices, oracle has 12"):
-        validate_structure(js, oracle=power_graph_oracle(spec))
-    # D_6 proper has 11 vertices too; the adjacency comparison names a pair
-    with pytest.raises(StructureValidationError) as exc:
-        validate_structure(js, oracle=variant_graph(power_graph_oracle(GroupSpec(D, 6)), "proper"))
-    assert str(exc.value) == (
-        "join of zn n=12 (proper) refused: 1 ~ 6 in the join, not in the power graph"
+def test_certificate_accepts_every_small_structure():
+    specs = (
+        [GroupSpec(Z, n) for n in range(1, 401)]
+        + [GroupSpec(D, n) for n in range(1, 201)]
+        + [GroupSpec(Q, n) for n in range(2, 101)]
     )
+    accepted = 0
+    for spec in specs:
+        for variant in (Variant.POWER, Variant.PROPER):
+            if variant is Variant.PROPER and spec.order < 2:
+                continue
+            validate_structure(build_join(spec, variant, validate=False))
+            accepted += 1
+    assert accepted == 1397
+
+
+def flip_edge(js, rng):
+    x, z = rng.randrange(js.template.n), rng.randrange(js.template.n)
+    adj = js.template.adj.copy()
+    adj[x, z] = adj[z, x] = not adj[x, z]
+    return JoinStructure(js.spec, js.variant, TemplateGraph(adj, js.template.labels), js.blocks)
+
+
+def swap_members(js, rng):
+    blocks = list(js.blocks)
+    x, z = rng.randrange(len(blocks)), rng.randrange(len(blocks))
+    mx = blocks[x].members.copy()
+    mz = mx if x == z else blocks[z].members.copy()
+    i, k = rng.randrange(len(mx)), rng.randrange(len(mz))
+    mx[i], mz[k] = mz[k], mx[i]
+    blocks[x], blocks[z] = replace(blocks[x], members=mx), replace(blocks[z], members=mz)
+    return JoinStructure(js.spec, js.variant, js.template, tuple(blocks))
+
+
+def resize_cliques(js, rng, merge):
+    """``js`` with one block cut into cliques of another size that divides
+    it; under ``merge``, a multiple of the old size, so whole cliques join."""
+    options = [
+        (x, c)
+        for x, b in enumerate(js.blocks)
+        for c in range(1, b.size + 1)
+        if b.size % c == 0 and c != b.clique and (not merge or c % b.clique == 0)
+    ]
+    if not options:
+        return None
+    x, c = rng.choice(options)
+    blocks = list(js.blocks)
+    blocks[x] = replace(blocks[x], clique=c)
+    return JoinStructure(js.spec, js.variant, js.template, tuple(blocks))
+
+
+MUTANTS = {
+    "flipped-edge": flip_edge,
+    "swapped-members": swap_members,
+    "merged-cliques": lambda js, rng: resize_cliques(js, rng, merge=True),
+    "clique-size": lambda js, rng: resize_cliques(js, rng, merge=False),
+}
+
+
+@pytest.mark.parametrize("kind", list(MUTANTS))
+def test_certificate_matches_oracle_on_seeded_mutants(kind):
+    # same verdict as the assembled graph against the oracle, and on a
+    # refusal the same first pair, on every mutant; mutants of a mutant too
+    rng = random.Random(f"certificate:{kind}")
+    specs = (
+        [GroupSpec(Z, n) for n in (1, 2, 6, 12, 16, 30, 36, 60, 64, 97, 120)]
+        + [GroupSpec(D, n) for n in (1, 2, 3, 6, 8, 15, 30, 32)]
+        + [GroupSpec(Q, n) for n in (2, 3, 4, 6, 8, 15)]
+    )
+    refused = compared = 0
+    for spec in specs:
+        for variant in (Variant.POWER, Variant.PROPER):
+            if variant is Variant.PROPER and spec.order < 2:
+                continue
+            js = build_join(spec, variant, validate=False)
+            for _ in range(6):
+                mutated = MUTANTS[kind](js, rng)
+                if mutated is not None and rng.random() < 0.3:
+                    mutated = MUTANTS[rng.choice(list(MUTANTS))](mutated, rng) or mutated
+                if mutated is None:
+                    continue
+                expect = oracle_refusal(mutated)
+                assert certificate_refusal(mutated) == expect, (spec, variant)
+                refused += expect is not None
+                compared += 1
+    assert compared > 100 and refused > compared // 2
+
+
+def test_certificate_accepts_what_the_oracle_accepts():
+    # in Z_n the identity and the generators are true twins: swapping one
+    # generator with e leaves the assembled graph, hence the verdict, alone
+    for n in (2, 12, 30):
+        js = mutant(build_join(GroupSpec(Z, n), Variant.POWER), lambda ms: swap_first(ms, 0, -1))
+        assert oracle_refusal(js) is None
+        validate_structure(js)
+
+
+def test_certificate_refuses_broken_cliques_and_templates():
+    js = build_join(GroupSpec(D, 6), Variant.POWER)
+    r = js.blocks[-1]
+    blocks = js.blocks[:-1] + (replace(r, clique=4),)  # 6 reflections, cliques of 4
+    with pytest.raises(StructureValidationError, match="not made of whole cliques"):
+        validate_structure(JoinStructure(js.spec, js.variant, js.template, blocks))
+    adj = js.template.adj.copy()
+    adj[0, -1] = not adj[0, -1]
+    with pytest.raises(StructureValidationError, match="not symmetric"):
+        validate_structure(
+            JoinStructure(js.spec, js.variant, TemplateGraph(adj, js.template.labels), js.blocks)
+        )
+
+
+def test_certificate_needs_no_template_code(monkeypatch):
+    structures = [
+        build_join(spec, variant, validate=False)
+        for spec in (GroupSpec(Z, 360), GroupSpec(D, 60), GroupSpec(Q, 30))
+        for variant in (Variant.POWER, Variant.PROPER)
+    ]
+
+    def refuse(*args):
+        raise AssertionError("template code called")
+
+    for name in ("divisors", "divisor_graph", "power_graph_oracle"):
+        monkeypatch.setattr(f"powspec.joinstruct.{name}", refuse, raising=False)
+    monkeypatch.setattr("powspec.groups.power_graph_oracle", refuse)
+    for js in structures:
+        validate_structure(js)
+
+
+def test_certificate_beyond_the_oracle():
+    # order 55440: the oracle would take 6 GB; the certificate still names a pair
+    spec = GroupSpec(Z, 55440)
+    validate_structure(build_join(spec, Variant.POWER, validate=False))
+    with pytest.raises(StructureValidationError) as exc:
+        validate_structure(flipped(spec, Variant.PROPER, 2, 4))
+    assert str(exc.value) == (
+        "join of zn n=55440 (proper) refused: 2 ~ 4 in the power graph, not in the join"
+    )
+
+
+def random_structure(spec, variant, rng):
+    """Vertices shuffled into blocks of random clique sizes under a random
+    template: cliques that mix generator classes, split them or straddle
+    blocks, so the certificate takes several rounds per clique."""
+    vertices = list(range(spec.order - (variant is Variant.PROPER)))
+    rng.shuffle(vertices)
+    blocks = []
+    while vertices:
+        clique = min(rng.choice((1, 1, 2, 3, 4)), len(vertices))
+        size = clique * min(rng.randint(1, 3), len(vertices) // clique)
+        blocks.append(JoinBlock(len(blocks), np.array(vertices[:size]), clique, 0))
+        vertices = vertices[size:]
+    t = len(blocks)
+    adj = np.triu(np.array([[rng.random() < 0.5 for _ in range(t)] for _ in range(t)]), 1)
+    return JoinStructure(spec, variant, TemplateGraph(adj | adj.T, tuple(range(t))), tuple(blocks))
+
+
+def test_certificate_matches_oracle_on_random_structures():
+    rng = random.Random("certificate:random")
+    accepted = refused = 0
+    for _ in range(400):
+        family = rng.choice(list(GroupFamily))
+        spec = GroupSpec(family, rng.randint(2, 9))
+        variant = rng.choice(list(Variant))
+        js = random_structure(spec, variant, rng)
+        expect = oracle_refusal(js)
+        assert certificate_refusal(js) == expect, (spec, variant)
+        accepted += expect is None
+        refused += expect is not None
+    assert accepted > 0 and refused > 300

@@ -343,7 +343,7 @@ def test_oracle_equivalence_small_sweep():
         if g_power.n >= 2:
             variants.append((Variant.PROPER, delete_identity(g_power)))
         for variant, gv in variants:
-            js = build_join(spec, variant, oracle=gv)
+            js = build_join(spec, variant)
             for comp in (False, True):
                 target = complement_graph(gv) if comp else gv
                 for _ in range(3):
@@ -695,3 +695,48 @@ def test_normalized_laplacian_rejects_isolated():
 
 def test_multiset_gap_count_mismatch():
     assert multiset_gap(np.array([1.0]), np.array([1.0, 2.0])) == float("inf")
+
+
+def reference_residual_rows(u, s, tol):
+    """verify_eigenpairs' rows, one matrix-vector product per basis vector."""
+    scale = max(1.0, float(np.max(np.abs(u).sum(axis=1))))
+    rows = []
+    for e in s.eigenspaces:
+        res = bound = 0.0
+        for x in e.basis:
+            res = max(res, float(np.max(np.abs(u @ x - float(e.value) * x))))
+            bound = max(bound, tol * scale * float(np.max(np.abs(x))))
+        rows.append((float(e.value), e.multiplicity, res, bound))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "spec, variant, complement",
+    [
+        (GroupSpec(Z, 36), Variant.POWER, False),
+        (GroupSpec(D, 15), Variant.PROPER, True),
+        (GroupSpec(Q, 9), Variant.POWER, True),
+        (GroupSpec(Z, 2), Variant.PROPER, False),
+    ],
+)
+def test_verify_eigenpairs_matches_per_vector_products(spec, variant, complement):
+    # the residuals of the signed two-entry columns come from one product
+    # per eigenspace; they must equal the per-vector ones bit for bit
+    rng = np.random.default_rng(16)
+    g = variant_graph(power_graph_oracle(spec), variant)
+    js = build_join(spec, variant)
+    for _ in range(3):
+        p = sample_params(rng)
+        u = universal_matrix(complement_graph(g) if complement else g, p)
+        s = hjoin_spectrum(js, complement_params(p, g.n) if complement else p, want_vectors=True)
+        report = verify_eigenpairs(u, s)
+        assert report.passed
+        assert list(report.rows) == reference_residual_rows(u, s, 1e-8)
+
+
+def test_verify_eigenpairs_fails_a_nan_residual():
+    u = universal_matrix(power_graph_oracle(GroupSpec(Z, 6)), LAPLACIAN)
+    s = hjoin_spectrum(build_join(GroupSpec(Z, 6), Variant.POWER), LAPLACIAN, want_vectors=True)
+    assert verify_eigenpairs(u, s).passed
+    u[0, 0] = np.nan
+    assert not verify_eigenpairs(u, s).passed
