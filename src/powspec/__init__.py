@@ -51,6 +51,7 @@ from .numtheory import (
 )
 from .spectra import (
     PRESETS,
+    Basis,
     Eigenspace,
     QuotientMatrix,
     Spectrum,

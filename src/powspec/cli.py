@@ -49,6 +49,7 @@ from .groups import (
 from .joinstruct import StructureValidationError, Variant, build_join, variant_graph
 from .numtheory import factorize, prime_power
 from .spectra import (
+    Basis,
     UndefinedUniversalMatrixError,
     UniversalParams,
     charpoly_exact,
@@ -86,35 +87,72 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _emit_array(inv: np.ndarray, table: list, indent: int) -> str:
+def _table(arr: np.ndarray) -> tuple:
+    """(table, indices): each distinct value of a float64 array formatted
+    once, keyed by its bit pattern so that -0.0 keeps its sign and every
+    NaN its own entry, and the table index of every entry."""
+    bits, inv = np.unique(arr.view(np.int64).ravel(), return_inverse=True)
+    return [_fmt_float(v) for v in bits.view(np.float64).tolist()], inv.reshape(arr.shape)
+
+
+def _array_text(inv: np.ndarray, table: list, indent: int) -> str:
     """Rows of string-table indices, laid out like the list path."""
-    if len(inv) == 0:
-        return "[]"
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
     if inv.ndim == 1:
-        parts = map(table.__getitem__, inv.tolist())
+        items = list(map(table.__getitem__, inv.tolist()))
     else:
-        parts = (_emit_array(row, table, indent + 1) for row in inv)
-    return f"[\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}]"
-
-
-def _emit_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON text: keys in insertion order, two-space indent,
-    every float formatted by ``_fmt_float``.
-
-    A float64 ``np.ndarray`` prints exactly as its ``tolist()`` would, but
-    each distinct value is formatted once: values are keyed by their bit
-    pattern, so -0.0 keeps its sign and every NaN its own entry.
-    """
-    pad = "  " * indent
+        items = [_array_text(row, table, indent + 1) for row in inv]
+    if not items:
+        return "[]"
     inner = "  " * (indent + 1)
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{'  ' * indent}]"
+
+
+def _write_basis(basis: Basis, indent: int, out: list) -> None:
+    """Appends a basis to ``out`` as the array of its dense vectors would
+    print.  A pair row e_i - e_j is the row of all "0" with "1" and "-1"
+    spliced in at the offsets of i and j, and so is a dense row that is
+    mostly +0.0, with the formatted entries spliced in; any other dense row
+    takes the table path of an array."""
+    if not len(basis):
+        out.append("[]")
+        return
+    inner = "  " * (indent + 2)
+    head, sep = f"[\n{inner}", f",\n{inner}"
+    zeros = head + sep.join("0" * basis.dimension) + f"\n{'  ' * (indent + 1)}]"
+
+    def splice(entries):
+        at = 0
+        for k, token in entries:  # ascending positions
+            offset = len(head) + k * (len(sep) + 1)
+            out.extend((zeros[at:offset], token))
+            at = offset + 1
+        out.append(zeros[at:])
+
+    dense, pairs = iter(basis.dense), iter(basis.pairs.tolist())
+    row_start = f"\n{'  ' * (indent + 1)}"
+    out.append("[")
+    for n, is_pair in enumerate(basis.is_pair.tolist()):
+        out.append("," + row_start if n else row_start)
+        if is_pair:
+            i, j = next(pairs)
+            splice(sorted([(i, "1"), (j, "-1")]) if i != j else ())  # e_i - e_i is zero
+            continue
+        row = next(dense)
+        nonzero = np.flatnonzero(row.view(np.int64))  # every entry but +0.0
+        if 2 * len(nonzero) < len(row):
+            splice(zip(nonzero.tolist(), map(_fmt_float, row[nonzero].tolist())))
+        else:
+            table, inv = _table(row)
+            out.append(_array_text(inv, table, indent + 1))
+    out.append(f"\n{'  ' * indent}]")
+
+
+def _leaf_text(obj, indent: int) -> str:
     if isinstance(obj, np.ndarray):
         if obj.dtype != np.float64 or obj.ndim == 0:
             raise TypeError(f"cannot serialize a {obj.ndim}-d array of {obj.dtype}")
-        bits, inv = np.unique(obj.view(np.int64).ravel(), return_inverse=True)
-        table = [_fmt_float(v) for v in bits.view(np.float64).tolist()]
-        return _emit_array(inv.reshape(obj.shape), table, indent)
+        table, inv = _table(obj)
+        return _array_text(inv, table, indent)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -125,17 +163,45 @@ def _emit_json(obj, indent: int = 0) -> str:
         return str(obj)
     if isinstance(obj, float):
         return _fmt_float(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [f"{inner}{json.dumps(k)}: {_emit_json(v, indent + 1)}" for k, v in obj.items()]
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        parts = [f"{inner}{_emit_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _write_json(obj, indent: int, out: list) -> None:
+    """Appends the text of ``obj`` to ``out``.  Containers write their items
+    in place, so the text of a large basis is copied once more, by the final
+    join, however deep it sits."""
+    if isinstance(obj, Basis):
+        _write_basis(obj, indent, out)
+        return
+    if not isinstance(obj, (dict, list, tuple)):
+        out.append(_leaf_text(obj, indent))
+        return
+    is_dict = isinstance(obj, dict)
+    if not obj:
+        out.append("{}" if is_dict else "[]")
+        return
+    inner = "  " * (indent + 1)
+    out.append("{" if is_dict else "[")
+    for k, item in enumerate(obj.items() if is_dict else obj):
+        out.append(f",\n{inner}" if k else f"\n{inner}")
+        if is_dict:
+            key, item = item
+            out.append(f"{json.dumps(key)}: ")
+        _write_json(item, indent + 1, out)
+    out.append(f"\n{'  ' * indent}{'}' if is_dict else ']'}")
+
+
+def _emit_json(obj, indent: int = 0) -> str:
+    """Deterministic JSON text: keys in insertion order, two-space indent,
+    every float formatted by ``_fmt_float``.
+
+    A float64 ``np.ndarray`` prints exactly as its ``tolist()`` would, but
+    each distinct value is formatted once (see ``_table``).  A ``Basis``
+    prints as the array of its dense vectors would.
+    """
+    out: list = []
+    _write_json(obj, indent, out)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +347,7 @@ def cmd_spectrum(args) -> int:
                 "value": e.value,
                 "multiplicity": e.multiplicity,
                 "provenance": e.provenance,
-                **(
-                    {"basis": np.array(e.basis)}
-                    if args.vectors and e.basis is not None
-                    else {}
-                ),
+                **({"basis": e.basis} if args.vectors and e.basis is not None else {}),
             }
             for e in spectrum.eigenspaces
         ],

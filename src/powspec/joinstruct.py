@@ -361,7 +361,10 @@ def validate_structure(js: JoinStructure) -> None:
 
     The block members must hold every vertex position exactly once, in
     whole cliques.  A refusal names the first mismatching vertex pair in
-    row-major order, by ``element_label``."""
+    row-major order, by ``element_label``.  Once the pairs agree, every
+    block's ``join_degree``, which the spectra read, must be the total size
+    of its template neighbours, as ``build_join`` defines it; a refusal
+    names the first block where it is not."""
     spec = js.spec
     shift = 1 if js.variant is Variant.PROPER else 0
     n_vert = spec.order - shift
@@ -425,6 +428,16 @@ def validate_structure(js: JoinStructure) -> None:
         expect, in_cliques + np.diag(adj) * (per_block * (per_block - 1) // 2 - in_cliques)
     )
     if np.array_equal(comparable, expect) and np.array_equal(same_count, clique_pairs):
+        # the spectra read join_degree: the size of the template-adjacent
+        # blocks, as build_join defines it (a loop joins a block to no other)
+        join_degree = (adj & ~np.eye(t, dtype=bool)).astype(np.int64) @ np.array(js.sizes)
+        for b, want in zip(js.blocks, join_degree.tolist()):
+            if b.join_degree != want:
+                raise StructureValidationError(
+                    f"join of {spec.family.value} n={spec.n} ({js.variant.value}) refused: "
+                    f"block {b.label} has join_degree {b.join_degree}, its template "
+                    f"neighbours hold {want} vertices"
+                )
         return
 
     # Refusal: the first vertex pair of a failing unit pair (a, b) is

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, sqrt
+from math import isfinite, lcm, sqrt
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
     "UniversalParams",
     "UndefinedUniversalMatrixError",
     "PRESETS",
+    "Basis",
     "Eigenspace",
     "Spectrum",
     "QuotientMatrix",
@@ -134,12 +135,85 @@ def universal_matrix(g: LabeledGraph, p: UniversalParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+class Basis:
+    """The eigenvectors of one eigenspace, in compact form.
+
+    Vector k is e_i - e_j, for the next row (i, j) of the int array
+    ``pairs``, when ``is_pair[k]``, and the next row of the float array
+    ``dense`` otherwise.  The structural route keeps its two-entry
+    block differences as pairs and everything else (clique-indicator
+    differences, lifted quotient vectors) as dense rows, in the order it
+    lists them; the dense route and the closed forms hold dense rows only.
+    A ``Basis`` still reads as a sequence of dense vectors of length
+    ``dimension``: ``len``, indexing, iteration and ``np.array``."""
+
+    def __init__(self, dimension: int, pairs=None, dense=None, is_pair=None):
+        self.dimension = dimension
+        self.pairs = np.zeros((0, 2), dtype=np.int64) if pairs is None else pairs
+        self.dense = np.zeros((0, dimension)) if dense is None else dense
+        if is_pair is None:
+            is_pair = np.repeat([True, False], [len(self.pairs), len(self.dense)])
+        self.is_pair = is_pair
+        if self.dense.ndim != 2 or self.dense.shape[1] != dimension:
+            raise ValueError(f"dense rows of shape {self.dense.shape} in dimension {dimension}")
+        if self.pairs.shape[1:] != (2,) or np.count_nonzero(is_pair) != len(self.pairs):
+            raise ValueError("pairs and is_pair disagree")
+
+    @classmethod
+    def of_rows(cls, rows) -> "Basis":
+        """Dense rows only, one vector per row."""
+        dense = np.array(rows, dtype=float) if len(rows) else np.zeros((0, 0))
+        if dense.ndim != 2:
+            raise ValueError("basis rows must be vectors of one length")
+        return cls(dense.shape[1], dense=dense)
+
+    @classmethod
+    def of_segments(cls, dimension: int, segments) -> "Basis":
+        """Vectors from (is_pairs, array) segments, in order: an (m, 2) int
+        array of pairs or an (m, dimension) array of dense rows."""
+        def stack(arrays):
+            return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+        pairs = [a for is_pairs, a in segments if is_pairs]
+        dense = [a for is_pairs, a in segments if not is_pairs]
+        is_pair = np.repeat([is_pairs for is_pairs, _ in segments], [len(a) for _, a in segments])
+        return cls(
+            dimension,
+            stack(pairs) if pairs else None,
+            stack(dense) if dense else None,
+            is_pair.astype(bool),
+        )
+
+    def __len__(self) -> int:
+        return len(self.is_pair)
+
+    def __getitem__(self, k) -> np.ndarray:
+        return self.__array__()[k]
+
+    def __iter__(self):
+        return iter(self.__array__())
+
+    def __array__(self, dtype=None, copy=None):
+        """The dense vectors stacked as rows: O(m N), for readers of the
+        dense form; the checks and the emitter read the compact fields."""
+        out = np.zeros((len(self), self.dimension))
+        out[~self.is_pair] = self.dense
+        rows = np.flatnonzero(self.is_pair)
+        out[rows, self.pairs[:, 0]] = 1.0
+        out[rows, self.pairs[:, 1]] -= 1.0  # a pair (i, i) is the zero vector
+        return out if dtype is None else out.astype(dtype)
+
+
 @dataclass(frozen=True)
 class Eigenspace:
     value: float  # a closed form keeps an int or Fraction value exact
     multiplicity: int
     provenance: str  # "BlockDiff" | "Quotient" | "BlockDiff+Quotient" | "Dense" | closed form
-    basis: tuple | None = None  # full-dimension vectors, one per multiplicity
+    basis: Basis | None = None  # one vector per multiplicity
+
+    def __post_init__(self):  # a sequence of vectors becomes a Basis of dense rows
+        if self.basis is not None and not isinstance(self.basis, Basis):
+            object.__setattr__(self, "basis", Basis.of_rows(self.basis))
 
 
 @dataclass(eq=False)
@@ -158,8 +232,8 @@ class Spectrum:
 
     def expanded(self) -> np.ndarray:
         """All eigenvalues with multiplicity, ascending (for comparisons)."""
-        vals = [e.value for e in self.eigenspaces for _ in range(e.multiplicity)]
-        return np.sort(np.array(vals, dtype=float))
+        values = np.array([e.value for e in self.eigenspaces], dtype=float)
+        return np.sort(np.repeat(values, [e.multiplicity for e in self.eigenspaces]))
 
     def find(self, value: float, tol: float) -> Eigenspace | None:
         for e in self.eigenspaces:
@@ -209,9 +283,7 @@ def dense_eigen(m: np.ndarray, vectors: bool = True) -> Spectrum:
     for i in range(1, n + 1):
         if i == n or vals[i] - vals[i - 1] > gtol:
             group = vals[start:i]
-            basis = None
-            if vectors:
-                basis = tuple(vecs[:, j].copy() for j in range(start, i))
+            basis = Basis.of_rows(vecs[:, start:i].T) if vectors else None
             spaces.append(
                 Eigenspace(float(np.mean(group)) + 0.0, i - start, "Dense", basis)
             )
@@ -286,6 +358,11 @@ def hjoin_spectrum(js: JoinStructure, p: UniversalParams, want_vectors: bool = F
     to a block-constant vector scaled by sqrt(n_last / n_block).  Values
     are then grouped into eigenspaces by the merge tolerance.
 
+    Under ``want_vectors`` each eigenspace carries a compact ``Basis``,
+    its vectors in the order their candidate values sort: the two-entry
+    differences (in-clique ones, and those of single-vertex cliques) as
+    (plus, minus) vertex pairs, the wider clique-indicator differences and
+    the lifted vectors as dense rows.  Nothing of size N is made per pair.
     Block members are vertex positions of the underlying graph (element
     positions, see ``groups``), so the eigenvectors pair directly with
     ``universal_matrix`` of that graph.
@@ -303,72 +380,64 @@ def hjoin_spectrum(js: JoinStructure, p: UniversalParams, want_vectors: bool = F
             value = float(p.alpha * lam + p.beta * (b.regularity + b.join_degree) + p.gamma)
             block_groups.setdefault(value, []).append((i, lam, mult))
 
-    candidates = []  # (value, multiplicity, provenance, vector factory args)
+    candidates = []  # (value, multiplicity, provenance, basis segments)
     for value, parts in block_groups.items():
         mult = sum(part_mult for _, _, part_mult in parts)
-        candidates.append((value, mult, "BlockDiff", ("blocks", parts)))
+        candidates.append((value, mult, "BlockDiff", parts))
 
     qm = quotient_matrix(js, p)
     qvals, qvecs = np.linalg.eigh(qm.sym)
     for k in range(qm.dimension):
-        candidates.append((float(qvals[k]), 1, "Quotient", ("quotient", k)))
+        candidates.append((float(qvals[k]), 1, "Quotient", k))
 
-    def block_vectors(parts):
-        vecs = []
-        for i, lam, _ in parts:
+    def segments(source):
+        """(is_pairs, array) segments of the basis vectors of a candidate:
+        its block parts, or the index of its quotient eigenvector."""
+        if isinstance(source, int):
+            return [(False, lifted[source : source + 1])]
+        out = []
+        for i, lam, _ in source:
             cliques = blocks[i].members.reshape(-1, blocks[i].clique)
+            size = cliques.shape[1]
             if lam == -1:  # in-clique differences
-                pairs = [(c[:1], c[r : r + 1]) for c in cliques for r in range(1, len(c))]
+                plus, minus = np.repeat(cliques[:, 0], size - 1), cliques[:, 1:].ravel()
+            elif size == 1:  # differences of single-vertex cliques
+                plus, minus = np.repeat(cliques[0], len(cliques) - 1), cliques[1:, 0]
             else:  # differences of clique indicators
-                pairs = [(cliques[0], cliques[r]) for r in range(1, len(cliques))]
-            for plus, minus in pairs:
-                x = np.zeros(total)
-                x[plus] = 1.0
-                x[minus] = -1.0
-                vecs.append(x)
-        return vecs
+                rows = np.zeros((len(cliques) - 1, total))
+                rows[:, cliques[0]] = 1.0
+                rows[np.arange(len(rows))[:, None], cliques[1:]] = -1.0
+                out.append((False, rows))
+                continue
+            out.append((True, np.column_stack([plus, minus]).astype(np.int64)))
+        return out
 
-    def lifted_vector(k):
-        nu = qvecs[:, k]
-        last = sizes[-1]
-        x = np.empty(total)
-        for l in range(len(sizes)):
-            x[blocks[l].members] = nu[l] * sqrt(last / sizes[l])
-        return x
+    if want_vectors:
+        # lifted[k] is quotient vector k, constant nu_l * sqrt(n_last / n_l) on block l
+        weights = np.array([sqrt(sizes[-1] / size) for size in sizes])
+        block_of = np.empty(total, dtype=np.int64)
+        for l, b in enumerate(blocks):
+            block_of[b.members] = l
+        lifted = np.take((qvecs * weights[:, None]).T, block_of, axis=1)
 
     gtol = _group_tolerance([v for v, *_ in candidates])
     candidates.sort(key=lambda c: c[0])
-    spaces = []
-    group: list = []
+    groups: list = []
     for cand in candidates:
-        if group and cand[0] - group[-1][0] > gtol:
-            spaces.append(_merge_candidates(group, want_vectors, block_vectors, lifted_vector))
-            group = []
-        group.append(cand)
-    if group:
-        spaces.append(_merge_candidates(group, want_vectors, block_vectors, lifted_vector))
+        if not groups or cand[0] - groups[-1][-1][0] > gtol:
+            groups.append([])
+        groups[-1].append(cand)
+    spaces = []
+    for group in groups:
+        total_mult = sum(m for _, m, _, _ in group)
+        value = sum(v * m for v, m, _, _ in group) / total_mult + 0.0  # -0.0 -> 0.0
+        provenance = "+".join(sorted({prov for _, _, prov, _ in group}))
+        basis = None
+        if want_vectors:
+            basis = Basis.of_segments(total, [seg for *_, src in group for seg in segments(src)])
+        spaces.append(Eigenspace(value, total_mult, provenance, basis))
     spaces.sort(key=lambda e: -e.value)
     return Spectrum(tuple(spaces), total)
-
-
-def _merge_candidates(group, want_vectors, block_vectors, lifted_vector):
-    total_mult = sum(m for _, m, _, _ in group)
-    value = sum(v * m for v, m, _, _ in group) / total_mult + 0.0  # -0.0 -> 0.0
-    provs = []
-    for _, _, prov, _ in group:
-        if prov not in provs:
-            provs.append(prov)
-    provenance = "+".join(sorted(provs))
-    basis = None
-    if want_vectors:
-        vecs = []
-        for _, _, _, (kind, arg) in group:
-            if kind == "blocks":
-                vecs.extend(block_vectors(arg))
-            else:
-                vecs.append(lifted_vector(arg))
-        basis = tuple(vecs)
-    return Eigenspace(value, total_mult, provenance, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +473,7 @@ def _full_rank(vecs, multiplicity: int) -> bool:
     """Whether the nonzero ``vecs`` are ``multiplicity`` independent vectors."""
     if len(vecs) != multiplicity:
         return False
-    x = np.column_stack(vecs)
+    x = np.ascontiguousarray(np.asarray(vecs, dtype=float).T)
     x = x / np.max(np.abs(x), axis=0)
     try:
         pivots = np.diag(np.linalg.cholesky(x.T @ x))
@@ -413,47 +482,98 @@ def _full_rank(vecs, multiplicity: int) -> bool:
     return bool(np.min(pivots) > RANK_PIVOT_MIN)
 
 
+def _pair_residuals(u: np.ndarray, pairs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """||U x - lambda x||_inf of each pair vector x = e_i - e_j with its
+    value lambda, as U[:, i] - U[:, j] - lambda*(e_i - e_j): for a finite U
+    that is U x - lambda x bit for bit, since every other term of U x is an
+    exact zero.  The columns go in blocks of 64 KB, which stay in cache."""
+    out = np.empty(len(pairs))
+    step = max(1, 8192 // max(1, len(u)))
+    for lo in range(0, len(pairs), step):
+        (i, j), lam = pairs[lo : lo + step].T, values[lo : lo + step]
+        k = np.arange(len(lam))
+        r = u[:, i] - u[:, j]
+        r[i, k] -= lam
+        r[j, k] += lam
+        out[lo : lo + step] = np.max(np.abs(r), axis=0)
+    return out
+
+
+def _lone_coordinates(pairs: np.ndarray, owner: np.ndarray, dimension: int) -> np.ndarray:
+    """For each pair vector e_i - e_j, whether i or j is a coordinate that no
+    other vector of the same owner touches."""
+    keys = (owner[:, None] * dimension + pairs).ravel()
+    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    return (counts[inverse].reshape(-1, 2) == 1).any(axis=1)
+
+
+def _independent(basis: Basis, multiplicity: int, lone: np.ndarray) -> bool:
+    """The verdict of ``_full_rank`` on a basis of finite nonzero vectors,
+    given ``_lone_coordinates`` of its pairs.  A single vector, and a basis
+    of pairs that each have a coordinate of their own, pass without a
+    Cholesky factor: that coordinate (a single vector's largest) keeps each
+    max-normalised vector at distance at least 1 from the span of the
+    others, so every pivot would be at least 1.  Any other basis runs
+    ``_full_rank``."""
+    if len(basis) != multiplicity:
+        return False
+    if len(basis) == 1 or (not len(basis.dense) and lone.all()):
+        return True
+    return _full_rank(basis, multiplicity)
+
+
 def verify_eigenpairs(u: np.ndarray, s: Spectrum, tol: float = 1e-8) -> VerificationReport:
     """Residual check ||U x - lambda x||_inf <= tol * max(1, ||U||_inf) * ||x||_inf
-    for every eigenpair carried by ``s``.  A zero vector fails, and so does
-    an eigenspace whose basis has rank below its multiplicity."""
+    for every eigenpair carried by ``s``.  A zero or non-finite vector
+    fails, a U with a NaN or infinite entry fails, and so does an
+    eigenspace whose basis has rank below its multiplicity.
+
+    The work follows the compact bases: the pair vectors of all eigenspaces
+    go through ``_pair_residuals`` at O(N) each, and each dense row takes
+    one product U x.  The rank test of an eigenspace is ``_independent``,
+    O(m) for m pairs that each have a coordinate of their own and a
+    Cholesky factor of the Gram matrix only where that does not hold."""
     u = np.asarray(u, dtype=float)
     if u.shape != (s.dimension, s.dimension):
         raise ValueError(
             f"matrix is {u.shape}, spectrum lives in dimension {s.dimension}"
         )
-    scale = max(1.0, float(np.max(np.abs(u).sum(axis=1)))) if u.size else 1.0
+    norm = float(np.max(np.abs(u).sum(axis=1))) if u.size else 0.0
+    scale = max(1.0, norm)
+    spaces = s.eigenspaces
+    if any(e.basis is None for e in spaces):
+        raise ValueError("spectrum carries no eigenvector bases")
+    values = [float(e.value) for e in spaces]
+    counts = [len(e.basis.pairs) for e in spaces]
+    owner = np.repeat(np.arange(len(spaces)), counts)
+    pairs = np.concatenate([e.basis.pairs for e in spaces] + [np.zeros((0, 2), np.int64)])
+    pair_res = _pair_residuals(u, pairs, np.repeat(values, counts))
+    pair_size = (pairs[:, 0] != pairs[:, 1]).astype(float)
+    lone = _lone_coordinates(pairs, owner, s.dimension)
+
     rows = []
     worst = 0.0
-    passed = True
-    for e in s.eigenspaces:
-        if e.basis is None:
-            raise ValueError("spectrum carries no eigenvector bases")
-        value = float(e.value)
-        res = 0.0
-        bound = 0.0
-        if e.basis:
-            x = np.column_stack(e.basis)
-            r = np.empty(x.shape[1])
-            # Columns of at most two entries +-1, 0 elsewhere: every summation
-            # order of U x gives the same bits, so one product serves them all.
-            nonzero = np.count_nonzero(x, axis=0)
-            signs = (nonzero <= 2) & (np.count_nonzero(np.abs(x) == 1, axis=0) == nonzero)
-            if signs.any():
-                xs = x[:, signs]
-                r[signs] = np.max(np.abs(u @ xs - value * xs), axis=0)
-            for k in np.flatnonzero(~signs):
-                r[k] = np.max(np.abs(u @ e.basis[k] - value * e.basis[k]))
-            size = np.max(np.abs(x), axis=0)
+    passed = isfinite(norm) or bool(np.isfinite(u).all())
+    start = 0
+    for e, value, count in zip(spaces, values, counts):
+        r, size = pair_res[start : start + count], pair_size[start : start + count]
+        dense = e.basis.dense
+        if len(dense):
+            r = np.concatenate([r, [np.max(np.abs(u @ x - value * x)) for x in dense]])
+            size = np.concatenate([size, np.max(np.abs(dense), axis=1)])
+        res = bound = 0.0
+        if len(r):
             b = tol * scale * size
             res, bound = float(r.max()), float(b.max())
-            if not (np.all(r <= b) and np.all(size > 0.0)):  # a NaN residual fails
+            # a NaN residual fails, and so does a zero or non-finite vector
+            if not (np.all(r <= b) and np.all((size > 0.0) & (size < np.inf))):
                 passed = False
-        # skipped once failed: a zero vector fails above, and would divide by 0
-        if passed and not _full_rank(e.basis, e.multiplicity):
+        # skipped once failed: a zero vector would divide by 0
+        if passed and not _independent(e.basis, e.multiplicity, lone[start : start + count]):
             passed = False
         rows.append((value, e.multiplicity, res, bound))
         worst = max(worst, res)
+        start += count
     return VerificationReport(tuple(rows), tol, worst, passed, scale)
 
 

@@ -1,7 +1,9 @@
 """CLI behaviour: flags, exit codes, deterministic machine-readable output."""
 
+import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,7 +16,13 @@ import powspec.cli
 from powspec.cli import _emit_json, main
 from powspec.groups import GroupFamily, GroupSpec, delete_identity, power_graph_oracle
 from powspec.joinstruct import Variant, build_join
-from powspec.spectra import UniversalParams, charpoly_roots, hjoin_spectrum
+from powspec.spectra import (
+    Basis,
+    UniversalParams,
+    charpoly_roots,
+    complement_params,
+    hjoin_spectrum,
+)
 
 
 def run(capsys, *argv):
@@ -112,6 +120,26 @@ def test_refused_structure_exit_2(capsys, monkeypatch, argv):
     assert len(lines) == 1
     assert lines[0].startswith("error: join of zn n=12 (")
     assert lines[0].endswith(" refused: 2 ~ 4 in the power graph, not in the join")
+
+
+@pytest.mark.parametrize(
+    "group, n, label",
+    [("zn", "12", 1), ("dn", "9", "R"), ("qn", "6", 4)],
+)
+def test_wrong_join_degree_exit_2(capsys, monkeypatch, group, n, label):
+    # build_join assembles one block with a join_degree one too high
+    real = powspec.joinstruct.JoinBlock
+
+    def bumped(block_label, members, clique, join_degree):
+        return real(block_label, members, clique, join_degree + (block_label == label))
+
+    monkeypatch.setattr("powspec.joinstruct.JoinBlock", bumped)
+    code, out, err = run(capsys, "spectrum", "--group", group, "--n", n, "--preset", "laplacian")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: join of {group} n={n} (power) refused: block {label} ")
 
 
 def test_spectrum_dicyclic_small_n_exit_1(capsys):
@@ -482,6 +510,89 @@ def test_spectrum_vectors_tokens_and_bits(capsys, group, n, family):
         basis = np.array(got["basis"], dtype=float)
         assert basis.shape == (e.multiplicity, js.order)
         assert basis.tobytes() == np.array(e.basis).tobytes()
+
+
+def table_emit(arr, indent):
+    """The array path of the emitter before compact bases, the reference:
+    one table over every entry of the stacked basis, keyed by bit pattern."""
+    bits, inv = np.unique(arr.view(np.int64).ravel(), return_inverse=True)
+    table = [format(v, ".17g") for v in bits.view(np.float64).tolist()]
+
+    def rows(idx, indent):
+        if len(idx) == 0:
+            return "[]"
+        pad, inner = "  " * indent, "  " * (indent + 1)
+        parts = map(table.__getitem__, idx.tolist()) if idx.ndim == 1 else (
+            rows(row, indent + 1) for row in idx
+        )
+        return f"[\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}]"
+
+    return rows(inv.reshape(arr.shape), indent)
+
+
+def dense_form(basis):
+    """The stacked dense vectors of a basis, built here from its fields."""
+    out = np.zeros((len(basis), basis.dimension))
+    out[~basis.is_pair] = basis.dense
+    for row, (i, j) in zip(np.flatnonzero(basis.is_pair), basis.pairs.tolist()):
+        if i != j:
+            out[row, i], out[row, j] = 1.0, -1.0
+    return out
+
+
+def load_workloads():
+    path = Path(__file__).resolve().parent.parent / "powbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("powbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_basis_emitter_matches_the_table_path_on_crosscheck_small(seed):
+    workloads = load_workloads()
+    families = {"zn": GroupFamily.CYCLIC, "dn": GroupFamily.DIHEDRAL, "qn": GroupFamily.DICYCLIC}
+    bases = 0
+    for req in workloads.crosscheck_small(random.Random(f"crosscheck-small:{seed}")):
+        variant = Variant.PROPER if req.proper else Variant.POWER
+        js = build_join(GroupSpec(families[req.family], req.n), variant)
+        params = UniversalParams(*req.params)
+        if req.complement:
+            params = complement_params(params, js.order)
+        for e in hjoin_spectrum(js, params, want_vectors=True).eigenspaces:
+            stacked = dense_form(e.basis)
+            assert np.array(e.basis).tobytes() == stacked.tobytes()
+            assert _emit_json(e.basis, 3) == table_emit(stacked, 3)
+            bases += 1
+    assert bases > 1000
+
+
+@pytest.mark.parametrize("trial", range(6))
+def test_basis_emitter_matches_the_table_path_on_special_values(trial):
+    rng = np.random.default_rng(trial)
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64)
+    special = np.array(SPECIAL_FLOATS[1:] + [-5e-324, -1e-310]) if trial % 2 else (
+        np.concatenate([nans.view(np.float64), [-0.0, 5e-324, -np.inf]])
+    )
+    dim = int(rng.integers(1, 14))
+    segments = []
+    for _ in range(int(rng.integers(1, 6))):
+        if rng.random() < 0.5:
+            segments.append((True, rng.integers(0, dim, size=(int(rng.integers(1, 4)), 2))))
+            continue
+        rows = np.zeros((int(rng.integers(1, 4)), dim))
+        for row in rows:  # sparse rows, half-full rows and full rows
+            hit = rng.random(dim) < rng.choice([0.1, 0.5, 1.0])
+            row[hit] = rng.choice(special, size=int(hit.sum()))
+        segments.append((False, rows))
+    basis = Basis.of_segments(dim, segments)
+    for indent in (0, 3):
+        assert _emit_json(basis, indent) == table_emit(dense_form(basis), indent)
+        assert _emit_json({"basis": basis}, indent) == _emit_json(
+            {"basis": dense_form(basis)}, indent
+        )
+    assert _emit_json(Basis(4), 2) == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -585,7 +585,10 @@ def random_structure(spec, variant, rng):
         vertices = vertices[size:]
     t = len(blocks)
     adj = np.triu(np.array([[rng.random() < 0.5 for _ in range(t)] for _ in range(t)]), 1)
-    return JoinStructure(spec, variant, TemplateGraph(adj | adj.T, tuple(range(t))), tuple(blocks))
+    adj |= adj.T
+    sizes = np.array([b.size for b in blocks])
+    blocks = [replace(b, join_degree=int(sizes[adj[i]].sum())) for i, b in enumerate(blocks)]
+    return JoinStructure(spec, variant, TemplateGraph(adj, tuple(range(t))), tuple(blocks))
 
 
 def test_certificate_matches_oracle_on_random_structures():
@@ -601,3 +604,28 @@ def test_certificate_matches_oracle_on_random_structures():
         accepted += expect is None
         refused += expect is not None
     assert accepted > 0 and refused > 300
+
+
+@pytest.mark.parametrize(
+    "spec, variant, label",
+    [
+        (GroupSpec(Z, 12), Variant.POWER, 1),
+        (GroupSpec(D, 9), Variant.PROPER, "R"),
+        (GroupSpec(Q, 6), Variant.POWER, 4),
+    ],
+)
+def test_validation_refuses_a_wrong_join_degree(spec, variant, label):
+    # the pairs of the graph still agree; only the degree the spectra read is off
+    js = build_join(spec, variant)
+    blocks = list(js.blocks)
+    i = js.template.labels.index(label)
+    blocks[i] = replace(blocks[i], join_degree=blocks[i].join_degree + 1)
+    mutant = JoinStructure(spec, variant, js.template, tuple(blocks))
+    assert oracle_refusal(mutant) is None
+    with pytest.raises(StructureValidationError) as exc:
+        validate_structure(mutant)
+    assert str(exc.value) == (
+        f"join of {spec.family.value} n={spec.n} ({variant.value}) refused: block {label} "
+        f"has join_degree {blocks[i].join_degree}, its template neighbours hold "
+        f"{blocks[i].join_degree - 1} vertices"
+    )

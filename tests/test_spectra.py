@@ -13,8 +13,10 @@ from powspec.groups import (
     delete_identity,
     power_graph_oracle,
 )
+import powspec.spectra
 from powspec.joinstruct import Variant, build_join, variant_graph
 from powspec.spectra import (
+    Basis,
     Eigenspace,
     QuotientMatrix,
     Spectrum,
@@ -32,6 +34,7 @@ from powspec.spectra import (
     universal_matrix,
     verify_eigenpairs,
 )
+from powspec.spectra import _full_rank, _independent, _lone_coordinates, _pair_residuals
 
 Z = GroupFamily.CYCLIC
 D = GroupFamily.DIHEDRAL
@@ -740,3 +743,174 @@ def test_verify_eigenpairs_fails_a_nan_residual():
     assert verify_eigenpairs(u, s).passed
     u[0, 0] = np.nan
     assert not verify_eigenpairs(u, s).passed
+
+
+# ---------------------------------------------------------------------------
+# compact bases
+# ---------------------------------------------------------------------------
+
+
+def test_expanded_equals_the_list_of_every_value():
+    rng = np.random.default_rng(17)
+    for spec, complement in [(GroupSpec(Z, 36), False), (GroupSpec(Q, 9), True)]:
+        js = build_join(spec, Variant.POWER)
+        for p in (sample_params(rng), sample_params(rng, integer=True)):
+            p = complement_params(p, js.order) if complement else p
+            for s in (hjoin_spectrum(js, p), dense_eigen(quotient_matrix(js, p).sym)):
+                listed = [e.value for e in s.eigenspaces for _ in range(e.multiplicity)]
+                expect = np.sort(np.array(listed, dtype=float))
+                assert s.expanded().tobytes() == expect.tobytes()
+    exact = Spectrum((Eigenspace(Fraction(1, 3), 2, "x"), Eigenspace(-7, 1, "x")), 3)
+    assert exact.expanded().tolist() == [-7.0, 1 / 3, 1 / 3]
+    assert Spectrum((), 0).expanded().shape == (0,)
+
+
+def test_basis_reads_as_dense_vectors():
+    dense = np.array([[0.5, -0.0, 2.0, 1.0]])
+    b = Basis(4, np.array([[2, 0], [1, 1]]), dense, np.array([True, False, True]))
+    expect = [[-1.0, 0.0, 1.0, 0.0], [0.5, -0.0, 2.0, 1.0], [0.0, 0.0, 0.0, 0.0]]
+    assert len(b) == 3 and bool(b)
+    assert np.array(b).tobytes() == np.array(expect).tobytes()
+    assert [x.tolist() for x in b] == expect
+    assert b[-1].tolist() == expect[2] and b[1].tobytes() == dense[0].tobytes()
+    assert np.column_stack(b).shape == (4, 3)
+    # a sequence of vectors becomes dense rows
+    e = Eigenspace(1.0, 2, "x", (np.ones(3), np.zeros(3)))
+    assert isinstance(e.basis, Basis) and e.basis.dimension == 3
+    assert not len(e.basis.pairs) and np.array(e.basis).tolist() == [[1.0] * 3, [0.0] * 3]
+    assert len(Eigenspace(1.0, 0, "x", ()).basis) == 0
+    with pytest.raises(ValueError):
+        Basis(3, dense=np.ones((1, 4)))
+    with pytest.raises(ValueError):
+        Basis(3, np.array([[0, 1]]), None, np.array([False]))
+
+
+def lone_of(basis):
+    """``_lone_coordinates`` of the pairs of one basis."""
+    owner = np.zeros(len(basis.pairs), dtype=np.int64)
+    return _lone_coordinates(basis.pairs, owner, basis.dimension)
+
+
+def structural_cases(family, top):
+    """Every instance of ``family`` up to ``top``, both variants, plain and
+    complement, at one seeded float quadruple each: (U, structural spectrum)."""
+    rng = np.random.default_rng(1700 + top)
+    for n in range(2 if family is Q else 1, top + 1):
+        spec = GroupSpec(family, n)
+        for variant in Variant:
+            if variant is Variant.PROPER and spec.order < 2:
+                continue
+            g = variant_graph(power_graph_oracle(spec), variant)
+            js = build_join(spec, variant)
+            for complement in (False, True):
+                p = sample_params(rng)
+                u = universal_matrix(complement_graph(g) if complement else g, p)
+                yield u, hjoin_spectrum(
+                    js, complement_params(p, g.n) if complement else p, want_vectors=True
+                )
+
+
+@pytest.mark.parametrize("family, top", [(Z, 200), (D, 100), (Q, 60)])
+def test_pair_residuals_and_rank_verdicts_match_the_dense_forms(family, top):
+    # every pair residual is bit for bit the U x - lambda x of the dense
+    # vector, every rank verdict the one of the Cholesky test, and every
+    # row of the report the one of the per-vector products
+    pairs_seen = 0
+    for u, s in structural_cases(family, top):
+        scale = max(1.0, float(np.max(np.abs(u).sum(axis=1))))
+        rows = []
+        for e in s.eigenspaces:
+            b, vecs = e.basis, list(e.basis)
+            value = float(e.value)
+            per_vector = np.array([np.max(np.abs(u @ x - value * x)) for x in vecs])
+            got = _pair_residuals(u, b.pairs, np.full(len(b.pairs), value))
+            assert got.tobytes() == per_vector[b.is_pair].tobytes()
+            assert _independent(b, e.multiplicity, lone_of(b)) == _full_rank(vecs, e.multiplicity)
+            size = max(float(np.max(np.abs(x))) for x in vecs)
+            rows.append((value, e.multiplicity, float(per_vector.max()), 1e-8 * scale * size))
+            pairs_seen += len(b.pairs)
+        report = verify_eigenpairs(u, s)
+        assert report.passed and list(report.rows) == rows
+    assert pairs_seen > 1000
+
+
+def reflection_space(n=11):
+    """D_n at generic parameters with the block-difference space of its n
+    reflections, single-vertex cliques: (U, spectrum, index of that space,
+    the reflections)."""
+    spec = GroupSpec(D, n)
+    js = build_join(spec, Variant.POWER)
+    p = UniversalParams(Fraction(3, 2), Fraction(-1, 3), Fraction(2), Fraction(-5, 7))
+    s = hjoin_spectrum(js, p, want_vectors=True)
+    k = next(k for k, e in enumerate(s.eigenspaces) if e.multiplicity == n - 1)
+    assert s.eigenspaces[k].provenance == "BlockDiff"
+    return universal_matrix(power_graph_oracle(spec), p), s, k, js.blocks[-1].members.tolist()
+
+
+def with_pairs(s, k, pairs):
+    spaces = list(s.eigenspaces)
+    e = spaces[k]
+    basis = Basis(s.dimension, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    spaces[k] = Eigenspace(e.value, e.multiplicity, e.provenance, basis)
+    return Spectrum(tuple(spaces), s.dimension)
+
+
+def test_pair_bases_fail_zero_repeated_missing_and_cyclic_vectors():
+    u, s, k, c = reflection_space()
+    assert verify_eigenpairs(u, s, tol=1e-12).passed
+    pairs = s.eigenspaces[k].basis.pairs.tolist()
+    assert pairs == [[c[0], c[r]] for r in range(1, len(c))]
+    mutants = {
+        "zero": [[c[0], c[0]]] + pairs[1:],
+        "repeated": [pairs[0]] + pairs[:-1],
+        "missing": pairs[:-1],
+        "cycle": [[c[0], c[1]], [c[1], c[2]], [c[2], c[0]]] + pairs[2:-1],
+    }
+    for name, mutant in mutants.items():
+        m = with_pairs(s, k, mutant)
+        assert len(m.eigenspaces[k].basis) == len(pairs) - (name == "missing")
+        report = verify_eigenpairs(u, m, tol=1e-12)
+        assert not report.passed, name
+        if name in ("repeated", "cycle"):  # sound eigenvectors: the rank test fails them
+            assert report.max_residual <= 1e-12 * report.scale
+
+
+def test_pair_path_without_lone_coordinates_falls_back_to_cholesky(monkeypatch):
+    u, s, k, c = reflection_space()
+    path = with_pairs(s, k, [[c[r], c[r + 1]] for r in range(len(c) - 1)])
+    lone = lone_of(path.eigenspaces[k].basis)
+    assert lone.tolist() == [True] + [False] * (len(c) - 3) + [True]
+    calls = []
+    real = powspec.spectra._full_rank
+
+    def spy(vecs, multiplicity):
+        calls.append(len(vecs))
+        return real(vecs, multiplicity)
+
+    monkeypatch.setattr(powspec.spectra, "_full_rank", spy)
+    assert verify_eigenpairs(u, path, tol=1e-12).passed
+    assert len(c) - 1 in calls
+    calls.clear()
+    assert verify_eigenpairs(u, s, tol=1e-12).passed
+    assert len(c) - 1 not in calls  # the original pairs each have a lone coordinate
+
+
+def test_seed_905_merged_space_keeps_its_verdict():
+    # Q_42 complement at (1/5, 8, 1/3, 5/6) merges BlockDiff 888.33333333 (x12)
+    # with a Quotient value 5e-5 away (ROADMAP item 1); the merged space
+    # fails its residual check, as before the compact bases
+    spec = GroupSpec(Q, 42)
+    js = build_join(spec, Variant.POWER)
+    p = UniversalParams(Fraction(1, 5), Fraction(8), Fraction(1, 3), Fraction(5, 6))
+    s = hjoin_spectrum(js, complement_params(p, js.order), want_vectors=True)
+    u = universal_matrix(complement_graph(power_graph_oracle(spec)), p)
+    merged = [e for e in s.eigenspaces if e.provenance == "BlockDiff+Quotient"]
+    # twelve in-clique pairs and one lifted dense row: a mixed space
+    assert [(e.multiplicity, len(e.basis.pairs), len(e.basis.dense)) for e in merged] == [
+        (13, 12, 1)
+    ]
+    report = verify_eigenpairs(u, s)
+    assert not report.passed
+    assert report.max_residual == 0.0002821692542056553
+    e = merged[0]
+    assert _independent(e.basis, 13, lone_of(e.basis)) == _full_rank(tuple(e.basis), 13)
