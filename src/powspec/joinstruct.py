@@ -364,7 +364,10 @@ def validate_structure(js: JoinStructure) -> None:
     row-major order, by ``element_label``.  Once the pairs agree, every
     block's ``join_degree``, which the spectra read, must be the total size
     of its template neighbours, as ``build_join`` defines it; a refusal
-    names the first block where it is not."""
+    names the first block where it is not.  Last, a template loop is
+    refused on a block of several cliques, which the spectra would read as
+    disjoint although the loop joins them; a refusal names the first such
+    block.  A loop on a block of one clique changes nothing and passes."""
     spec = js.spec
     shift = 1 if js.variant is Variant.PROPER else 0
     n_vert = spec.order - shift
@@ -437,6 +440,13 @@ def validate_structure(js: JoinStructure) -> None:
                     f"join of {spec.family.value} n={spec.n} ({js.variant.value}) refused: "
                     f"block {b.label} has join_degree {b.join_degree}, its template "
                     f"neighbours hold {want} vertices"
+                )
+        # the spectra read a block as disjoint cliques, which a loop would join
+        for b, looped in zip(js.blocks, np.diag(adj).tolist()):
+            if looped and b.copies > 1:
+                raise StructureValidationError(
+                    f"join of {spec.family.value} n={spec.n} ({js.variant.value}) refused: "
+                    f"block {b.label} has a template loop across its {b.copies} cliques"
                 )
         return
 

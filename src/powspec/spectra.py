@@ -17,23 +17,26 @@ complement).  Two independent routes to its spectrum live here:
 Everything downstream cross-validates the two against each other.
 
 Exact answers take one determinant path: the characteristic polynomial of
-the quotient's rational similar form.  The normalized-Laplacian value is
-the U determinant at (-1, 1-X, 0, 0) over the degree product, so it too is
-block values times that polynomial's constant term.  The polynomial's roots
-come from its exact remainder sequence, which certifies real-rootedness and
-multiplicities, through the same LAPACK eigensolver on a tridiagonal matrix.
+the quotient's rational similar form, found modulo word-size primes and
+recombined exactly.  The normalized-Laplacian value is the U determinant
+at (-1, 1-X, 0, 0) over the degree product, so it too is block values
+times that polynomial's constant term.  The polynomial's roots come from
+its exact remainder sequence on integer vectors, which certifies
+real-rootedness and multiplicities, through the same LAPACK eigensolver on
+a tridiagonal matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite, lcm, sqrt
+from math import comb, gcd, isfinite, isqrt, lcm, prod, sqrt
 
 import numpy as np
 
 from .groups import LabeledGraph
-from .joinstruct import JoinStructure
+from .joinstruct import JoinBlock, JoinStructure
+from .numtheory import primes_below
 
 __all__ = [
     "UniversalParams",
@@ -344,6 +347,14 @@ def quotient_matrix(js: JoinStructure, p: UniversalParams) -> QuotientMatrix:
     return QuotientMatrix(sym, similar, sizes)
 
 
+def _block_value(p: UniversalParams, b: JoinBlock, lam):
+    """alpha*lam + beta*(r + rho) + gamma: the eigenvalue of U on a vector
+    that lives on block ``b``, sums to zero there and is an eigenvector of
+    the block's adjacency with eigenvalue ``lam``.  r + rho is the degree
+    of every vertex of the block; exact for exact ``p`` and ``lam``."""
+    return p.alpha * lam + p.beta * (b.regularity + b.join_degree) + p.gamma
+
+
 def hjoin_spectrum(js: JoinStructure, p: UniversalParams, want_vectors: bool = False) -> Spectrum:
     """Spectrum of U over a validated join structure.
 
@@ -377,7 +388,7 @@ def hjoin_spectrum(js: JoinStructure, p: UniversalParams, want_vectors: bool = F
         for lam, mult in b.local_eigenvalues():
             if mult == 0:
                 continue
-            value = float(p.alpha * lam + p.beta * (b.regularity + b.join_degree) + p.gamma)
+            value = float(_block_value(p, b, lam))
             block_groups.setdefault(value, []).append((i, lam, mult))
 
     candidates = []  # (value, multiplicity, provenance, basis segments)
@@ -582,14 +593,45 @@ def verify_eigenpairs(u: np.ndarray, s: Spectrum, tol: float = 1e-8) -> Verifica
 # ---------------------------------------------------------------------------
 
 
+# A float64 product of two matrices with entries in [0, p) and [0, 2p) is
+# exact while every sum t*p*2p stays below 2**53: p*p < 2**52 / t.
+_FLOAT_EXACT = 2**52
+
+
+def _charpoly_primes(t: int, bound: int) -> list[int]:
+    """The fewest primes whose product exceeds 2*bound, each above t and
+    with t*p*2p < 2**53.  t is rounded up to a power of two, so a few
+    prime lists serve every dimension."""
+    limit = isqrt((_FLOAT_EXACT - 1) // (1 << (t - 1).bit_length())) + 1
+    primes, product = [], 1
+    for p in primes_below(limit):
+        if product > 2 * bound or p <= t:
+            break
+        primes.append(p)
+        product *= p
+    if product <= 2 * bound:
+        raise ValueError(f"too few primes above t = {t} for the bound {bound}")
+    return primes
+
+
 def charpoly_exact(q: QuotientMatrix) -> list[Fraction]:
     """Monic characteristic polynomial det(lambda*I - B) of the similar form,
-    in exact arithmetic.  Coefficients descend from lambda^t; identical to the polynomial
-    of the symmetric form by similarity.
+    in exact arithmetic.  Coefficients descend from lambda^t; identical to
+    the polynomial of the symmetric form by similarity.
 
-    The Faddeev-LeVerrier recurrence runs on the integer matrix d*B, with d
-    the lcm of the denominators of B, whose coefficients are integers; the
-    k-th one is then divided by d^k."""
+    With d the lcm of the denominators of B, the integer matrix A = d*B
+    has the integer coefficients c_k of det(lambda*I - A), and the k-th
+    coefficient of B is c_k / d^k.  Every eigenvalue of A lies within R,
+    the largest absolute row sum of A (Gershgorin), so
+    |c_k| <= C(t, k) * R^k.  The c_k are found modulo primes p whose
+    product exceeds twice that bound, and recombined by the Chinese
+    remainder theorem into symmetric residues, which are then the c_k.
+
+    Modulo p the Faddeev-LeVerrier recurrence M <- A (M + c_k I),
+    c_k = -tr(M) / k, needs k invertible, so every p > t.  It runs for all
+    primes at once, one stacked float64 matmul per k: entries in [0, p)
+    times entries in [0, 2p) sum exactly while t*p*2p < 2**53, which fixes
+    the size of p from t.  Products are reduced through int64."""
     for row in q.similar:
         for x in row:
             if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
@@ -597,53 +639,90 @@ def charpoly_exact(q: QuotientMatrix) -> list[Fraction]:
                     "charpoly_exact needs rational parameters (int or Fraction)"
                 )
     t = q.dimension
-    d = lcm(*(Fraction(x).denominator for row in q.similar for x in row))
-    b = np.array([[int(x * d) for x in row] for row in q.similar], dtype=object)
-    ident = np.eye(t, dtype=object)
-    coeffs = [1]
-    m = b
+    entries = [x for row in q.similar for x in row]
+    d = lcm(*(x.denominator for x in entries))
+    a = np.array([x.numerator * (d // x.denominator) for x in entries], dtype=object)
+    a = a.reshape(t, t)
+    radius = max((sum(abs(x) for x in row) for row in a.tolist()), default=0)
+    bound = max(comb(t, k) * radius**k for k in range(t + 1))
+    primes = _charpoly_primes(t, bound)
+    mod = np.array(primes, dtype=np.int64)
+    mod3 = mod[:, None, None]
+    # a mod p on Python ints: entries of d*B may be wider than int64
+    a_mod = (a[None] % np.array(primes, dtype=object)[:, None, None]).astype(np.int64)
+    a_float = a_mod.astype(float)
+    # inv[k] = k^-1 mod p, from p = (p // k) * k + p % k
+    inv = np.ones((t + 1, len(primes)), dtype=np.int64)
+    for k in range(2, t + 1):
+        inv[k] = (mod - mod // k) * inv[mod % k, np.arange(len(primes))] % mod
+    residues = np.zeros((t + 1, len(primes)), dtype=np.int64)
+    residues[0] = 1
+    m = a_mod
+    diag = np.arange(t)
     for k in range(1, t + 1):
-        ck = -m.trace() // k  # exact: an integer matrix has integer coefficients
-        coeffs.append(ck)
+        ck = (mod - m.trace(axis1=1, axis2=2) % mod) * inv[k] % mod
+        residues[k] = ck
         if k < t:
-            m = b @ (m + ck * ident)
-    return [Fraction(c, d**k) for k, c in enumerate(coeffs)]
+            m[:, diag, diag] += ck[:, None]
+            m = np.matmul(a_float, m).astype(np.int64) % mod3
+    product = prod(primes)
+    weights = [(product // p) * pow(product // p, -1, p) for p in primes]
+    coeffs = []
+    for k, row in enumerate(residues.tolist()):
+        c = sum(r * w for r, w in zip(row, weights)) % product
+        if 2 * c > product:
+            c -= product
+        coeffs.append(Fraction(c, d**k))
+    return coeffs
 
 
-def _monic(f: list[Fraction]) -> list[Fraction]:
-    return [c / f[0] for c in f]
+def _primitive(f: list[int]) -> list[int]:
+    g = gcd(*f)
+    return [c // g for c in f]
 
 
 def charpoly_roots(coeffs) -> list[float]:
     """Real roots (with multiplicity) of a real-rooted polynomial from exact
     coefficients (leading one nonzero), ascending.
 
-    The exact remainder sequence of f and f' with monic members,
+    The remainder sequence of f and f' with monic members,
     f_{k-1} = (x - a_k) f_k - b_k f_{k+1}, ends in g = gcd(f, f').  f is
     real-rooted exactly when every b_k > 0 and every step lowers the degree
     by one; then f/g is the characteristic polynomial of the symmetric
     tridiagonal matrix with diagonal a_k and off-diagonal sqrt(b_k), whose
     eigenvalues (LAPACK ``eigvalsh``) are the distinct roots.  The roots of
     g are the repeated roots of f, each one time fewer, so the same step on
-    g adds them.  A polynomial with a non-real root raises ``ValueError``."""
-    f = _monic([Fraction(c) for c in coeffs])
+    g adds them.  A polynomial with a non-real root raises ``ValueError``.
+
+    The sequence runs on integer coefficient vectors: P and C, multiples of
+    f_{k-1} and f_k, give the pseudo-remainder C_0^2 P - (C_0 P_0 x +
+    C_0 P_1 - P_0 C_1) C = -C_0^2 P_0 b_k f_{k+1}, which is divided by its
+    content.  The multiples cancel from a_k = C_1/C_0 - P_1/P_0 and from
+    b_k, read off the leading coefficients, so these are the rationals of
+    the monic sequence; each becomes a float as one correctly rounded
+    quotient of integers, as ``float`` of the rational is."""
+    f = [Fraction(c) for c in coeffs]
+    d = lcm(*(c.denominator for c in f))
+    f = _primitive([c.numerator * (d // c.denominator) for c in f])
     roots: list[float] = []
     while len(f) > 1:
         n = len(f) - 1
-        prev, cur = f, _monic([c * (n - i) for i, c in enumerate(f[:-1])])
+        prev, cur = f, _primitive([c * (n - i) for i, c in enumerate(f[:-1])])
         diag, off = [], []
         while True:
-            a = (cur[1] if len(cur) > 1 else 0) - prev[1]
-            diag.append(float(a))
-            # prev - (x - a) cur, whose two leading terms cancel
-            r = [p - c + a * e for p, c, e in zip(prev, cur + [0], [0] + cur)][2:]
+            p0, p1 = prev[0], prev[1]
+            c0, c1 = cur[0], (cur[1] if len(cur) > 1 else 0)
+            diag.append((c1 * p0 - p1 * c0) / (c0 * p0))  # a_k
+            # c0^2 prev - (c0 p0 x + c0 p1 - p0 c1) cur, whose two leading terms cancel
+            u, v, w = c0 * c0, c0 * p0, c0 * p1 - p0 * c1
+            r = [u * p - v * c - w * e for p, c, e in zip(prev, cur + [0], [0] + cur)][2:]
             if not any(r):
                 break
-            b = -r[0]
-            if b <= 0:  # b = 0: the degree fell by more than one
+            # b_k = -r_0 / (c0^2 p0); b_k = 0: the degree fell by more than one
+            if r[0] * p0 >= 0:
                 raise ValueError("polynomial has non-real roots")
-            off.append(sqrt(b))
-            prev, cur = cur, [c / -b for c in r]
+            off.append(sqrt(-r[0] / (u * p0)))
+            prev, cur = cur, _primitive(r)
         jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         roots.extend(np.linalg.eigvalsh(jacobi).tolist())
         f = cur
@@ -678,7 +757,7 @@ def normalized_laplacian_charpoly_at(js: JoinStructure, lam, complement: bool = 
             raise ValueError("graph has an isolated vertex; det(D) = 0")
         denom *= deg**b.size
         for loc, mult in b.local_eigenvalues():
-            value *= (p.alpha * loc + p.beta * (b.regularity + b.join_degree) + p.gamma) ** mult
+            value *= _block_value(p, b, loc) ** mult
     value *= (-1) ** len(js.blocks) * charpoly_exact(quotient_matrix(js, p))[-1]
     value /= denom
     return value if exact else float(value)

@@ -142,6 +142,31 @@ def test_wrong_join_degree_exit_2(capsys, monkeypatch, group, n, label):
     assert lines[0].startswith(f"error: join of {group} n={n} (power) refused: block {label} ")
 
 
+def test_template_loop_on_several_cliques_exit_2(capsys, monkeypatch):
+    # build_join cuts block 1 of Z_6 into single vertices and loops it
+    real_block, real_graph = powspec.joinstruct.JoinBlock, powspec.joinstruct.divisor_graph
+
+    def cut(block_label, members, clique, join_degree):
+        if block_label == 1:  # the loop is no neighbour: its own size leaves join_degree
+            return real_block(block_label, members, 1, join_degree - len(members))
+        return real_block(block_label, members, clique, join_degree)
+
+    def looped(n):
+        template = real_graph(n)
+        i = template.labels.index(1)
+        template.adj[i, i] = True
+        return template
+
+    monkeypatch.setattr("powspec.joinstruct.JoinBlock", cut)
+    monkeypatch.setattr("powspec.joinstruct.divisor_graph", looped)
+    code, out, err = run(capsys, "spectrum", "--group", "zn", "--n", "6", "--preset", "adjacency")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: join of zn n=6 (power) refused: block 1 has a template loop across its 2 cliques"
+    ]
+
+
 def test_spectrum_dicyclic_small_n_exit_1(capsys):
     code, _, err = run(capsys, "spectrum", "--group", "qn", "--n", "1", "--preset", "adjacency")
     assert code == 1

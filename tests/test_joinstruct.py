@@ -29,6 +29,13 @@ from powspec.joinstruct import (
     variant_graph,
 )
 from powspec.numtheory import divisors, totient
+from powspec.spectra import (
+    UniversalParams,
+    dense_eigen,
+    hjoin_spectrum,
+    multiset_gap,
+    universal_matrix,
+)
 
 Z = GroupFamily.CYCLIC
 D = GroupFamily.DIHEDRAL
@@ -491,17 +498,33 @@ MUTANTS = {
 }
 
 
+def loop_refusal(js):
+    """The refusal of the first template loop on a block of several
+    cliques, or None.  The oracle accepts such a loop where the power graph
+    has the block complete, but the spectra read the block as disjoint
+    cliques, so the certificate refuses it after the pairs agree."""
+    for b, looped in zip(js.blocks, np.diag(js.template.adj)):
+        if looped and b.copies > 1:
+            return (
+                f"join of {js.spec.family.value} n={js.spec.n} ({js.variant.value}) refused: "
+                f"block {b.label} has a template loop across its {b.copies} cliques"
+            )
+    return None
+
+
 @pytest.mark.parametrize("kind", list(MUTANTS))
 def test_certificate_matches_oracle_on_seeded_mutants(kind):
     # same verdict as the assembled graph against the oracle, and on a
-    # refusal the same first pair, on every mutant; mutants of a mutant too
+    # refusal the same first pair, on every mutant; mutants of a mutant too.
+    # A looped block of several cliques that the oracle accepts is refused
+    # by the loop rule instead.
     rng = random.Random(f"certificate:{kind}")
     specs = (
         [GroupSpec(Z, n) for n in (1, 2, 6, 12, 16, 30, 36, 60, 64, 97, 120)]
         + [GroupSpec(D, n) for n in (1, 2, 3, 6, 8, 15, 30, 32)]
         + [GroupSpec(Q, n) for n in (2, 3, 4, 6, 8, 15)]
     )
-    refused = compared = 0
+    refused = compared = loops = 0
     for spec in specs:
         for variant in (Variant.POWER, Variant.PROPER):
             if variant is Variant.PROPER and spec.order < 2:
@@ -513,11 +536,14 @@ def test_certificate_matches_oracle_on_seeded_mutants(kind):
                     mutated = MUTANTS[rng.choice(list(MUTANTS))](mutated, rng) or mutated
                 if mutated is None:
                     continue
-                expect = oracle_refusal(mutated)
+                oracle = oracle_refusal(mutated)
+                expect = oracle or loop_refusal(mutated)
                 assert certificate_refusal(mutated) == expect, (spec, variant)
                 refused += expect is not None
+                loops += oracle is None and expect is not None
                 compared += 1
     assert compared > 100 and refused > compared // 2
+    assert loops > 0 or kind != "flipped-edge"
 
 
 def test_certificate_accepts_what_the_oracle_accepts():
@@ -629,3 +655,34 @@ def test_validation_refuses_a_wrong_join_degree(spec, variant, label):
         f"has join_degree {blocks[i].join_degree}, its template neighbours hold "
         f"{blocks[i].join_degree - 1} vertices"
     )
+
+
+def looped_z6(clique):
+    """Z_6 with block 1 (the generators 1 and 5) cut into cliques of size
+    ``clique`` and its template vertex looped."""
+    js = build_join(GroupSpec(Z, 6), Variant.POWER)
+    i = js.template.labels.index(1)
+    blocks = list(js.blocks)
+    blocks[i] = replace(blocks[i], clique=clique)
+    adj = js.template.adj.copy()
+    adj[i, i] = True
+    return JoinStructure(js.spec, js.variant, TemplateGraph(adj, js.template.labels), tuple(blocks))
+
+
+def test_validation_refuses_a_loop_on_several_cliques():
+    # the loop makes the graph right, but the spectra would read two
+    # disjoint cliques: the adjacency spectrum is then off by 1.0
+    js = looped_z6(1)
+    assert oracle_refusal(js) is None
+    p = UniversalParams(1, 0, 0, 0)
+    oracle = dense_eigen(universal_matrix(power_graph_oracle(js.spec), p), vectors=False)
+    assert abs(multiset_gap(hjoin_spectrum(js, p), oracle) - 1.0) < 1e-9
+    with pytest.raises(StructureValidationError) as exc:
+        validate_structure(js)
+    assert str(exc.value) == (
+        "join of zn n=6 (power) refused: block 1 has a template loop across its 2 cliques"
+    )
+
+
+def test_validation_accepts_a_loop_on_one_clique():
+    validate_structure(looped_z6(2))

@@ -1,6 +1,7 @@
 """Arithmetic utilities: factorization, totient, divisor lists."""
 
 import math
+from itertools import islice
 
 import pytest
 
@@ -9,6 +10,7 @@ from powspec.numtheory import (
     factorize,
     is_prime,
     prime_power,
+    primes_below,
     proper_divisors,
     totient,
 )
@@ -98,3 +100,19 @@ def test_prime_power_detection():
     assert prime_power(12) is None
     assert not is_prime(1)
     assert is_prime(2)
+
+
+def test_primes_below_walks_down_the_primes():
+    small = [n for n in range(1999, 1, -1) if is_prime(n)]
+    for limit in [*range(3, 200), 1000, 1999]:
+        assert list(primes_below(limit)) == [p for p in small if p < limit]
+    # word-size limits, and a second walk over the same limit
+    for limit in (2**23, 2**26 + 1):
+        first = list(islice(primes_below(limit), 40))
+        assert first == list(islice(primes_below(limit), 40))
+        assert all(is_prime(p) for p in first)
+        assert [n for n in range(first[-1], limit) if is_prime(n)] == first[::-1]
+    # strong pseudoprimes to small bases are composite
+    assert 3215031751 not in islice(primes_below(3215031752), 1)
+    with pytest.raises(ValueError):
+        next(primes_below(2))

@@ -1,6 +1,7 @@
 """Universal matrix assembly, both spectral routes, and exact polynomials."""
 
 from fractions import Fraction
+from math import comb, lcm, prod, sqrt
 
 import numpy as np
 import pytest
@@ -34,7 +35,13 @@ from powspec.spectra import (
     universal_matrix,
     verify_eigenpairs,
 )
-from powspec.spectra import _full_rank, _independent, _lone_coordinates, _pair_residuals
+from powspec.spectra import (
+    _charpoly_primes,
+    _full_rank,
+    _independent,
+    _lone_coordinates,
+    _pair_residuals,
+)
 
 Z = GroupFamily.CYCLIC
 D = GroupFamily.DIHEDRAL
@@ -525,9 +532,58 @@ def _charpoly_by_fraction_loop(similar) -> list[Fraction]:
     return coeffs
 
 
+def _charpoly_by_integer_faddeev(similar) -> list[Fraction]:
+    """Faddeev-LeVerrier on the object-dtype integer matrix d*B, d the lcm
+    of the denominators, the k-th coefficient divided by d^k: the
+    reference the multi-modular charpoly must equal."""
+    t = len(similar)
+    d = lcm(*(Fraction(x).denominator for row in similar for x in row))
+    b = np.array([[int(x * d) for x in row] for row in similar], dtype=object)
+    ident = np.eye(t, dtype=object)
+    coeffs = [1]
+    m = b
+    for k in range(1, t + 1):
+        ck = -m.trace() // k  # exact: an integer matrix has integer coefficients
+        coeffs.append(ck)
+        if k < t:
+            m = b @ (m + ck * ident)
+    return [Fraction(c, d**k) for k, c in enumerate(coeffs)]
+
+
+def _gershgorin_bound(similar) -> int:
+    """C(t, k) * R^k at its largest, R the largest absolute row sum of d*B."""
+    t = len(similar)
+    d = lcm(*(Fraction(x).denominator for row in similar for x in row))
+    radius = max(sum(abs(x * d) for x in row) for row in similar)
+    return max(comb(t, k) * int(radius) ** k for k in range(t + 1))
+
+
+# (family, n, variant, complement) of the exact-quotient benchmark slots
+EXACT_QUOTIENT_SLOTS = [
+    (Z, 120, Variant.POWER, False),
+    (Z, 168, Variant.PROPER, True),
+    (D, 120, Variant.POWER, True),
+    (Z, 240, Variant.PROPER, False),
+    (Z, 360, Variant.POWER, False),
+]
+EXACT_QUOTIENT_PARAMS = UniversalParams(
+    Fraction(7, 2), Fraction(-5, 3), Fraction(8, 5), Fraction(-9, 7)
+)
+# the groups and variants of its normalized slots, at points X of its range
+NORMALIZED_SLOTS = [(Z, 60, Variant.PROPER), (D, 30, Variant.POWER), (Q, 15, Variant.POWER)]
+NORMALIZED_POINTS = [Fraction(-7, 4), Fraction(5, 4), Fraction(15, 4)]
+
+
+def exact_quotient_matrices():
+    for family, n, variant, complement in EXACT_QUOTIENT_SLOTS:
+        js = build_join(GroupSpec(family, n), variant)
+        p = EXACT_QUOTIENT_PARAMS
+        yield quotient_matrix(js, complement_params(p, js.order) if complement else p)
+
+
 def test_charpoly_exact_matches_fraction_loop():
     # parameters of several denominators, so d*B scales every row
-    p = UniversalParams(Fraction(7, 2), Fraction(-5, 3), Fraction(8, 5), Fraction(-9, 7))
+    p = EXACT_QUOTIENT_PARAMS
     for spec in (GroupSpec(Z, 120), GroupSpec(D, 60), GroupSpec(Q, 15)):
         for variant in Variant:
             js = build_join(spec, variant)
@@ -535,7 +591,67 @@ def test_charpoly_exact_matches_fraction_loop():
                 qm = quotient_matrix(js, q)
                 coeffs = charpoly_exact(qm)
                 assert coeffs == _charpoly_by_fraction_loop(qm.similar)
+                assert coeffs == _charpoly_by_integer_faddeev(qm.similar)
                 assert all(type(c) is Fraction for c in coeffs)
+
+
+def test_charpoly_exact_matches_integer_faddeev_on_the_benchmark_slots():
+    for qm in exact_quotient_matrices():
+        assert charpoly_exact(qm) == _charpoly_by_integer_faddeev(qm.similar)
+    for family, n, variant in NORMALIZED_SLOTS:
+        js = build_join(GroupSpec(family, n), variant)
+        for x in NORMALIZED_POINTS:
+            qm = quotient_matrix(js, UniversalParams(-1, 1 - x, 0, 0))
+            assert charpoly_exact(qm) == _charpoly_by_integer_faddeev(qm.similar)
+
+
+def test_charpoly_exact_with_entries_wider_than_int64():
+    # 30-digit numerators: d*B has entries far beyond int64
+    p = UniversalParams(
+        Fraction(10**29 + 7, 3),
+        Fraction(-(10**30 - 11), 7),
+        Fraction(123456789012345678901234567891, 5),
+        Fraction(-987654321098765432109876543211, 2),
+    )
+    for spec in (GroupSpec(Z, 120), GroupSpec(D, 30)):
+        js = build_join(spec, Variant.POWER)
+        for q in (p, complement_params(p, js.order)):
+            qm = quotient_matrix(js, q)
+            d = lcm(*(Fraction(x).denominator for row in qm.similar for x in row))
+            assert max(abs(x * d) for row in qm.similar for x in row) > 2**63
+            assert charpoly_exact(qm) == _charpoly_by_integer_faddeev(qm.similar)
+
+
+def test_charpoly_exact_z5040_beyond_64_primes_of_20_bits():
+    js = build_join(GroupSpec(Z, 5040), Variant.POWER, validate=False)
+    qm = quotient_matrix(js, EXACT_QUOTIENT_PARAMS)
+    assert qm.dimension == 60
+    bound = _gershgorin_bound(qm.similar)
+    assert bound.bit_length() > 64 * 20  # beyond 64 primes of 20 bits
+    primes = _charpoly_primes(60, bound)
+    assert len(primes) == 58 and all(p.bit_length() == 23 for p in primes)
+    assert charpoly_exact(qm) == _charpoly_by_integer_faddeev(qm.similar)
+
+
+@pytest.mark.parametrize("t", [1, 2, 15, 16, 17, 24, 48, 60, 240])
+def test_charpoly_primes_cover_the_bound_and_one_fewer_does_not(t):
+    # the prime count follows from the product alone: every coefficient
+    # |c| <= bound is a symmetric residue modulo the product, and one prime
+    # fewer would leave the product at or below 2 * bound
+    for bound in (1, 2**62, 2**64 + 1, 10**300, 7**1500):
+        primes = _charpoly_primes(t, bound)
+        assert prod(primes) > 2 * bound >= prod(primes[:-1])
+        assert all(t < p and t * p * 2 * p < 2**53 for p in primes)
+        assert primes == sorted(set(primes), reverse=True)
+    assert len(_charpoly_primes(t, 7**1500)) > 64
+
+
+def test_charpoly_coefficients_within_the_gershgorin_bound():
+    for qm in exact_quotient_matrices():
+        d = lcm(*(Fraction(x).denominator for row in qm.similar for x in row))
+        bound = _gershgorin_bound(qm.similar)
+        coeffs = charpoly_exact(qm)
+        assert all(abs(c * d**k) <= bound for k, c in enumerate(coeffs))
 
 
 def _from_roots(roots) -> list[Fraction]:
@@ -543,6 +659,38 @@ def _from_roots(roots) -> list[Fraction]:
     for r in roots:
         coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
     return coeffs
+
+
+def _monic(f: list[Fraction]) -> list[Fraction]:
+    return [c / f[0] for c in f]
+
+
+def _roots_by_monic_fraction_chain(coeffs) -> list[float]:
+    """The remainder sequence of f and f' with every member a monic
+    ``Fraction`` polynomial, its tridiagonal matrices through ``eigvalsh``:
+    the reference the integer sequence of ``charpoly_roots`` must equal."""
+    f = _monic([Fraction(c) for c in coeffs])
+    roots: list[float] = []
+    while len(f) > 1:
+        n = len(f) - 1
+        prev, cur = f, _monic([c * (n - i) for i, c in enumerate(f[:-1])])
+        diag, off = [], []
+        while True:
+            a = (cur[1] if len(cur) > 1 else 0) - prev[1]
+            diag.append(float(a))
+            # prev - (x - a) cur, whose two leading terms cancel
+            r = [p - c + a * e for p, c, e in zip(prev, cur + [0], [0] + cur)][2:]
+            if not any(r):
+                break
+            b = -r[0]
+            if b <= 0:  # b = 0: the degree fell by more than one
+                raise ValueError("polynomial has non-real roots")
+            off.append(sqrt(b))
+            prev, cur = cur, [c / -b for c in r]
+        jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        roots.extend(np.linalg.eigvalsh(jacobi).tolist())
+        f = cur
+    return sorted(roots)
 
 
 @pytest.mark.parametrize(
@@ -555,17 +703,55 @@ def _from_roots(roots) -> list[Fraction]:
     ],
 )
 def test_charpoly_roots_repeated_rational_roots(roots):
-    for lead in (1, Fraction(-3, 4)):  # a non-monic input is made monic
-        found = charpoly_roots([lead * c for c in _from_roots(roots)])
+    # a non-monic input, with a negative leading coefficient too
+    for lead in (1, Fraction(-3, 4), -7, Fraction(5, 11)):
+        coeffs = [lead * c for c in _from_roots(roots)]
+        found = charpoly_roots(coeffs)
+        assert found == _roots_by_monic_fraction_chain(coeffs)
         assert len(found) == len(roots)
         scale = max([1.0] + [abs(float(r)) for r in roots])
         assert multiset_gap(np.array(found), [float(r) for r in roots]) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("coeffs", [[1, 0, 1], [1, -3, 3, -2], [1, 0, 0, 0, 1]])
+@pytest.mark.parametrize(
+    "coeffs",
+    [[1, 0, 1], [1, -3, 3, -2], [1, 0, 0, 0, 1], [-2, 0, -2], [1, 0, 0, 1], [3, 0, 9, 0, 0, 0]],
+)
 def test_charpoly_roots_rejects_non_real_roots(coeffs):
-    with pytest.raises(ValueError):
-        charpoly_roots(coeffs)
+    for roots in (charpoly_roots, _roots_by_monic_fraction_chain):
+        with pytest.raises(ValueError):
+            roots(coeffs)
+
+
+def test_charpoly_roots_equal_the_monic_chain_on_the_benchmark_slots():
+    for qm in exact_quotient_matrices():
+        coeffs = charpoly_exact(qm)
+        for lead in (1, -1):  # det(B - lambda*I) for odd t leads with -1
+            f = [lead * c for c in coeffs]
+            assert charpoly_roots(f) == _roots_by_monic_fraction_chain(f)
+
+
+def test_charpoly_roots_hand_eigvalsh_the_monic_chain_matrices(monkeypatch):
+    # the same tridiagonal matrices bit for bit, signed zeros included:
+    # x^3 - x has a_k = 0 over a negative product of leading coefficients,
+    # a -0.0 quotient that the sum with the off-diagonals makes +0.0
+    seen = []
+    real = np.linalg.eigvalsh
+
+    def record(m):
+        seen.append(np.asarray(m).tobytes())
+        return real(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", record)
+    polys = [[1, 0, -1, 0], [-1, 0, 5, 0, -4, 0], [2, 0, -4, 0, 2], [1, 0, 0, 0]]
+    polys += [charpoly_exact(qm) for qm in exact_quotient_matrices()]
+    for f in polys:
+        charpoly_roots(f)
+        ours = seen[:]
+        seen.clear()
+        _roots_by_monic_fraction_chain(f)
+        assert ours == seen
+        seen.clear()
 
 
 def test_charpoly_roots_z2520_quotient():
@@ -573,7 +759,9 @@ def test_charpoly_roots_z2520_quotient():
     # polynomial root finding failed to converge on
     js = build_join(GroupSpec(Z, 2520), Variant.POWER, validate=False)
     q = quotient_matrix(js, UniversalParams(1, -1, 2, 3))
-    roots = charpoly_roots(charpoly_exact(q))
+    coeffs = charpoly_exact(q)
+    roots = charpoly_roots(coeffs)
+    assert roots == _roots_by_monic_fraction_chain(coeffs)
     scale = max(1.0, float(np.max(np.abs(q.sym).sum(axis=1))))
     assert multiset_gap(np.array(roots), np.linalg.eigvalsh(q.sym)) <= 1e-8 * scale
 
