@@ -191,6 +191,16 @@ def _write_json(obj, indent: int, out: list) -> None:
     out.append(f"\n{'  ' * indent}{'}' if is_dict else ']'}")
 
 
+def _check_finite(values, bases=()) -> None:
+    """Raises ``OverflowError`` when one of the floats ``values`` or an
+    entry of the ``bases`` is NaN or infinite: a report that printed it
+    would not be JSON, and a check against an infinite tolerance would
+    pass on nothing."""
+    arrays = [np.asarray(values, dtype=float)] + [b.dense.ravel() for b in bases]
+    if not np.isfinite(np.concatenate(arrays)).all():
+        raise OverflowError("a report holds a NaN or infinite value")
+
+
 def _emit_json(obj, indent: int = 0) -> str:
     """Deterministic JSON text: keys in insertion order, two-space indent,
     every float formatted by ``_fmt_float``.
@@ -354,6 +364,12 @@ def cmd_spectrum(args) -> int:
         "verification": verification,
     }
 
+    # the floats the report prints; the params, floats of Fractions, are finite
+    shown, bases = [e.value for e in spectrum.eigenspaces], []
+    if args.format == "json":
+        shown += [worst, tol_eff] if verification else []
+        bases = [e.basis for e in spectrum.eigenspaces] if args.vectors else []
+    _check_finite(shown, bases)
     if args.format == "json":
         print(_emit_json(report))
     else:
@@ -608,7 +624,7 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OverflowError:
+    except OverflowError:  # also a NaN or infinite value in a report
         print("error: a value does not fit a float (beyond about 1.8e308)", file=sys.stderr)
         return 1
     except BrokenPipeError:  # the reader of stdout has gone, as under "| head"

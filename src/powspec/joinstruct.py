@@ -28,9 +28,11 @@ variant, which drops the identity 0.
 ``build_join`` does not trust the rule: ``validate_structure`` proves,
 vertex for vertex, that the join graph is the power graph, by a
 certificate built from the group law alone.  It lists the cyclic
-subgroup <x> of one member x per clique, from the order of x found by
-dividing the primes of |G| out of |G|, and reads off which members
-generate it and which subgroups contain which.  That takes about
+subgroup <x> of one member x per clique, from the order of x, and reads
+off which members generate it and which subgroups contain which.  An
+order that is a power of two is settled by squaring x as often as 2
+divides |G| (the reflections of D_n, the coset elements of Q_n); any
+other order is found by dividing the primes of |G| out of |G|.  That takes about
 N log N time and memory for a group of order N, where comparing with the
 definitional N x N oracle of ``groups`` took N^2, and shares no divisor
 or template code with the builder.  A failed proof raises
@@ -156,12 +158,10 @@ def divisor_graph(n: int) -> TemplateGraph:
     """Graph on the divisors of n; two divisors are adjacent iff one
     divides the other."""
     divs = divisors(n)
-    t = len(divs)
-    adj = np.zeros((t, t), dtype=bool)
-    for i in range(t):
-        for j in range(i + 1, t):
-            if divs[j] % divs[i] == 0:
-                adj[i, j] = adj[j, i] = True
+    d = np.array(divs, dtype=np.int64)
+    divides = d % d[:, None] == 0  # [i, j]: d_i | d_j
+    adj = divides | divides.T
+    np.fill_diagonal(adj, False)
     return TemplateGraph(adj, tuple(divs))
 
 
@@ -200,7 +200,7 @@ def build_join(spec: GroupSpec, variant: Variant, validate: bool = True) -> Join
         t = template.n
         adj = np.zeros((t + 1, t + 1), dtype=bool)
         adj[:t, :t] = template.adj
-        adj[t, :t] = adj[:t, t] = [d % n == 0 for d in template.labels]
+        adj[t, :t] = adj[:t, t] = np.array(template.labels) % n == 0
         template = TemplateGraph(adj, template.labels + ("R",))
         # clique by clique: the clique of k < n is m + k + j*n, j < clique
         members.append((m + np.arange(n)[:, None] + n * np.arange(clique)).ravel())
@@ -211,11 +211,9 @@ def build_join(spec: GroupSpec, variant: Variant, validate: bool = True) -> Join
         del members[drop], cliques[drop]
         members = [group - 1 for group in members]
 
-    sizes = np.array([len(group) for group in members])
-    blocks = tuple(
-        JoinBlock(label, group, c, int(sizes[template.adj[i]].sum()))
-        for i, (label, group, c) in enumerate(zip(template.labels, members, cliques))
-    )
+    sizes = np.array([len(group) for group in members], dtype=np.int64)
+    join_degree = (template.adj @ sizes).tolist()
+    blocks = tuple(map(JoinBlock, template.labels, members, cliques, join_degree))
     js = JoinStructure(spec, variant, template, blocks)
     if validate:
         validate_structure(js)
@@ -251,22 +249,39 @@ def _power(spec: GroupSpec, x: np.ndarray, k: int) -> np.ndarray:
 
 
 def _orders(spec: GroupSpec, x: np.ndarray) -> np.ndarray:
-    """Element orders of the positions x, one prime of |G| at a time: the
-    p-part of o(x) is the order of x^(|G| / p^e), found by raising that
-    power to p until it is e.  Refuses when some x^|G| is not e."""
+    """Element orders of the positions x.  Orders that are powers of two
+    are settled by squaring: with 2^e2 the largest power of 2 dividing |G|,
+    x is squared e2 times, and the least j with x^(2^j) = e gives o(x) =
+    2^j.  The other positions go one prime of |G| at a time: the p-part of
+    o(x) is the order of x^(|G| / p^e), found by raising that power to p
+    until it is e; for odd p that power is taken of x^(2^e2), which the
+    squaring left.  Refuses when some x^|G| is not e, naming the first such
+    x; a settled x has x^|G| = e, since 2^j divides |G|."""
     size = spec.order
+    two = size & -size  # 2^e2
     out = np.ones(len(x), dtype=np.int64)
+    rest = np.flatnonzero(x)  # unsettled; e has order 1
+    y = x[rest]
+    for j in range(1, two.bit_length()):
+        y = mul(spec, y, y)  # x^(2^j)
+        done = y == 0
+        out[rest[done]] = 2**j
+        rest, y = rest[~done], y[~done]
+    x, top, odd = x[rest], y, size // two  # top = x^(2^e2)
+    part = np.ones(len(x), dtype=np.int64)
     for p, e in factorize(size):
-        y = _power(spec, x, size // p**e)
+        # x^(|G| / p^e), for odd p as a power of x^(2^e2)
+        y = _power(spec, x, odd) if p == 2 else _power(spec, top, odd // p**e)
         for _ in range(e):
             live = y != 0
             if not live.any():
                 break
-            out[live] *= p
+            part[live] *= p
             y = _power(spec, y, p)
         if y.any():
             bad = element_label(spec, x[np.argmax(y != 0)])
             raise StructureValidationError(f"{bad}^{size} is not e in {spec}")
+    out[rest] = part
     return out
 
 

@@ -319,28 +319,54 @@ class QuotientMatrix:
         return len(self.sizes)
 
 
+def _over_common_denominator(p: UniversalParams) -> tuple[int, UniversalParams]:
+    """(d, q) with p = q / d: for rational ``p``, d is the lcm of the four
+    denominators and q holds the integer numerators over d; otherwise d = 1
+    and q = p.  An expression linear in the parameters, evaluated on q and
+    divided by d, is then one int/int division for rational ``p``, which
+    rounds correctly, as ``float`` of the rational value does, and the
+    expression on ``p`` itself otherwise."""
+    if not p.is_rational:
+        return 1, p
+    values = (p.alpha, p.beta, p.gamma, p.eta)
+    d = lcm(*(v.denominator for v in values))
+    return d, UniversalParams(*(v.numerator * (d // v.denominator) for v in values))
+
+
+def _kappa(js: JoinStructure, p: UniversalParams) -> list:
+    """kappa_i = alpha*r_i + beta*(r_i + rho_i) + gamma + eta*n_i, the
+    diagonal of the quotient; exact for exact ``p``."""
+    return [
+        p.alpha * b.regularity + p.beta * (b.regularity + b.join_degree) + p.gamma + p.eta * b.size
+        for b in js.blocks
+    ]
+
+
+def _symmetric(js: JoinStructure, p: UniversalParams, kappa) -> np.ndarray:
+    """The symmetric quotient: the floats ``kappa`` on the diagonal,
+    theta_ij * sqrt(n_i*n_j) off it."""
+    n = np.array(js.sizes, dtype=np.int64)
+    sym = np.where(js.template.adj, float(p.alpha + p.eta), float(p.eta)) * np.sqrt(np.outer(n, n))
+    np.fill_diagonal(sym, kappa)
+    return sym
+
+
 def quotient_matrix(js: JoinStructure, p: UniversalParams) -> QuotientMatrix:
     """kappa_i = alpha*r_i + beta*(r_i + rho_i) + gamma + eta*n_i on the
-    diagonal; theta_ij = alpha+eta on template edges, eta elsewhere."""
-    blocks = js.blocks
+    diagonal; theta_ij = alpha+eta on template edges, eta elsewhere.
+
+    Builds the exact similar form beside the symmetric one, for the readers
+    of ``similar`` (``charpoly_exact`` and the normalized value); the
+    spectrum reads the symmetric form alone, from integer numerators."""
     sizes = js.sizes
-    kappa = [
-        p.alpha * b.regularity
-        + p.beta * (b.regularity + b.join_degree)
-        + p.gamma
-        + p.eta * b.size
-        for b in blocks
-    ]
-    adj = js.template.adj
+    kappa = _kappa(js, p)
+    sym = _symmetric(js, p, [float(k) for k in kappa])
     theta_edge = p.alpha + p.eta
-    n = np.array(sizes, dtype=np.int64)
-    sym = np.where(adj, float(theta_edge), float(p.eta)) * np.sqrt(np.outer(n, n))
-    np.fill_diagonal(sym, [float(k) for k in kappa])
     edge_col = [theta_edge * size for size in sizes]
     plain_col = [p.eta * size for size in sizes]
     similar = [
         [e if joined else q for joined, e, q in zip(row, edge_col, plain_col)]
-        for row in adj.tolist()
+        for row in js.template.adj.tolist()
     ]
     for i, k in enumerate(kappa):
         similar[i][i] = k
@@ -365,9 +391,13 @@ def hjoin_spectrum(js: JoinStructure, p: UniversalParams, want_vectors: bool = F
     difference vectors (+1 at a clique's first vertex, -1 at its r-th) as
     eigenvectors; lam = c - 1 has multiplicity copies-1, with the
     differences of clique indicator vectors (first clique minus the r-th).
-    Part two: the eigenpairs of the quotient matrix, each lifted
+    Part two: the eigenpairs of the symmetric quotient matrix, each lifted
     to a block-constant vector scaled by sqrt(n_last / n_block).  Values
-    are then grouped into eigenspaces by the merge tolerance.
+    are then grouped into eigenspaces by the merge tolerance.  For rational
+    ``p`` the block values and the quotient diagonal are integer numerators
+    over the common denominator of ``p``, each made a float by one int/int
+    division: ``float`` of the exact value, bit for bit, without a
+    ``Fraction``.
 
     Under ``want_vectors`` each eigenspace carries a compact ``Basis``,
     its vectors in the order their candidate values sort: the two-entry
@@ -382,13 +412,15 @@ def hjoin_spectrum(js: JoinStructure, p: UniversalParams, want_vectors: bool = F
     sizes = js.sizes
     total = js.order
 
+    d, scaled = _over_common_denominator(p)
+
     # part 1, grouped by exact formula value
     block_groups: dict[float, list] = {}
     for i, b in enumerate(blocks):
         for lam, mult in b.local_eigenvalues():
             if mult == 0:
                 continue
-            value = float(_block_value(p, b, lam))
+            value = float(_block_value(scaled, b, lam) / d)
             block_groups.setdefault(value, []).append((i, lam, mult))
 
     candidates = []  # (value, multiplicity, provenance, basis segments)
@@ -396,10 +428,10 @@ def hjoin_spectrum(js: JoinStructure, p: UniversalParams, want_vectors: bool = F
         mult = sum(part_mult for _, _, part_mult in parts)
         candidates.append((value, mult, "BlockDiff", parts))
 
-    qm = quotient_matrix(js, p)
-    qvals, qvecs = np.linalg.eigh(qm.sym)
-    for k in range(qm.dimension):
-        candidates.append((float(qvals[k]), 1, "Quotient", k))
+    sym = _symmetric(js, p, [k / d for k in _kappa(js, scaled)])
+    qvals, qvecs = np.linalg.eigh(sym)
+    for k, value in enumerate(qvals.tolist()):
+        candidates.append((value, 1, "Quotient", k))
 
     def segments(source):
         """(is_pairs, array) segments of the basis vectors of a candidate:

@@ -23,12 +23,14 @@ from powspec.joinstruct import (
     StructureValidationError,
     TemplateGraph,
     Variant,
+    _orders,
+    _power,
     build_join,
     divisor_graph,
     validate_structure,
     variant_graph,
 )
-from powspec.numtheory import divisors, totient
+from powspec.numtheory import divisors, factorize, totient
 from powspec.spectra import (
     UniversalParams,
     dense_eigen,
@@ -110,6 +112,15 @@ def test_divisor_graph_prime_power_complete():
 def test_divisor_graph_trivial():
     t = divisor_graph(1)
     assert t.labels == (1,) and t.adj.sum() == 0
+
+
+def test_divisor_graph_is_pairwise_divisibility():
+    for n in range(1, 2001):
+        t = divisor_graph(n)
+        divs = divisors(n)
+        assert t.labels == tuple(divs)
+        want = [[a != b and (b % a == 0 or a % b == 0) for b in divs] for a in divs]
+        assert t.adj.tolist() == want, n
 
 
 def dihedral_template(n):
@@ -595,6 +606,71 @@ def test_certificate_beyond_the_oracle():
     assert str(exc.value) == (
         "join of zn n=55440 (proper) refused: 2 ~ 4 in the power graph, not in the join"
     )
+
+
+def test_orders_are_cyclic_subgroup_sizes():
+    specs = [GroupSpec(Z, n) for n in range(1, 201)]
+    specs += [GroupSpec(D, n) for n in range(1, 101)]
+    specs += [GroupSpec(Q, n) for n in range(2, 51)]
+    specs += [GroupSpec(Z, 1024), GroupSpec(Q, 256)]  # every order a power of two
+    for spec in specs:
+        want = [len(cyclic_subgroup(spec, x)) for x in range(spec.order)]
+        assert _orders(spec, np.arange(spec.order)).tolist() == want, spec
+
+
+def orders_by_primes(spec, x):
+    """Element orders one prime of |G| at a time at every position, with no
+    settling by squaring: the reference for refusals under a broken law."""
+    size = spec.order
+    out = np.ones(len(x), dtype=np.int64)
+    for p, e in factorize(size):
+        y = _power(spec, x, size // p**e)
+        for _ in range(e):
+            live = y != 0
+            if not live.any():
+                break
+            out[live] *= p
+            y = _power(spec, y, p)
+        if y.any():
+            bad = element_label(spec, x[np.argmax(y != 0)])
+            raise StructureValidationError(f"{bad}^{size} is not e in {spec}")
+    return out
+
+
+def orders_or_refusal(orders, spec, x):
+    try:
+        return orders(spec, x).tolist()
+    except StructureValidationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "spec, modulus",
+    [
+        (GroupSpec(Z, 12), 16),
+        (GroupSpec(Z, 12), 18),
+        (GroupSpec(Z, 40), 64),
+        (GroupSpec(Z, 30), 7),
+        (GroupSpec(D, 6), 8),
+        (GroupSpec(D, 10), 24),
+        (GroupSpec(Q, 3), 32),
+        (GroupSpec(Q, 6), 48),
+    ],
+)
+def test_orders_refusal_names_the_same_element_under_a_broken_law(monkeypatch, spec, modulus):
+    # positions added modulo another modulus: a law with identity 0 whose
+    # orders need not divide |G|; elements it sends to e by squaring are
+    # settled before the per-prime loop, which must still name the same x
+    monkeypatch.setattr("powspec.joinstruct.mul", lambda spec, i, j: (i + j) % modulus)
+    for seed in range(5):
+        x = np.random.default_rng(seed).permutation(spec.order)
+        got = orders_or_refusal(_orders, spec, x)
+        assert isinstance(got, str) and got == orders_or_refusal(orders_by_primes, spec, x), x
+    js = build_join(spec, Variant.POWER, validate=False)
+    reps = np.concatenate([b.members.reshape(-1, b.clique)[:, 0] for b in js.blocks])
+    with pytest.raises(StructureValidationError) as exc:
+        validate_structure(js)
+    assert str(exc.value) == orders_or_refusal(orders_by_primes, spec, reps)
 
 
 def random_structure(spec, variant, rng):

@@ -436,6 +436,49 @@ def test_universal_matrix_bit_identical_to_loop_formula():
                 assert got.tobytes() == _universal_by_loop_formula(target, q).tobytes()
 
 
+def _hjoin_values_by_loop_formula(js, p):
+    """(value, multiplicity, provenance) of the eigenspaces of
+    ``hjoin_spectrum``, from block values that are ``float`` of the exact
+    expression and the loop formula's quotient, grouped as it groups them:
+    the reference."""
+    block_values = {}
+    for b in js.blocks:
+        for lam, mult in b.local_eigenvalues():
+            if mult:
+                value = float(p.alpha * lam + p.beta * (b.regularity + b.join_degree) + p.gamma)
+                block_values.setdefault(value, []).append(mult)
+    candidates = [(v, sum(m), "BlockDiff") for v, m in block_values.items()]
+    qvals = np.linalg.eigh(_quotient_by_loop_formula(js, p)[0])[0]
+    candidates += [(float(v), 1, "Quotient") for v in qvals]
+    gtol = powspec.spectra.GROUPING_RTOL * max(1.0, max(abs(v) for v, _, _ in candidates))
+    candidates.sort(key=lambda c: c[0])
+    groups = []
+    for cand in candidates:
+        if not groups or cand[0] - groups[-1][-1][0] > gtol:
+            groups.append([])
+        groups[-1].append(cand)
+    spaces = []
+    for group in groups:
+        mult = sum(m for _, m, _ in group)
+        value = sum(v * m for v, m, _ in group) / mult + 0.0
+        spaces.append((value, mult, "+".join(sorted({prov for _, _, prov in group}))))
+    return sorted(spaces, key=lambda e: -e[0])
+
+
+QUOTIENT_BIT_IDENTITY_PARAMS = BIT_IDENTITY_PARAMS + [
+    UniversalParams(  # 20-digit numerators
+        Fraction(12345678901234567891, 987654321098765),
+        Fraction(-31415926535897932384, 2718281828459045),
+        Fraction(11111111111111111111, 3),
+        Fraction(-99999999999999999989, 70000000000000000001),
+    ),
+    UniversalParams(2, -1.5, 0, 3),
+    UniversalParams(0.5, 1, -2, 0),
+    UniversalParams(-1, 0, 0, 0.75),
+    UniversalParams(Fraction(1, 3), 0.25, 1, Fraction(-2, 7)),
+]
+
+
 def test_quotient_matrix_bit_identical_to_loop_formula():
     specs = [GroupSpec(Z, n) for n in (1, 2, 12, 60, 97)]
     specs += [GroupSpec(D, n) for n in (1, 6, 15, 32)]
@@ -445,7 +488,7 @@ def test_quotient_matrix_bit_identical_to_loop_formula():
             if variant is Variant.PROPER and spec.order < 2:
                 continue
             js = build_join(spec, variant)
-            for p in BIT_IDENTITY_PARAMS:
+            for p in QUOTIENT_BIT_IDENTITY_PARAMS:
                 for q in (p, complement_params(p, js.order)):
                     qm = quotient_matrix(js, q)
                     sym, similar = _quotient_by_loop_formula(js, q)
@@ -455,6 +498,10 @@ def test_quotient_matrix_bit_identical_to_loop_formula():
                     assert got == want
                     if q.is_rational:
                         assert all(type(x) in (int, Fraction) for _, x in got)
+                    spaces = hjoin_spectrum(js, q).eigenspaces
+                    got = [(e.value, e.multiplicity, e.provenance) for e in spaces]
+                    assert got == _hjoin_values_by_loop_formula(js, q)
+                    assert all(type(e.value) is float for e in spaces)
 
 
 # ---------------------------------------------------------------------------
