@@ -35,11 +35,13 @@ from powspec import (
 spec = GroupSpec(GroupFamily.DIHEDRAL, 15)
 js = build_join(spec, Variant.POWER)  # proved equal to the power graph
 
+# js.degrees derives a vertex's degree from the blocks: the rest of its
+# clique, plus every vertex of the template-adjacent blocks
 print("blocks of the power graph of D_15:")
-for b in js.blocks:
+for b, degree in zip(js.blocks, js.degrees):
     print(
         f"  label {b.label!r:>5}: {b.size:>2} vertices, {b.copies} clique(s) of "
-        f"{b.clique}, join degree {b.join_degree}"
+        f"{b.clique}, vertex degree {degree}"
     )
 
 # a block holds vertex positions: a^k sits at k, b·a^k at 15 + k

@@ -34,7 +34,6 @@ from .joinstruct import (
     JoinBlock,
     JoinStructure,
     StructureValidationError,
-    TemplateGraph,
     Variant,
     build_join,
     divisor_graph,

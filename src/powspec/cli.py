@@ -96,11 +96,8 @@ def _table(arr: np.ndarray) -> tuple:
 
 
 def _array_text(inv: np.ndarray, table: list, indent: int) -> str:
-    """Rows of string-table indices, laid out like the list path."""
-    if inv.ndim == 1:
-        items = list(map(table.__getitem__, inv.tolist()))
-    else:
-        items = [_array_text(row, table, indent + 1) for row in inv]
+    """A row of string-table indices, laid out like the list path."""
+    items = list(map(table.__getitem__, inv.tolist()))
     if not items:
         return "[]"
     inner = "  " * (indent + 1)
@@ -147,12 +144,7 @@ def _write_basis(basis: Basis, indent: int, out: list) -> None:
     out.append(f"\n{'  ' * indent}]")
 
 
-def _leaf_text(obj, indent: int) -> str:
-    if isinstance(obj, np.ndarray):
-        if obj.dtype != np.float64 or obj.ndim == 0:
-            raise TypeError(f"cannot serialize a {obj.ndim}-d array of {obj.dtype}")
-        table, inv = _table(obj)
-        return _array_text(inv, table, indent)
+def _leaf_text(obj) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -174,7 +166,7 @@ def _write_json(obj, indent: int, out: list) -> None:
         _write_basis(obj, indent, out)
         return
     if not isinstance(obj, (dict, list, tuple)):
-        out.append(_leaf_text(obj, indent))
+        out.append(_leaf_text(obj))
         return
     is_dict = isinstance(obj, dict)
     if not obj:
@@ -203,11 +195,9 @@ def _check_finite(values, bases=()) -> None:
 
 def _emit_json(obj, indent: int = 0) -> str:
     """Deterministic JSON text: keys in insertion order, two-space indent,
-    every float formatted by ``_fmt_float``.
-
-    A float64 ``np.ndarray`` prints exactly as its ``tolist()`` would, but
-    each distinct value is formatted once (see ``_table``).  A ``Basis``
-    prints as the array of its dense vectors would.
+    every float formatted by ``_fmt_float``.  A ``Basis`` prints as the
+    array of its dense vectors would, each distinct value of a dense row
+    formatted once (see ``_table``).
     """
     out: list = []
     _write_json(obj, indent, out)
@@ -472,6 +462,18 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _exact_text(values) -> list:
+    """Every exact value as ``str`` gives it, in full.  Python's limit on
+    the digits of an int-to-str conversion is lifted while formatting and
+    put back after, as ``main`` may run inside a longer-lived program."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return [str(v) for v in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_charpoly(args) -> int:
     spec = _build_spec(args)
     variant = Variant(args.variant)
@@ -502,7 +504,7 @@ def cmd_charpoly(args) -> int:
         report["preset"] = preset_name
         report["kind"] = "quotient-charpoly"
         report["degree"] = len(coeffs) - 1
-        report["coefficients"] = [str(c) for c in coeffs]
+        report["coefficients"] = _exact_text(coeffs)
     else:
         value = normalized_laplacian_charpoly_at(js, at, complement=args.complement)
         report["kind"] = "normalized-laplacian-charpoly"

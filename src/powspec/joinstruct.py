@@ -25,6 +25,13 @@ regular blocks needs.  Blocks hold vertex positions: vertex i is the
 group element at position i (see ``groups``), or at i + 1 in the proper
 variant, which drops the identity 0.
 
+A ``JoinStructure`` holds only what the builder decides: the blocks
+(label, members, clique size) and the template as a read-only loop-free
+bool array.  Whatever the spectra read beyond that is derived when read:
+a vertex of block i has degree (c_i - 1) + sum of n_j over the template
+neighbours j of i (``JoinStructure.degrees``), so no stored copy can
+disagree with the adjacency that validation certifies.
+
 ``build_join`` does not trust the rule: ``validate_structure`` proves,
 vertex for vertex, that the join graph is the power graph, by a
 certificate built from the group law alone.  It lists the cyclic
@@ -60,7 +67,6 @@ from .numtheory import divisors, factorize
 
 __all__ = [
     "Variant",
-    "TemplateGraph",
     "JoinBlock",
     "JoinStructure",
     "StructureValidationError",
@@ -80,39 +86,15 @@ class StructureValidationError(RuntimeError):
     """The join graph of a structure is not the (proper) power graph."""
 
 
-@dataclass(eq=False)
-class TemplateGraph:
-    """Small graph whose vertices index the blocks of a join."""
-
-    adj: np.ndarray
-    labels: tuple
-
-    def __post_init__(self):
-        self.adj = np.asarray(self.adj, dtype=bool)
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    def drop_vertex(self, label) -> "TemplateGraph":
-        keep = [i for i, lab in enumerate(self.labels) if lab != label]
-        if len(keep) == self.n:
-            raise ValueError(f"template has no vertex labelled {label!r}")
-        return TemplateGraph(
-            self.adj[np.ix_(keep, keep)], tuple(self.labels[i] for i in keep)
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class JoinBlock:
     """One block: its template label, its members (an int array of vertex
-    positions of the graph, listed clique by clique), the size of its
-    disjoint cliques, and the total size of the template-adjacent blocks."""
+    positions of the graph, listed clique by clique) and the size of its
+    disjoint cliques."""
 
     label: object
     members: np.ndarray
     clique: int
-    join_degree: int
 
     @property
     def size(self) -> int:
@@ -136,14 +118,22 @@ class JoinBlock:
         )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class JoinStructure:
-    """Template plus ordered blocks; block order follows template labels."""
+    """Ordered blocks and their template: ``adj[i, j]`` joins blocks i and
+    j completely.  Construction copies ``adj`` as a read-only bool array
+    without loops, so a block is always its disjoint cliques."""
 
     spec: GroupSpec
     variant: Variant
-    template: TemplateGraph
+    adj: np.ndarray
     blocks: tuple
+
+    def __post_init__(self):
+        adj = np.array(self.adj, dtype=bool)
+        np.fill_diagonal(adj, False)
+        adj.setflags(write=False)
+        object.__setattr__(self, "adj", adj)
 
     @property
     def order(self) -> int:
@@ -153,16 +143,22 @@ class JoinStructure:
     def sizes(self) -> tuple:
         return tuple(b.size for b in self.blocks)
 
+    @property
+    def degrees(self) -> tuple:
+        """The degree of every vertex of each block: its clique's other
+        members plus every vertex of the template-adjacent blocks."""
+        sizes = np.array(self.sizes, dtype=np.int64)
+        return tuple((self.adj @ sizes + [b.regularity for b in self.blocks]).tolist())
 
-def divisor_graph(n: int) -> TemplateGraph:
-    """Graph on the divisors of n; two divisors are adjacent iff one
-    divides the other."""
-    divs = divisors(n)
+
+def divisor_graph(divs) -> np.ndarray:
+    """Adjacency of the divisibility graph on the distinct positive
+    integers ``divs``: two are adjacent iff one divides the other."""
     d = np.array(divs, dtype=np.int64)
     divides = d % d[:, None] == 0  # [i, j]: d_i | d_j
     adj = divides | divides.T
     np.fill_diagonal(adj, False)
-    return TemplateGraph(adj, tuple(divs))
+    return adj
 
 
 # family -> (m / n, clique size of the coset block, None without one)
@@ -174,14 +170,16 @@ _FAMILIES = {
 
 
 def build_join(spec: GroupSpec, variant: Variant, validate: bool = True) -> JoinStructure:
-    """Block partition + template for the (proper) power graph of ``spec``,
-    from the cyclic-subgroup rule of the module docstring.
+    """Blocks and template for the (proper) power graph of ``spec``, from
+    the cyclic-subgroup rule of the module docstring.
 
     Blocks follow the ascending divisors of m, then "R"; the proper variant
     drops the identity block m.  Members are vertex positions: a^k sits at
     k and the coset element of exponent k at m + k, one less in the proper
-    variant.  Raises ``StructureValidationError`` when ``validate_structure``
-    refuses the result.
+    variant.  The structure holds only these choices; the degrees the
+    spectra read follow from them (``JoinStructure.degrees``).  Raises
+    ``StructureValidationError`` when ``validate_structure`` refuses the
+    result.
     """
     variant = Variant(variant)
     n = spec.n
@@ -190,31 +188,28 @@ def build_join(spec: GroupSpec, variant: Variant, validate: bool = True) -> Join
 
     m_over_n, clique = _FAMILIES[spec.family]
     m = m_over_n * n
-    template = divisor_graph(m)
+    labels = divisors(m)
+    adj = divisor_graph(labels)
     classes = np.gcd(np.arange(m), m)
     classes[0] = m
     by_class = np.argsort(classes, kind="stable")
     members = np.split(by_class, np.flatnonzero(np.diff(classes[by_class])) + 1)
     cliques = [len(group) for group in members]
     if clique is not None:
-        t = template.n
-        adj = np.zeros((t + 1, t + 1), dtype=bool)
-        adj[:t, :t] = template.adj
-        adj[t, :t] = adj[:t, t] = np.array(template.labels) % n == 0
-        template = TemplateGraph(adj, template.labels + ("R",))
+        t = len(labels)
+        adj = np.pad(adj, (0, 1))
+        adj[t, :t] = adj[:t, t] = np.array(labels) % n == 0
+        labels.append("R")
         # clique by clique: the clique of k < n is m + k + j*n, j < clique
         members.append((m + np.arange(n)[:, None] + n * np.arange(clique)).ravel())
         cliques.append(clique)
     if variant is Variant.PROPER:
-        drop = template.labels.index(m)
-        template = template.drop_vertex(m)
-        del members[drop], cliques[drop]
+        drop = labels.index(m)
+        adj = np.delete(np.delete(adj, drop, 0), drop, 1)
+        del labels[drop], members[drop], cliques[drop]
         members = [group - 1 for group in members]
 
-    sizes = np.array([len(group) for group in members], dtype=np.int64)
-    join_degree = (template.adj @ sizes).tolist()
-    blocks = tuple(map(JoinBlock, template.labels, members, cliques, join_degree))
-    js = JoinStructure(spec, variant, template, blocks)
+    js = JoinStructure(spec, variant, adj, tuple(map(JoinBlock, labels, members, cliques)))
     if validate:
         validate_structure(js)
     return js
@@ -365,24 +360,21 @@ def validate_structure(js: JoinStructure) -> None:
     subgroup S (see ``_units``), so a pair of vertices is adjacent in the
     power graph iff their units are the same or have comparable subgroups,
     and in the join iff their units share a clique or sit in
-    template-adjacent blocks (or in one block whose template vertex has a
-    loop).  S_u is contained in S_v iff the smallest vertex m_u of unit u
-    lies in S_v, so listing every S_v once yields every comparable pair of
-    units; equal subgroups, met in both orders, count once.  Both relations
-    are then counted per pair of blocks and per clique, and every count
-    must be all of the pairs or none, as the join says.  That costs
+    template-adjacent blocks.  S_u is contained in S_v iff the smallest
+    vertex m_u of unit u lies in S_v, so listing every S_v once yields
+    every comparable pair of units; equal subgroups, met in both orders,
+    count once.  Both relations are then counted per pair of blocks and
+    per clique, and every count must be all of the pairs or none, as the
+    join says.  That costs
     O(s log s) time and O(s) memory for s = sum of |S|, about N log N for
     a group of order N, and uses only ``mul`` and ``factorize(|G|)``.
 
     The block members must hold every vertex position exactly once, in
-    whole cliques.  A refusal names the first mismatching vertex pair in
-    row-major order, by ``element_label``.  Once the pairs agree, every
-    block's ``join_degree``, which the spectra read, must be the total size
-    of its template neighbours, as ``build_join`` defines it; a refusal
-    names the first block where it is not.  Last, a template loop is
-    refused on a block of several cliques, which the spectra would read as
-    disjoint although the loop joins them; a refusal names the first such
-    block.  A loop on a block of one clique changes nothing and passes."""
+    whole cliques, and the template must be a symmetric t x t array for t
+    blocks.  A refusal names the first mismatching vertex pair in row-major
+    order, by ``element_label``.  Everything the spectra read of ``js`` --
+    the blocks' cliques, their template adjacency and the degrees derived
+    from both -- is thus certified."""
     spec = js.spec
     shift = 1 if js.variant is Variant.PROPER else 0
     n_vert = spec.order - shift
@@ -399,9 +391,11 @@ def validate_structure(js: JoinStructure) -> None:
     clique = np.array([b.clique for b in js.blocks])
     if np.any(clique < 1) or np.any(np.array(js.sizes) % clique):
         raise StructureValidationError(f"a block of {spec} is not made of whole cliques")
-    adj = js.template.adj
-    if not np.array_equal(adj, adj.T):
-        raise StructureValidationError(f"the template of {spec} is not symmetric")
+    adj, t = js.adj, len(js.blocks)
+    if adj.shape != (t, t) or not np.array_equal(adj, adj.T):
+        raise StructureValidationError(
+            f"the template of {spec} is not symmetric over its {t} blocks"
+        )
 
     copies = np.array([b.copies for b in js.blocks])
     block_of_clique = np.repeat(np.arange(len(js.blocks)), copies)
@@ -429,7 +423,6 @@ def validate_structure(js: JoinStructure) -> None:
     keep = (unit_size[a] != unit_size[v]) | (a < v)
     a, v = a[keep], v[keep]
 
-    t = len(js.blocks)
     count = np.bincount(unit_block[a] * t + unit_block[v], minlength=t * t).reshape(t, t)
     comparable = count + count.T
     np.fill_diagonal(comparable, np.diag(count))
@@ -442,33 +435,14 @@ def validate_structure(js: JoinStructure) -> None:
     in_cliques = np.zeros(t, dtype=np.int64)
     np.add.at(in_cliques, block_of_clique, clique_pairs)
     expect = np.where(adj, np.outer(per_block, per_block), 0)
-    np.fill_diagonal(
-        expect, in_cliques + np.diag(adj) * (per_block * (per_block - 1) // 2 - in_cliques)
-    )
+    np.fill_diagonal(expect, in_cliques)
     if np.array_equal(comparable, expect) and np.array_equal(same_count, clique_pairs):
-        # the spectra read join_degree: the size of the template-adjacent
-        # blocks, as build_join defines it (a loop joins a block to no other)
-        join_degree = (adj & ~np.eye(t, dtype=bool)).astype(np.int64) @ np.array(js.sizes)
-        for b, want in zip(js.blocks, join_degree.tolist()):
-            if b.join_degree != want:
-                raise StructureValidationError(
-                    f"join of {spec.family.value} n={spec.n} ({js.variant.value}) refused: "
-                    f"block {b.label} has join_degree {b.join_degree}, its template "
-                    f"neighbours hold {want} vertices"
-                )
-        # the spectra read a block as disjoint cliques, which a loop would join
-        for b, looped in zip(js.blocks, np.diag(adj).tolist()):
-            if looped and b.copies > 1:
-                raise StructureValidationError(
-                    f"join of {spec.family.value} n={spec.n} ({js.variant.value}) refused: "
-                    f"block {b.label} has a template loop across its {b.copies} cliques"
-                )
         return
 
     # Refusal: the first vertex pair of a failing unit pair (a, b) is
     # (min(m_a, m_b), max(m_a, m_b)).  Comparable pairs the join lacks are
     # among (a, v); pairs the join has but the power graph lacks lie in a
-    # clique, block pair or looped block whose count fell short.
+    # clique or block pair whose count fell short.
     def joined(p, q):
         return (unit_clique[p] == unit_clique[q]) | adj[unit_block[p], unit_block[q]]
 
@@ -483,7 +457,7 @@ def validate_structure(js: JoinStructure) -> None:
     short += [
         (np.flatnonzero(unit_block == x), np.flatnonzero(unit_block == z))
         for x, z in np.argwhere(adj & (comparable < expect))
-        if x <= z
+        if x < z
     ]
     for p, q in short:
         p, q = (units.ravel() for units in np.meshgrid(p, q, indexing="ij"))

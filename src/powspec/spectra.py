@@ -35,7 +35,7 @@ from math import comb, gcd, isfinite, isqrt, lcm, prod, sqrt
 import numpy as np
 
 from .groups import LabeledGraph
-from .joinstruct import JoinBlock, JoinStructure
+from .joinstruct import JoinStructure
 from .numtheory import primes_below
 
 __all__ = [
@@ -334,11 +334,12 @@ def _over_common_denominator(p: UniversalParams) -> tuple[int, UniversalParams]:
 
 
 def _kappa(js: JoinStructure, p: UniversalParams) -> list:
-    """kappa_i = alpha*r_i + beta*(r_i + rho_i) + gamma + eta*n_i, the
-    diagonal of the quotient; exact for exact ``p``."""
+    """kappa_i = alpha*r_i + beta*deg_i + gamma + eta*n_i, the diagonal of
+    the quotient, with deg_i the degree of block i's vertices; exact for
+    exact ``p``."""
     return [
-        p.alpha * b.regularity + p.beta * (b.regularity + b.join_degree) + p.gamma + p.eta * b.size
-        for b in js.blocks
+        p.alpha * b.regularity + p.beta * deg + p.gamma + p.eta * b.size
+        for b, deg in zip(js.blocks, js.degrees)
     ]
 
 
@@ -346,14 +347,14 @@ def _symmetric(js: JoinStructure, p: UniversalParams, kappa) -> np.ndarray:
     """The symmetric quotient: the floats ``kappa`` on the diagonal,
     theta_ij * sqrt(n_i*n_j) off it."""
     n = np.array(js.sizes, dtype=np.int64)
-    sym = np.where(js.template.adj, float(p.alpha + p.eta), float(p.eta)) * np.sqrt(np.outer(n, n))
+    sym = np.where(js.adj, float(p.alpha + p.eta), float(p.eta)) * np.sqrt(np.outer(n, n))
     np.fill_diagonal(sym, kappa)
     return sym
 
 
 def quotient_matrix(js: JoinStructure, p: UniversalParams) -> QuotientMatrix:
-    """kappa_i = alpha*r_i + beta*(r_i + rho_i) + gamma + eta*n_i on the
-    diagonal; theta_ij = alpha+eta on template edges, eta elsewhere.
+    """kappa_i = alpha*r_i + beta*deg_i + gamma + eta*n_i on the diagonal;
+    theta_ij = alpha+eta on template edges, eta elsewhere.
 
     Builds the exact similar form beside the symmetric one, for the readers
     of ``similar`` (``charpoly_exact`` and the normalized value); the
@@ -366,30 +367,31 @@ def quotient_matrix(js: JoinStructure, p: UniversalParams) -> QuotientMatrix:
     plain_col = [p.eta * size for size in sizes]
     similar = [
         [e if joined else q for joined, e, q in zip(row, edge_col, plain_col)]
-        for row in js.template.adj.tolist()
+        for row in js.adj.tolist()
     ]
     for i, k in enumerate(kappa):
         similar[i][i] = k
     return QuotientMatrix(sym, similar, sizes)
 
 
-def _block_value(p: UniversalParams, b: JoinBlock, lam):
-    """alpha*lam + beta*(r + rho) + gamma: the eigenvalue of U on a vector
-    that lives on block ``b``, sums to zero there and is an eigenvector of
-    the block's adjacency with eigenvalue ``lam``.  r + rho is the degree
-    of every vertex of the block; exact for exact ``p`` and ``lam``."""
-    return p.alpha * lam + p.beta * (b.regularity + b.join_degree) + p.gamma
+def _block_value(p: UniversalParams, degree: int, lam):
+    """alpha*lam + beta*degree + gamma: the eigenvalue of U on a vector
+    that lives on one block, sums to zero there and is an eigenvector of
+    the block's adjacency with eigenvalue ``lam``, where ``degree`` is the
+    degree of every vertex of the block; exact for exact ``p`` and
+    ``lam``."""
+    return p.alpha * lam + p.beta * degree + p.gamma
 
 
 def hjoin_spectrum(js: JoinStructure, p: UniversalParams, want_vectors: bool = False) -> Spectrum:
     """Spectrum of U over a validated join structure.
 
-    Part one: every block is ``copies`` disjoint cliques of size c, with
-    regularity r = c - 1, and each adjacency eigenvalue lam of the block
-    orthogonal to its all-ones vector gives alpha*lam + beta*(r+rho) +
-    gamma.  lam = -1 has multiplicity copies*(c-1), with the in-clique
-    difference vectors (+1 at a clique's first vertex, -1 at its r-th) as
-    eigenvectors; lam = c - 1 has multiplicity copies-1, with the
+    Part one: every block is ``copies`` disjoint cliques of size c, its
+    vertices of degree deg (``JoinStructure.degrees``), and each adjacency
+    eigenvalue lam of the block orthogonal to its all-ones vector gives
+    alpha*lam + beta*deg + gamma.  lam = -1 has multiplicity
+    copies*(c-1), with the in-clique difference vectors (+1 at a clique's
+    first vertex, -1 at its r-th) as eigenvectors; lam = c - 1 has multiplicity copies-1, with the
     differences of clique indicator vectors (first clique minus the r-th).
     Part two: the eigenpairs of the symmetric quotient matrix, each lifted
     to a block-constant vector scaled by sqrt(n_last / n_block).  Values
@@ -416,11 +418,11 @@ def hjoin_spectrum(js: JoinStructure, p: UniversalParams, want_vectors: bool = F
 
     # part 1, grouped by exact formula value
     block_groups: dict[float, list] = {}
-    for i, b in enumerate(blocks):
+    for i, (b, degree) in enumerate(zip(blocks, js.degrees)):
         for lam, mult in b.local_eigenvalues():
             if mult == 0:
                 continue
-            value = float(_block_value(scaled, b, lam) / d)
+            value = float(_block_value(scaled, degree, lam) / d)
             block_groups.setdefault(value, []).append((i, lam, mult))
 
     candidates = []  # (value, multiplicity, provenance, basis segments)
@@ -781,15 +783,14 @@ def normalized_laplacian_charpoly_at(js: JoinStructure, lam, complement: bool = 
         p = complement_params(p, order)
     value = Fraction(1)
     denom = 1
-    for b in js.blocks:
-        deg = b.regularity + b.join_degree
+    for b, deg in zip(js.blocks, js.degrees):
+        for loc, mult in b.local_eigenvalues():
+            value *= _block_value(p, deg, loc) ** mult
         if complement:
             deg = order - 1 - deg
         if deg == 0:
             raise ValueError("graph has an isolated vertex; det(D) = 0")
         denom *= deg**b.size
-        for loc, mult in b.local_eigenvalues():
-            value *= _block_value(p, b, loc) ** mult
     value *= (-1) ** len(js.blocks) * charpoly_exact(quotient_matrix(js, p))[-1]
     value /= denom
     return value if exact else float(value)

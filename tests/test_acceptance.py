@@ -126,9 +126,9 @@ def test_acceptance_2_prime_power_regression():
             t = len(qm.sizes)
             image = [sum(qm.similar[i][j] for j in range(t)) for i in range(t)]
             exact_ok = exact_ok and all(x == top for x in image)
-            for b in js.blocks:
+            for b, degree in zip(js.blocks, js.degrees):
                 if b.size >= 2:
-                    part1 = -params.alpha + params.beta * (b.regularity + b.join_degree) + params.gamma
+                    part1 = -params.alpha + params.beta * degree + params.gamma
                     exact_ok = exact_ok and part1 == rest
             u = universal_matrix(g, params)
             gap_struct = multiset_gap(cf.expanded(), hjoin_spectrum(js, params))

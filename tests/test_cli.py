@@ -19,9 +19,11 @@ from powspec.joinstruct import Variant, build_join
 from powspec.spectra import (
     Basis,
     UniversalParams,
+    charpoly_exact,
     charpoly_roots,
     complement_params,
     hjoin_spectrum,
+    quotient_matrix,
 )
 
 
@@ -36,11 +38,11 @@ def flip_divisor_edge(monkeypatch, a=2, b=4):
     flipped, which the real validator must refuse."""
     real = powspec.joinstruct.divisor_graph
 
-    def flipped(n):
-        template = real(n)
-        i, j = template.labels.index(a), template.labels.index(b)
-        template.adj[i, j] = template.adj[j, i] = not template.adj[i, j]
-        return template
+    def flipped(divs):
+        adj = real(divs)
+        i, j = divs.index(a), divs.index(b)
+        adj[i, j] = adj[j, i] = not adj[i, j]
+        return adj
 
     monkeypatch.setattr("powspec.joinstruct.divisor_graph", flipped)
 
@@ -122,40 +124,19 @@ def test_refused_structure_exit_2(capsys, monkeypatch, argv):
     assert lines[0].endswith(" refused: 2 ~ 4 in the power graph, not in the join")
 
 
-@pytest.mark.parametrize(
-    "group, n, label",
-    [("zn", "12", 1), ("dn", "9", "R"), ("qn", "6", 4)],
-)
-def test_wrong_join_degree_exit_2(capsys, monkeypatch, group, n, label):
-    # build_join assembles one block with a join_degree one too high
-    real = powspec.joinstruct.JoinBlock
-
-    def bumped(block_label, members, clique, join_degree):
-        return real(block_label, members, clique, join_degree + (block_label == label))
-
-    monkeypatch.setattr("powspec.joinstruct.JoinBlock", bumped)
-    code, out, err = run(capsys, "spectrum", "--group", group, "--n", n, "--preset", "laplacian")
-    assert code == 2
-    assert out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith(f"error: join of {group} n={n} (power) refused: block {label} ")
-
-
 def test_template_loop_on_several_cliques_exit_2(capsys, monkeypatch):
-    # build_join cuts block 1 of Z_6 into single vertices and loops it
+    # build_join cuts block 1 of Z_6 into single vertices and loops it; the
+    # structure clears the loop, and the refusal names the oracle's pair
     real_block, real_graph = powspec.joinstruct.JoinBlock, powspec.joinstruct.divisor_graph
 
-    def cut(block_label, members, clique, join_degree):
-        if block_label == 1:  # the loop is no neighbour: its own size leaves join_degree
-            return real_block(block_label, members, 1, join_degree - len(members))
-        return real_block(block_label, members, clique, join_degree)
+    def cut(block_label, members, clique):
+        return real_block(block_label, members, 1 if block_label == 1 else clique)
 
-    def looped(n):
-        template = real_graph(n)
-        i = template.labels.index(1)
-        template.adj[i, i] = True
-        return template
+    def looped(divs):
+        adj = real_graph(divs)
+        i = divs.index(1)
+        adj[i, i] = True
+        return adj
 
     monkeypatch.setattr("powspec.joinstruct.JoinBlock", cut)
     monkeypatch.setattr("powspec.joinstruct.divisor_graph", looped)
@@ -163,7 +144,7 @@ def test_template_loop_on_several_cliques_exit_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.splitlines() == [
-        "error: join of zn n=6 (power) refused: block 1 has a template loop across its 2 cliques"
+        "error: join of zn n=6 (power) refused: 1 ~ 5 in the power graph, not in the join"
     ]
 
 
@@ -462,6 +443,32 @@ def test_value_beyond_float_is_one_line_exit_1(capsys, argv):
     assert err.splitlines() == ["error: a value does not fit a float (beyond about 1.8e308)"]
 
 
+def test_charpoly_prints_coefficients_beyond_the_int_str_limit(capsys):
+    # 1e-400 is a Fraction with a 401-digit denominator, and the exact
+    # coefficients outgrow Python's default of 4300 digits per int-to-str;
+    # the caller's limit is back in place once main returns
+    argv = (
+        "charpoly", "--group", "qn", "--n", "12", "--complement",
+        "--params=2,1e-400,1e300,-2", "--quotient",
+    )
+    before = sys.get_int_max_str_digits()
+    try:
+        for limit in (4300, 640):  # the default, and the least a caller may set
+            sys.set_int_max_str_digits(limit)
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert sys.get_int_max_str_digits() == limit
+            coeffs = json.loads(out)["coefficients"]
+        sys.set_int_max_str_digits(0)
+        js = build_join(GroupSpec(GroupFamily.DICYCLIC, 12), Variant.POWER)
+        p = UniversalParams(2, Fraction("1e-400"), Fraction("1e300"), -2)
+        expect = charpoly_exact(quotient_matrix(js, complement_params(p, js.order)))
+        assert coeffs == [str(c) for c in expect]
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert max(map(len, coeffs)) > 4300
+
+
 # ---------------------------------------------------------------------------
 # eigenvector serialization
 # ---------------------------------------------------------------------------
@@ -500,16 +507,21 @@ SPECIAL_FLOATS = [
 )
 @pytest.mark.parametrize("indent", [0, 3])
 def test_emit_json_array_matches_per_float_emitter(arr, indent):
-    assert _emit_json(arr, indent) == legacy_emit(arr.tolist(), indent)
-    assert _emit_json({"basis": arr}, indent) == _emit_json({"basis": arr.tolist()}, indent)
+    # an array reaches the emitter as a Basis of its rows, or as a list
+    rows = arr if arr.ndim == 2 else arr[None]
+    assert _emit_json(Basis.of_rows(rows), indent) == legacy_emit(rows.tolist(), indent)
+    assert _emit_json(arr.tolist(), indent) == legacy_emit(arr.tolist(), indent)
+    with pytest.raises(TypeError):
+        _emit_json({"basis": arr}, indent)
 
 
 def test_emit_json_array_keeps_nan_bit_patterns_apart():
     bits = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64)
     arr = np.concatenate([bits.view(np.float64), [-0.0, 0.0, -0.0]])
-    assert _emit_json(arr) == legacy_emit(arr.tolist())
-    with pytest.raises(TypeError):
-        _emit_json(np.arange(3))
+    assert _emit_json(Basis.of_rows(arr[None])) == legacy_emit([arr.tolist()])
+    for refused in (arr, np.arange(3)):  # no report passes an ndarray
+        with pytest.raises(TypeError):
+            _emit_json(refused)
 
 
 @pytest.mark.parametrize(
@@ -615,7 +627,7 @@ def test_basis_emitter_matches_the_table_path_on_special_values(trial):
     for indent in (0, 3):
         assert _emit_json(basis, indent) == table_emit(dense_form(basis), indent)
         assert _emit_json({"basis": basis}, indent) == _emit_json(
-            {"basis": dense_form(basis)}, indent
+            {"basis": dense_form(basis).tolist()}, indent
         )
     assert _emit_json(Basis(4), 2) == "[]"
 

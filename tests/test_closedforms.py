@@ -92,9 +92,7 @@ def test_prime_power_exact_formula_matches_engine():
         qm = quotient_matrix(js, params)
         block = next(b for b in js.blocks if b.label == 1)
         i = js.blocks.index(block)
-        part1 = params.alpha * (-1) + params.beta * (
-            block.regularity + block.join_degree
-        ) + params.gamma
+        part1 = params.alpha * (-1) + params.beta * js.degrees[i] + params.gamma
         values = {e.value: e.multiplicity for e in cf.eigenspaces}
         assert part1 in values  # exact Fraction membership
         # the join of all the clique blocks is the complete graph; its top

@@ -1,5 +1,6 @@
-"""Join templates, block partitions, and the cyclic-subgroup certificate,
-checked against the assembled graph and the definitional oracle."""
+"""Join templates, block partitions, derived degrees and the cyclic-subgroup
+certificate, checked against the assembled graph and the definitional
+oracle."""
 
 import random
 import re
@@ -21,7 +22,6 @@ from powspec.joinstruct import (
     JoinBlock,
     JoinStructure,
     StructureValidationError,
-    TemplateGraph,
     Variant,
     _orders,
     _power,
@@ -54,8 +54,8 @@ def assemble(js):
     for block in js.blocks:
         clique_of[block.members] = first + np.arange(block.size) // block.clique
         first += block.copies
-    block_of = np.repeat(np.arange(js.template.n), [b.copies for b in js.blocks])  # per clique
-    joined = js.template.adj[np.ix_(block_of, block_of)] | np.eye(first, dtype=bool)
+    block_of = np.repeat(np.arange(len(js.blocks)), [b.copies for b in js.blocks])  # per clique
+    joined = js.adj[np.ix_(block_of, block_of)] | np.eye(first, dtype=bool)
     adj = joined[:, clique_of][clique_of]
     np.fill_diagonal(adj, False)
     return LabeledGraph(adj, None if js.variant is Variant.PROPER else 0)
@@ -88,66 +88,60 @@ def certificate_refusal(js):
     return None
 
 
-def template_edges(t):
-    return {
-        (t.labels[i], t.labels[j])
-        for i in range(t.n)
-        for j in range(i + 1, t.n)
-        if t.adj[i, j]
-    }
+def template_edges(labels, adj):
+    t = len(labels)
+    return {(labels[i], labels[j]) for i in range(t) for j in range(i + 1, t) if adj[i, j]}
+
+
+def structure_edges(js):
+    return template_edges([b.label for b in js.blocks], js.adj)
 
 
 def test_divisor_graph_15():
-    t = divisor_graph(15)
-    assert t.labels == (1, 3, 5, 15)
-    assert template_edges(t) == {(1, 3), (1, 5), (1, 15), (3, 15), (5, 15)}
+    assert template_edges((1, 3, 5, 15), divisor_graph([1, 3, 5, 15])) == {
+        (1, 3), (1, 5), (1, 15), (3, 15), (5, 15),
+    }
 
 
 def test_divisor_graph_prime_power_complete():
     for n in (8, 27, 25):
-        t = divisor_graph(n)
-        assert len(template_edges(t)) == t.n * (t.n - 1) // 2
+        divs = divisors(n)
+        assert len(template_edges(divs, divisor_graph(divs))) == len(divs) * (len(divs) - 1) // 2
 
 
 def test_divisor_graph_trivial():
-    t = divisor_graph(1)
-    assert t.labels == (1,) and t.adj.sum() == 0
+    assert divisor_graph([1]).tolist() == [[False]]
 
 
 def test_divisor_graph_is_pairwise_divisibility():
     for n in range(1, 2001):
-        t = divisor_graph(n)
         divs = divisors(n)
-        assert t.labels == tuple(divs)
         want = [[a != b and (b % a == 0 or a % b == 0) for b in divs] for a in divs]
-        assert t.adj.tolist() == want, n
+        assert divisor_graph(divs).tolist() == want, n
 
 
 def dihedral_template(n):
-    return build_join(GroupSpec(D, n), Variant.POWER).template
+    js = build_join(GroupSpec(D, n), Variant.POWER)
+    return [b.label for b in js.blocks], structure_edges(js)
 
 
 def test_dihedral_template():
-    t = dihedral_template(15)
-    assert t.n == 5
-    assert ("R",) == t.labels[-1:]
-    edges = template_edges(t)
+    labels, edges = dihedral_template(15)
+    assert len(labels) == 5
+    assert ("R",) == tuple(labels[-1:])
     assert (15, "R") in edges
     assert sum(1 for e in edges if "R" in e) == 1
 
-    t7 = dihedral_template(7)  # path 1 -- 7 -- R
-    assert template_edges(t7) == {(1, 7), (7, "R")}
-
-    t1 = dihedral_template(1)
-    assert template_edges(t1) == {(1, "R")}
+    assert dihedral_template(7)[1] == {(1, 7), (7, "R")}  # path 1 -- 7 -- R
+    assert dihedral_template(1)[1] == {(1, "R")}
 
 
 def test_dicyclic_template_poset():
     # rotation blocks on the divisors of 2n joined by divisibility, and R
     # joined to the blocks of a^n (d = n) and e (d = 2n) only
-    t = build_join(GroupSpec(Q, 5), Variant.POWER).template
-    assert t.labels == (1, 2, 5, 10, "R")
-    assert template_edges(t) == {
+    js = build_join(GroupSpec(Q, 5), Variant.POWER)
+    assert [b.label for b in js.blocks] == [1, 2, 5, 10, "R"]
+    assert structure_edges(js) == {
         (1, 2), (1, 5), (1, 10), (2, 10), (5, 10), (5, "R"), (10, "R"),
     }
 
@@ -169,7 +163,7 @@ def test_build_join_d15_blocks():
 
 def test_build_join_q2_proper_blocks():
     js = build_join(GroupSpec(Q, 2), Variant.PROPER)
-    assert js.template.labels == (1, 2, "R")
+    assert [b.label for b in js.blocks] == [1, 2, "R"]
     assert js.sizes == (2, 1, 4)
     # vertices of the proper power graph: vertex i is the element at i + 1
     assert js.blocks[0].members.tolist() == [0, 2]
@@ -182,16 +176,16 @@ def test_build_join_q2_proper_blocks():
 
     assert names(js.blocks[0]) == ["a", "a^3"]
     assert names(r) == ["b", "a^2·b", "a·b", "a^3·b"]
-    assert r.clique == 2 and r.regularity == 1 and r.join_degree == 1
-    assert template_edges(js.template) == {(1, 2), (2, "R")}
+    assert r.clique == 2 and r.regularity == 1 and js.degrees[2] == 2
+    assert structure_edges(js) == {(1, 2), (2, "R")}
 
 
 def test_block_local_eigenvalues():
     # -1 inside the cliques, clique - 1 across them; with the all-ones
     # direction they account for every vertex of the block
-    assert JoinBlock("K5", np.arange(5), 5, 0).local_eigenvalues() == ((-1, 4), (4, 0))
-    assert JoinBlock("E4", np.arange(4), 1, 0).local_eigenvalues() == ((-1, 0), (0, 3))
-    assert JoinBlock("3K2", np.arange(6), 2, 0).local_eigenvalues() == ((-1, 3), (1, 2))
+    assert JoinBlock("K5", np.arange(5), 5).local_eigenvalues() == ((-1, 4), (4, 0))
+    assert JoinBlock("E4", np.arange(4), 1).local_eigenvalues() == ((-1, 0), (0, 3))
+    assert JoinBlock("3K2", np.arange(6), 2).local_eigenvalues() == ((-1, 3), (1, 2))
     for n in (3, 6, 12):
         for b in build_join(GroupSpec(Q, n), Variant.POWER).blocks:
             assert 1 + sum(m for _, m in b.local_eigenvalues()) == b.size
@@ -251,12 +245,8 @@ def star_structure(n):
     members += [[2 * n + k, 3 * n + k] for k in range(n)]
     adj = np.zeros((n + 2, n + 2), dtype=bool)
     adj[0, 1:] = adj[1:, 0] = True
-    sizes = [len(m) for m in members]
-    blocks = tuple(
-        JoinBlock(i, np.array(m), len(m), sum(sizes) - len(m) if i == 0 else 2)
-        for i, m in enumerate(members)
-    )
-    return JoinStructure(GroupSpec(Q, n), Variant.POWER, TemplateGraph(adj, tuple(range(n + 2))), blocks)
+    blocks = tuple(JoinBlock(i, np.array(m), len(m)) for i, m in enumerate(members))
+    return JoinStructure(GroupSpec(Q, n), Variant.POWER, adj, blocks)
 
 
 def test_dicyclic_structure_refused_away_from_two_powers():
@@ -302,7 +292,7 @@ def mutant(js, edit):
     """``js`` with its block members replaced by ``edit(list of member lists)``."""
     members = edit([b.members.tolist() for b in js.blocks])
     blocks = tuple(replace(b, members=np.array(m)) for b, m in zip(js.blocks, members))
-    return JoinStructure(js.spec, js.variant, js.template, blocks)
+    return replace(js, blocks=blocks)
 
 
 def swap_first(ms, i, j):
@@ -398,13 +388,40 @@ def test_degree_formula():
             assert int(deg[x]) == expected
 
 
-def test_join_degree_field():
+def test_degrees_are_oracle_row_sums():
+    # every vertex of a block has the block's derived degree, on both variants
+    specs = (
+        [GroupSpec(Z, n) for n in range(1, 401)]
+        + [GroupSpec(D, n) for n in range(1, 201)]
+        + [GroupSpec(Q, n) for n in range(2, 101)]
+    )
+    for spec in specs:
+        power = power_graph_oracle(spec)
+        for variant in (Variant.POWER, Variant.PROPER):
+            if variant is Variant.PROPER and spec.order < 2:
+                continue
+            js = build_join(spec, variant, validate=False)
+            want = np.empty(js.order, dtype=np.int64)
+            for b, degree in zip(js.blocks, js.degrees):
+                want[b.members] = degree
+            assert np.array_equal(variant_graph(power, variant).degrees(), want), (spec, variant)
     js = build_join(GroupSpec(D, 15), Variant.POWER)
-    by_label = {b.label: b for b in js.blocks}
-    # reflections block touches only the {e} block
-    assert by_label["R"].join_degree == 1
-    assert by_label[15].join_degree == 8 + 4 + 2 + 15  # all other blocks
-    assert by_label[1].join_degree == 4 + 2 + 1
+    by_label = dict(zip([b.label for b in js.blocks], js.degrees))
+    assert by_label["R"] == 1  # a reflection is joined to e alone
+    assert by_label[15] == 8 + 4 + 2 + 15  # e: every other vertex
+    assert by_label[1] == 7 + 4 + 2 + 1  # a generator: its clique, then a^3, a^5, e
+
+
+def test_structure_clears_loops_and_is_read_only():
+    js = build_join(GroupSpec(Z, 12), Variant.POWER, validate=False)
+    adj = np.ones((len(js.blocks),) * 2, dtype=bool)
+    looped = replace(js, adj=adj)
+    assert not np.diag(looped.adj).any() and adj.all()  # cleared on a copy
+    assert looped.degrees == (js.order - 1,) * len(js.blocks)
+    with pytest.raises(ValueError):
+        js.adj[0, 1] = False
+    with pytest.raises(ValueError):
+        js.adj[0, 0] = True
 
 
 def test_validate_structure_direct_call():
@@ -415,9 +432,11 @@ def test_validate_structure_direct_call():
 def flipped(spec, variant, a, b):
     """Unvalidated structure of ``spec`` with the a-b template edge flipped."""
     js = build_join(spec, variant, validate=False)
-    i, j = js.template.labels.index(a), js.template.labels.index(b)
-    js.template.adj[i, j] = js.template.adj[j, i] = not js.template.adj[i, j]
-    return js
+    labels = [blk.label for blk in js.blocks]
+    i, j = labels.index(a), labels.index(b)
+    adj = js.adj.copy()
+    adj[i, j] = adj[j, i] = not adj[i, j]
+    return replace(js, adj=adj)
 
 
 @pytest.mark.parametrize(
@@ -467,10 +486,10 @@ def test_certificate_accepts_every_small_structure():
 
 
 def flip_edge(js, rng):
-    x, z = rng.randrange(js.template.n), rng.randrange(js.template.n)
-    adj = js.template.adj.copy()
+    x, z = rng.randrange(len(js.blocks)), rng.randrange(len(js.blocks))
+    adj = js.adj.copy()
     adj[x, z] = adj[z, x] = not adj[x, z]
-    return JoinStructure(js.spec, js.variant, TemplateGraph(adj, js.template.labels), js.blocks)
+    return replace(js, adj=adj)
 
 
 def swap_members(js, rng):
@@ -481,7 +500,7 @@ def swap_members(js, rng):
     i, k = rng.randrange(len(mx)), rng.randrange(len(mz))
     mx[i], mz[k] = mz[k], mx[i]
     blocks[x], blocks[z] = replace(blocks[x], members=mx), replace(blocks[z], members=mz)
-    return JoinStructure(js.spec, js.variant, js.template, tuple(blocks))
+    return replace(js, blocks=tuple(blocks))
 
 
 def resize_cliques(js, rng, merge):
@@ -498,7 +517,7 @@ def resize_cliques(js, rng, merge):
     x, c = rng.choice(options)
     blocks = list(js.blocks)
     blocks[x] = replace(blocks[x], clique=c)
-    return JoinStructure(js.spec, js.variant, js.template, tuple(blocks))
+    return replace(js, blocks=tuple(blocks))
 
 
 MUTANTS = {
@@ -509,33 +528,18 @@ MUTANTS = {
 }
 
 
-def loop_refusal(js):
-    """The refusal of the first template loop on a block of several
-    cliques, or None.  The oracle accepts such a loop where the power graph
-    has the block complete, but the spectra read the block as disjoint
-    cliques, so the certificate refuses it after the pairs agree."""
-    for b, looped in zip(js.blocks, np.diag(js.template.adj)):
-        if looped and b.copies > 1:
-            return (
-                f"join of {js.spec.family.value} n={js.spec.n} ({js.variant.value}) refused: "
-                f"block {b.label} has a template loop across its {b.copies} cliques"
-            )
-    return None
-
-
 @pytest.mark.parametrize("kind", list(MUTANTS))
 def test_certificate_matches_oracle_on_seeded_mutants(kind):
     # same verdict as the assembled graph against the oracle, and on a
     # refusal the same first pair, on every mutant; mutants of a mutant too.
-    # A looped block of several cliques that the oracle accepts is refused
-    # by the loop rule instead.
+    # A flipped edge on the diagonal is a loop, which the structure clears.
     rng = random.Random(f"certificate:{kind}")
     specs = (
         [GroupSpec(Z, n) for n in (1, 2, 6, 12, 16, 30, 36, 60, 64, 97, 120)]
         + [GroupSpec(D, n) for n in (1, 2, 3, 6, 8, 15, 30, 32)]
         + [GroupSpec(Q, n) for n in (2, 3, 4, 6, 8, 15)]
     )
-    refused = compared = loops = 0
+    refused = compared = 0
     for spec in specs:
         for variant in (Variant.POWER, Variant.PROPER):
             if variant is Variant.PROPER and spec.order < 2:
@@ -547,14 +551,11 @@ def test_certificate_matches_oracle_on_seeded_mutants(kind):
                     mutated = MUTANTS[rng.choice(list(MUTANTS))](mutated, rng) or mutated
                 if mutated is None:
                     continue
-                oracle = oracle_refusal(mutated)
-                expect = oracle or loop_refusal(mutated)
+                expect = oracle_refusal(mutated)
                 assert certificate_refusal(mutated) == expect, (spec, variant)
                 refused += expect is not None
-                loops += oracle is None and expect is not None
                 compared += 1
     assert compared > 100 and refused > compared // 2
-    assert loops > 0 or kind != "flipped-edge"
 
 
 def test_certificate_accepts_what_the_oracle_accepts():
@@ -571,13 +572,14 @@ def test_certificate_refuses_broken_cliques_and_templates():
     r = js.blocks[-1]
     blocks = js.blocks[:-1] + (replace(r, clique=4),)  # 6 reflections, cliques of 4
     with pytest.raises(StructureValidationError, match="not made of whole cliques"):
-        validate_structure(JoinStructure(js.spec, js.variant, js.template, blocks))
-    adj = js.template.adj.copy()
+        validate_structure(replace(js, blocks=blocks))
+    adj = js.adj.copy()
     adj[0, -1] = not adj[0, -1]
     with pytest.raises(StructureValidationError, match="not symmetric"):
-        validate_structure(
-            JoinStructure(js.spec, js.variant, TemplateGraph(adj, js.template.labels), js.blocks)
-        )
+        validate_structure(replace(js, adj=adj))
+    for shape in ((4, 4), (5, 6)):  # D_6 has 5 blocks
+        with pytest.raises(StructureValidationError, match="not symmetric over its 5 blocks"):
+            validate_structure(replace(js, adj=np.zeros(shape, dtype=bool)))
 
 
 def test_certificate_needs_no_template_code(monkeypatch):
@@ -683,14 +685,11 @@ def random_structure(spec, variant, rng):
     while vertices:
         clique = min(rng.choice((1, 1, 2, 3, 4)), len(vertices))
         size = clique * min(rng.randint(1, 3), len(vertices) // clique)
-        blocks.append(JoinBlock(len(blocks), np.array(vertices[:size]), clique, 0))
+        blocks.append(JoinBlock(len(blocks), np.array(vertices[:size]), clique))
         vertices = vertices[size:]
     t = len(blocks)
     adj = np.triu(np.array([[rng.random() < 0.5 for _ in range(t)] for _ in range(t)]), 1)
-    adj |= adj.T
-    sizes = np.array([b.size for b in blocks])
-    blocks = [replace(b, join_degree=int(sizes[adj[i]].sum())) for i, b in enumerate(blocks)]
-    return JoinStructure(spec, variant, TemplateGraph(adj, tuple(range(t))), tuple(blocks))
+    return JoinStructure(spec, variant, adj | adj.T, tuple(blocks))
 
 
 def test_certificate_matches_oracle_on_random_structures():
@@ -708,56 +707,29 @@ def test_certificate_matches_oracle_on_random_structures():
     assert accepted > 0 and refused > 300
 
 
-@pytest.mark.parametrize(
-    "spec, variant, label",
-    [
-        (GroupSpec(Z, 12), Variant.POWER, 1),
-        (GroupSpec(D, 9), Variant.PROPER, "R"),
-        (GroupSpec(Q, 6), Variant.POWER, 4),
-    ],
-)
-def test_validation_refuses_a_wrong_join_degree(spec, variant, label):
-    # the pairs of the graph still agree; only the degree the spectra read is off
-    js = build_join(spec, variant)
-    blocks = list(js.blocks)
-    i = js.template.labels.index(label)
-    blocks[i] = replace(blocks[i], join_degree=blocks[i].join_degree + 1)
-    mutant = JoinStructure(spec, variant, js.template, tuple(blocks))
-    assert oracle_refusal(mutant) is None
-    with pytest.raises(StructureValidationError) as exc:
-        validate_structure(mutant)
-    assert str(exc.value) == (
-        f"join of {spec.family.value} n={spec.n} ({variant.value}) refused: block {label} "
-        f"has join_degree {blocks[i].join_degree}, its template neighbours hold "
-        f"{blocks[i].join_degree - 1} vertices"
-    )
-
-
 def looped_z6(clique):
     """Z_6 with block 1 (the generators 1 and 5) cut into cliques of size
-    ``clique`` and its template vertex looped."""
+    ``clique`` and its template vertex looped, which the structure clears."""
     js = build_join(GroupSpec(Z, 6), Variant.POWER)
-    i = js.template.labels.index(1)
+    i = [b.label for b in js.blocks].index(1)
     blocks = list(js.blocks)
     blocks[i] = replace(blocks[i], clique=clique)
-    adj = js.template.adj.copy()
+    adj = js.adj.copy()
     adj[i, i] = True
-    return JoinStructure(js.spec, js.variant, TemplateGraph(adj, js.template.labels), tuple(blocks))
+    return replace(js, adj=adj, blocks=tuple(blocks))
 
 
 def test_validation_refuses_a_loop_on_several_cliques():
-    # the loop makes the graph right, but the spectra would read two
-    # disjoint cliques: the adjacency spectrum is then off by 1.0
+    # a loop cannot join the two cliques of block 1: it is cleared, and the
+    # pair check names the edge the power graph has, as the oracle does
     js = looped_z6(1)
-    assert oracle_refusal(js) is None
-    p = UniversalParams(1, 0, 0, 0)
-    oracle = dense_eigen(universal_matrix(power_graph_oracle(js.spec), p), vectors=False)
-    assert abs(multiset_gap(hjoin_spectrum(js, p), oracle) - 1.0) < 1e-9
+    assert not np.diag(js.adj).any()
     with pytest.raises(StructureValidationError) as exc:
         validate_structure(js)
     assert str(exc.value) == (
-        "join of zn n=6 (power) refused: block 1 has a template loop across its 2 cliques"
+        "join of zn n=6 (power) refused: 1 ~ 5 in the power graph, not in the join"
     )
+    assert oracle_refusal(js) == str(exc.value)
 
 
 def test_validation_accepts_a_loop_on_one_clique():

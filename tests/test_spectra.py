@@ -177,7 +177,7 @@ def test_dense_eigen_rejects_asymmetric():
 def test_hjoin_quotient_values_are_lapack_eigenvalues(spec, variant):
     # t <= 12 here: the quotient goes to the same LAPACK solver as any other
     js = build_join(spec, variant)
-    assert js.template.adj.shape[0] <= 12
+    assert len(js.blocks) <= 12
     rng = np.random.default_rng(41)
     for p in [LAPLACIAN, SEIDEL] + [sample_params(rng) for _ in range(3)]:
         lapack = set(np.linalg.eigh(quotient_matrix(js, p).sym)[0].tolist())
@@ -385,6 +385,13 @@ def _universal_by_loop_formula(g, p):
     return u
 
 
+def _degree_by_loop(js, i):
+    """The degree of a vertex of block i: its clique, then every vertex of
+    the template neighbours."""
+    b = js.blocks[i]
+    return b.clique - 1 + sum(c.size for j, c in enumerate(js.blocks) if js.adj[i, j])
+
+
 def _quotient_by_loop_formula(js, p):
     """Reference quotient: one product per entry, as (sym, similar)."""
     from math import sqrt
@@ -396,7 +403,7 @@ def _quotient_by_loop_formula(js, p):
     for i, b in enumerate(js.blocks):
         kappa = (
             p.alpha * b.regularity
-            + p.beta * (b.regularity + b.join_degree)
+            + p.beta * _degree_by_loop(js, i)
             + p.gamma
             + p.eta * b.size
         )
@@ -404,7 +411,7 @@ def _quotient_by_loop_formula(js, p):
         similar[i][i] = kappa
         for j in range(t):
             if i != j:
-                theta = p.alpha + p.eta if js.template.adj[i, j] else p.eta
+                theta = p.alpha + p.eta if js.adj[i, j] else p.eta
                 similar[i][j] = theta * sizes[j]
                 sym[i, j] = float(theta) * sqrt(sizes[i] * sizes[j])
     return sym, similar
@@ -442,10 +449,10 @@ def _hjoin_values_by_loop_formula(js, p):
     expression and the loop formula's quotient, grouped as it groups them:
     the reference."""
     block_values = {}
-    for b in js.blocks:
+    for i, b in enumerate(js.blocks):
         for lam, mult in b.local_eigenvalues():
             if mult:
-                value = float(p.alpha * lam + p.beta * (b.regularity + b.join_degree) + p.gamma)
+                value = float(p.alpha * lam + p.beta * _degree_by_loop(js, i) + p.gamma)
                 block_values.setdefault(value, []).append(mult)
     candidates = [(v, sum(m), "BlockDiff") for v, m in block_values.items()]
     qvals = np.linalg.eigh(_quotient_by_loop_formula(js, p)[0])[0]
