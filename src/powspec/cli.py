@@ -3,10 +3,13 @@
 Subcommands:
 
 * ``spectrum`` -- eigenvalues (optionally eigenvectors) of U over a chosen
-  power graph, computed through the validated join structure; the dense
-  eigensolver and the closed forms check it under ``--oracle-check``;
-* ``verify``   -- the invariant battery (route agreement, residuals, trace,
-  Frobenius norm, complement identity) over seeded random parameters;
+  power graph, computed through the validated join structure; under
+  ``--vectors`` it prints the residual row of the check battery
+  (``_check_rows``), and under ``--oracle-check`` also the dense-route and
+  closed-form rows, as its ``verification`` block;
+* ``verify``   -- the same battery over seeded random parameters, on U and
+  its complement: route agreement, residual, trace, Frobenius norm and
+  complement identity, one ok/FAIL line per row;
 * ``charpoly`` -- exact rational characteristic polynomial of the quotient
   matrix, or a pointwise normalized-Laplacian characteristic value;
 * ``graph``    -- the edge list of the constructed graph, one "u v" per line.
@@ -15,8 +18,8 @@ Output on stdout is deterministic for fixed flags and seed: every float is
 serialized with 17 significant digits (an eigenvector basis formats each
 distinct value once) and JSON field order is fixed.
 Diagnostics and timing go to stderr.  Exit codes: 0 success, 1 usage or
-construction error, 2 cross-check mismatch or a join structure that fails
-validation.
+construction error, 2 a failed check row (``_exit_code``) or a join
+structure that fails validation.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -178,7 +182,7 @@ def _write_json(obj, indent: int, out: list) -> None:
         out.append(f",\n{inner}" if k else f"\n{inner}")
         if is_dict:
             key, item = item
-            out.append(f"{json.dumps(key)}: ")
+            out.append(f'"{key}": ')  # every key is an ASCII identifier of this module
         _write_json(item, indent + 1, out)
     out.append(f"\n{'  ' * indent}{'}' if is_dict else ']'}")
 
@@ -239,28 +243,35 @@ def _build_spec(args) -> GroupSpec:
     return GroupSpec(GroupFamily(args.group), args.n)
 
 
-def _two_distinct_primes(n: int):
-    facs = factorize(n)
-    if len(facs) == 2 and facs[0][1] == 1 and facs[1][1] == 1:
-        return facs[0][0], facs[1][0]
-    return None
-
-
 # ---------------------------------------------------------------------------
-# spectrum
+# spectrum and verify: one check battery
 # ---------------------------------------------------------------------------
 
 
-def _closed_form_checks(spec, variant, complement, params, computed, js):
+class _Row(NamedTuple):
+    """One check: ``value`` against ``bound``."""
+
+    name: str
+    value: float
+    bound: float
+    passed: bool
+
+
+def _gap_row(name: str, gap, bound) -> _Row:
+    return _Row(name, gap, bound, gap <= bound)  # a NaN gap fails
+
+
+def _closed_form_checks(js, complement, params, computed):
     """Closed-form comparisons applicable to this instance: (name, gap)."""
     checks = []
-    n = spec.n
+    spec, variant, n = js.spec, js.variant, js.spec.n
     if spec.family is GroupFamily.CYCLIC and variant is Variant.POWER:
         if not complement and prime_power(n):
             p, r = prime_power(n)
             cf = cyclic_prime_power_spectrum(p, r, params)
             checks.append(("prime-power", multiset_gap(cf, computed)))
-        pq = _two_distinct_primes(n)
+        facs = factorize(n)
+        pq = [p for p, _ in facs] if [e for _, e in facs] == [1, 1] else None  # n = pq
         if pq and not complement:
             cf = cyclic_two_prime_quotient(*pq, params)
             qvals = dense_eigen(quotient_matrix(js, params).sym, vectors=False).expanded()
@@ -281,6 +292,53 @@ def _closed_form_checks(spec, variant, complement, params, computed, js):
     return checks
 
 
+def _check_rows(args, g, js, complement, params, structural, identity=None):
+    """The check battery of ``spectrum`` and ``verify``: rows of
+    U = universal_matrix(g or its complement, params) against ``structural``,
+    the spectrum claimed for U.  ``residual`` (``verify_eigenpairs``) comes
+    first.  ``spectrum --oracle-check`` adds ``dense-route``, the gap to
+    ``dense_eigen(U)``, and the closed forms that apply.  ``verify`` adds
+    ``dense-route``, the ``trace`` and ``frobenius`` of the dense values
+    and, given integer parameters ``identity`` on the complement,
+    ``complement-identity``: the number of entries in which U at them
+    differs from U of g at their complement parameters.  Bounds scale with
+    max(1, ||U||_inf), the scale of ``verify_eigenpairs``."""
+    target = complement_graph(g) if complement else g
+    u = universal_matrix(target, params)
+    residual = verify_eigenpairs(u, structural, tol=args.tol)
+    scale = residual.scale
+    bound = args.tol * scale
+    rows = [_Row("residual", residual.max_residual, bound, residual.passed)]
+    if args.command == "spectrum" and not args.oracle_check:
+        return rows
+    dense = dense_eigen(u, vectors=False)
+    rows.append(_gap_row("dense-route", multiset_gap(structural, dense), bound))
+    if args.command == "spectrum":
+        checks = _closed_form_checks(js, complement, params, structural.expanded())
+        return rows + [_gap_row(name, gap, bound) for name, gap in checks]
+    values = dense.expanded()
+    alpha, beta, gamma, eta = params.as_floats()
+    tr_expect = 2.0 * beta * target.edge_count() + (gamma + eta) * g.n
+    rows.append(_gap_row("trace", abs(float(values.sum()) - tr_expect), 1e-9 * scale))
+    fro_gap = abs(float((values**2).sum()) - float((u**2).sum()))
+    rows.append(_gap_row("frobenius", fro_gap, 1e-8 * max(1.0, scale**2)))
+    if identity is not None:
+        u_sub = universal_matrix(g, complement_params(identity, g.n))
+        differ = int(np.count_nonzero(universal_matrix(target, identity) != u_sub))
+        rows.append(_gap_row("complement-identity", differ, 0))
+    return rows
+
+
+def _exit_code(command: str, rows) -> int:
+    """The exit code of ``spectrum`` and ``verify`` from their check rows:
+    2 when a row failed, 0 otherwise."""
+    # The one exemption: a failed residual row of spectrum prints "passed":
+    # false and exits 0.  Eigenspaces that average distinct eigenvalues fail
+    # it on crosscheck-small requests (ROADMAP item 1); item 15 ends it.
+    decisive = [row for row in rows if (command, row.name) != ("spectrum", "residual")]
+    return 0 if all(row.passed for row in decisive) else 2
+
+
 def cmd_spectrum(args) -> int:
     t0 = time.perf_counter()
     spec = _build_spec(args)
@@ -291,41 +349,17 @@ def cmd_spectrum(args) -> int:
     order = js.order
     p_eff = complement_params(params, order) if args.complement else params
     want_vectors = args.vectors or args.oracle_check
-    if want_vectors:  # only the checks read U, and U needs the definitional graph
-        g = variant_graph(power_graph_oracle(spec), variant)
-        target = complement_graph(g) if args.complement else g
-        u = universal_matrix(target, params)
     spectrum = hjoin_spectrum(js, p_eff, want_vectors=want_vectors)
 
-    verification = None
-    mismatch = []
-    if want_vectors:
-        residual = verify_eigenpairs(u, spectrum, tol=args.tol)
-        tol_eff = args.tol * residual.scale
-        worst = residual.max_residual
-        checked = ["residual"]
-        passed = residual.passed
-        if args.oracle_check:
-            dense = dense_eigen(u, vectors=False)
-            gap = multiset_gap(spectrum, dense)
-            checked.append("dense-route")
-            worst = max(worst, gap)
-            if not gap <= tol_eff:  # a NaN gap fails
-                passed = False
-                mismatch.append(f"structural vs dense gap {gap:.3e} > {tol_eff:.3e}")
-            for name, gap in _closed_form_checks(
-                spec, variant, args.complement, params, spectrum.expanded(), js
-            ):
-                checked.append(name)
-                worst = max(worst, gap)
-                if not gap <= tol_eff:
-                    passed = False
-                    mismatch.append(f"{name} gap {gap:.3e} > {tol_eff:.3e}")
+    verification, rows = None, []
+    if want_vectors:  # only the checks read U, and U needs the definitional graph
+        g = variant_graph(power_graph_oracle(spec), variant)
+        rows = _check_rows(args, g, js, args.complement, params, spectrum)
         verification = {
-            "checked": checked,
-            "max_residual": worst,
-            "tolerance": tol_eff,
-            "passed": passed,
+            "checked": [row.name for row in rows],
+            "max_residual": max(row.value for row in rows),
+            "tolerance": rows[0].bound,
+            "passed": all(row.passed for row in rows),
         }
 
     report = {
@@ -357,7 +391,7 @@ def cmd_spectrum(args) -> int:
     # the floats the report prints; the params, floats of Fractions, are finite
     shown, bases = [e.value for e in spectrum.eigenspaces], []
     if args.format == "json":
-        shown += [worst, tol_eff] if verification else []
+        shown += [verification["max_residual"], verification["tolerance"]] if verification else []
         bases = [e.basis for e in spectrum.eigenspaces] if args.vectors else []
     _check_finite(shown, bases)
     if args.format == "json":
@@ -367,55 +401,12 @@ def cmd_spectrum(args) -> int:
         for e in spectrum.eigenspaces:
             print(f"{_fmt_float(e.value)},{e.multiplicity},{e.provenance}")
     print(f"# spectrum computed in {time.perf_counter() - t0:.3f} s", file=sys.stderr)
-    if mismatch:
-        for line in mismatch:
-            print(f"cross-check mismatch: {line}", file=sys.stderr)
-        return 2
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
-
-
-def _run_battery(params, g, js, tol):
-    """One parameter quadruple through the invariant battery.
-
-    Returns (lines, ok); float comparisons are scaled by max(1, ||U||_inf).
-    """
-    lines = []
-    ok = True
-
-    def check(name, good, detail):
-        nonlocal ok
-        ok = ok and good
-        lines.append(f"  {'ok  ' if good else 'FAIL'} {name}: {detail}")
-
-    order = g.n
-    for complement in (False, True):
-        target = complement_graph(g) if complement else g
-        u = universal_matrix(target, params)
-        dense = dense_eigen(u, vectors=False)
-        tag = "complement" if complement else "plain"
-
-        p_eff = complement_params(params, order) if complement else params
-        structural = hjoin_spectrum(js, p_eff, want_vectors=True)
-        residual = verify_eigenpairs(u, structural, tol=tol)
-        scale = residual.scale
-        gap = multiset_gap(structural, dense)
-        check(f"route-agreement[{tag}]", gap <= tol * scale, f"gap {gap:.3e}")
-        check(f"residual[{tag}]", residual.passed, f"max residual {residual.max_residual:.3e}")
-
-        values = dense.expanded()
-        alpha, beta, gamma, eta = params.as_floats()
-        tr_expect = 2.0 * beta * target.edge_count() + (gamma + eta) * order
-        tr_gap = abs(float(values.sum()) - tr_expect)
-        check(f"trace[{tag}]", tr_gap <= 1e-9 * scale, f"gap {tr_gap:.3e}")
-        fro_gap = abs(float((values**2).sum()) - float((u**2).sum()))
-        check(f"frobenius[{tag}]", fro_gap <= 1e-8 * max(1.0, scale**2), f"gap {fro_gap:.3e}")
-
-    return lines, ok
+    for row in rows[1:]:  # the residual row has no mismatch line
+        what = "structural vs dense" if row.name == "dense-route" else row.name
+        line = f"cross-check mismatch: {what} gap {row.value:.3e} > {row.bound:.3e}"
+        if not row.passed:
+            print(line, file=sys.stderr)
+    return _exit_code(args.command, rows)
 
 
 def cmd_verify(args) -> int:
@@ -436,25 +427,31 @@ def cmd_verify(args) -> int:
         f"verify group={spec.family.value} n={spec.n} variant={variant.value} "
         f"order={g.n} route=structural seed={seed}"
     )
-    all_ok = True
+    rows = []
     for k in range(args.count):
         params = sample_params(rng)
+        int_params = sample_params(rng, integer=True)
         a, b, gm, e = params.as_floats()
         print(f"quadruple {k}: alpha={a:.6g} beta={b:.6g} gamma={gm:.6g} eta={e:.6g}")
-        lines, ok = _run_battery(params, g, js, args.tol)
-        print("\n".join(lines))
-        all_ok = all_ok and ok
+        for complement in (False, True):
+            p_eff = complement_params(params, g.n) if complement else params
+            structural = hjoin_spectrum(js, p_eff, want_vectors=True)
+            identity = int_params if complement else None
+            battery = _check_rows(args, g, js, complement, params, structural, identity)
+            tag = "complement" if complement else "plain"
+            for row in (battery[1], battery[0], *battery[2:]):  # the route agreement first
+                name = "route-agreement" if row.name == "dense-route" else row.name
+                what = "max residual" if row.name == "residual" else "gap"
+                text = f"{name}[{tag}]: {what} {row.value:.3e}"
+                if row.name == "complement-identity":
+                    text = f"complement-identity: exact={row.passed}"
+                print(f"  {'ok  ' if row.passed else 'FAIL'} {text}")
+            rows += battery
 
-        int_params = sample_params(rng, integer=True)
-        u_comp = universal_matrix(complement_graph(g), int_params)
-        u_sub = universal_matrix(g, complement_params(int_params, g.n))
-        exact = bool(np.array_equal(u_comp, u_sub))
-        print(f"  {'ok  ' if exact else 'FAIL'} complement-identity: exact={exact}")
-        all_ok = all_ok and exact
-
-    print(f"result: {'PASS' if all_ok else 'FAIL'}")
+    code = _exit_code(args.command, rows)
+    print(f"result: {'PASS' if code == 0 else 'FAIL'}")
     print(f"# verify ran in {time.perf_counter() - t0:.3f} s", file=sys.stderr)
-    return 0 if all_ok else 2
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -493,20 +493,9 @@ def hjoin_spectrum(js: JoinStructure, p: UniversalParams, want_vectors: bool = F
 @dataclass(frozen=True)
 class VerificationReport:
     rows: tuple  # (value, multiplicity, max_residual, bound)
-    tolerance: float
     max_residual: float
     passed: bool
     scale: float  # max(1, ||U||_inf), the factor of every bound
-
-    def __str__(self):
-        lines = [
-            f"eigenvalue {v:.12g} (x{m}): max residual {r:.3e} (bound {b:.3e})"
-            for v, m, r, b in self.rows
-        ]
-        lines.append(
-            f"{'PASS' if self.passed else 'FAIL'}: max residual {self.max_residual:.3e}"
-        )
-        return "\n".join(lines)
 
 
 # A basis counts as independent when the Cholesky factor of the Gram matrix
@@ -619,7 +608,7 @@ def verify_eigenpairs(u: np.ndarray, s: Spectrum, tol: float = 1e-8) -> Verifica
         rows.append((value, e.multiplicity, res, bound))
         worst = max(worst, res)
         start += count
-    return VerificationReport(tuple(rows), tol, worst, passed, scale)
+    return VerificationReport(tuple(rows), worst, passed, scale)
 
 
 # ---------------------------------------------------------------------------
