@@ -631,9 +631,15 @@ def main(argv=None) -> int:
         return 1
     except MemoryError:
         spec = _build_spec(args)
+        # only these requests build the N x N graph; the others hold the
+        # join structure and its certificate, a few arrays of N entries
+        dense = args.command in ("verify", "graph") or any(
+            getattr(args, flag, False) for flag in ("vectors", "oracle_check")
+        )
+        what = "the dense arrays" if dense else "the join structure and certificate"
         print(
-            f"error: out of memory for {spec.family.value} n={spec.n}: the dense "
-            f"arrays of a group of order {spec.order} do not fit",
+            f"error: out of memory for {spec.family.value} n={spec.n}: {what} "
+            f"of a group of order {spec.order} do not fit",
             file=sys.stderr,
         )
         return 1

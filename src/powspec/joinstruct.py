@@ -34,15 +34,21 @@ disagree with the adjacency that validation certifies.
 
 ``build_join`` does not trust the rule: ``validate_structure`` proves,
 vertex for vertex, that the join graph is the power graph, by a
-certificate built from the group law alone.  It lists the cyclic
-subgroup <x> of one member x per clique, from the order of x, and reads
-off which members generate it and which subgroups contain which.  An
-order that is a power of two is settled by squaring x as often as 2
-divides |G| (the reflections of D_n, the coset elements of Q_n); any
-other order is found by dividing the primes of |G| out of |G|.  That takes about
-N log N time and memory for a group of order N, where comparing with the
-definitional N x N oracle of ``groups`` took N^2, and shares no divisor
-or template code with the builder.  A failed proof raises
+certificate built from the group law alone.  It rests on one lemma: a
+cyclic group M holds one subgroup of each order, so for y in M, x lies in
+<y> exactly when x lies in M and o(x) divides o(y).  The certificate lists
+cyclic subgroups <g> = (g^0, g^1, ...) that together cover G, largest
+order first, and homes every element in the first row that lists it,
+where the entry at column k has order o(g) / gcd(k, o(g)); which members
+generate one subgroup, and which subgroups contain which, is read off
+those rows.  Z_n lists its N elements once, as <a>; D_n and Q_n list about
+1.5N, the rotations once and then <x> for every coset element x.  The
+orders of the listed g come from the group law: a power of two by
+squaring g as often as 2 divides |G|, any other order by dividing the
+primes of |G| out of |G|.  That takes about N log N time and a few arrays
+of N entries for a group of order N, where comparing with the
+definitional N x N oracle of ``groups`` took N^2, and it shares no
+divisor or template code with the builder.  A failed proof raises
 ``StructureValidationError`` naming the first mismatching pair of
 elements by ``element_label``, the pair the comparison with the oracle
 would name: a refused structure is a defect, not a route.
@@ -169,6 +175,16 @@ _FAMILIES = {
 }
 
 
+def _gcds(m: int) -> np.ndarray:
+    """gcd(k, m) for every k < m, with k = 0 counting as m: every prime
+    power p^j dividing m multiplies p into the entries at its multiples."""
+    out = np.ones(m, dtype=np.int64)
+    for p, e in factorize(m):
+        for j in range(1, e + 1):
+            out[:: p**j] *= p
+    return out
+
+
 def build_join(spec: GroupSpec, variant: Variant, validate: bool = True) -> JoinStructure:
     """Blocks and template for the (proper) power graph of ``spec``, from
     the cyclic-subgroup rule of the module docstring.
@@ -190,8 +206,7 @@ def build_join(spec: GroupSpec, variant: Variant, validate: bool = True) -> Join
     m = m_over_n * n
     labels = divisors(m)
     adj = divisor_graph(labels)
-    classes = np.gcd(np.arange(m), m)
-    classes[0] = m
+    classes = _gcds(m)
     by_class = np.argsort(classes, kind="stable")
     members = np.split(by_class, np.flatnonzero(np.diff(classes[by_class])) + 1)
     cliques = [len(group) for group in members]
@@ -280,75 +295,165 @@ def _orders(spec: GroupSpec, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _subgroups(spec: GroupSpec, reps: np.ndarray, orders: np.ndarray):
-    """All powers rep^k, k < o(rep), of every rep, flat and rep by rep:
-    (owner, k, position).  rep^k for 2^j <= k < 2^(j+1) is rep^(k - 2^j)
-    times rep^(2^j), so each power costs one product."""
-    start = np.cumsum(orders) - orders
-    owner = np.repeat(np.arange(len(reps)), orders)
-    k = np.arange(len(owner)) - start[owner]
-    elem = np.zeros(len(owner), dtype=np.int64)
-    step = reps.astype(np.int64)  # rep^(2^j)
-    span, top = 1, orders.max(initial=0)
+def _listing(spec: GroupSpec, gens: np.ndarray, top: int) -> np.ndarray:
+    """The powers g^k, k < top, of every g in ``gens`` (all of order top),
+    one row per g.  Columns span..2*span-1 are columns 0..span-1 times
+    g^span, so each power costs one product; column 1 is g itself, so each
+    row lists its g whatever the law.  Refuses when a row repeats an
+    entry, naming its g."""
+    table = np.empty((len(gens), top), dtype=np.int64)
+    table[:, 0] = 0
+    table[:, 1:2] = gens[:, None]  # no column when top = 1
+    step, span = gens, 2
     while span < top:
-        sel = np.flatnonzero((k >= span) & (k < 2 * span))
-        elem[sel] = mul(spec, elem[sel - span], step[owner[sel]])
+        step = mul(spec, step, step)  # g^span
+        width = min(span, top - span)
+        table[:, span : span + width] = mul(spec, table[:, :width], step[:, None])
         span *= 2
-        if span < top:
-            step = mul(spec, step, step)
-    return owner, k, elem
+    keys = np.sort((np.arange(len(gens))[:, None] * spec.order + table).ravel())
+    repeat = np.flatnonzero(keys[1:] == keys[:-1])
+    if repeat.size:  # the first row with a repeat, as keys sort row by row
+        x = element_label(spec, gens[keys[repeat[0]] // spec.order])
+        raise StructureValidationError(f"the powers of {x} repeat before its order in {spec}")
+    return table
 
 
-def _units(js: JoinStructure, listing: np.ndarray, clique_of_listing: np.ndarray):
-    """Splits every clique into units, the classes of its members under
-    "generates the same cyclic subgroup".
+def _column_gcds(top: int, primes) -> np.ndarray:
+    """gcd(k, top) for every column k < top, k = 0 counting as top, from the
+    ``primes`` of |G|, which top divides: every prime power p^j dividing top
+    multiplies p into the entries at its multiples.  This is the builder's
+    ``_gcds`` sieve written apart, so that a fault in one cannot pass both
+    the builder and its certificate."""
+    out = np.ones(top, dtype=np.int64)
+    for p in primes:
+        q = p
+        while top % q == 0:
+            out[::q] *= p
+            q *= p
+    return out
 
-    Each round takes the first unplaced member of every clique as a rep,
-    lists S = <rep> as rep^k (checking that no power repeats) and places
-    each unplaced member x of the clique found in S: x = rep^k generates
-    <rep^g>, g = gcd(k, o(rep)), so (rep, g) names its unit.  A clique of
-    one generator class takes one round.
 
-    Returns (unit of each vertex, rep of each unit, g of each unit, and the
-    flat powers of all reps: owner, position, start of each rep)."""
-    spec = js.spec
-    shift = 1 if js.variant is Variant.PROPER else 0
+def _home(table, first_row, col_gcd, home, order, canon) -> None:
+    """Homes every entry of ``table`` in the first row that lists it, rows
+    numbered from ``first_row``, unless an earlier table homed it: sets its
+    home row, its order top / gcd(k, top) for its column k, from
+    ``col_gcd``, and its canonical generator, the entry at column
+    gcd(k, top) mod top."""
+    count, top = table.shape
+    entries = table.ravel()
+    rows = np.repeat(first_row + np.arange(count), top)
+    np.minimum.at(home, entries, rows)
+    mine = home[entries] == rows
+    where = entries[mine]
+    order[where] = np.tile(top // col_gcd, count)[mine]
+    canon[where] = table[:, col_gcd % top].ravel()[mine]
+
+
+def _leaders(key: np.ndarray, clique_of: np.ndarray, size: int) -> np.ndarray:
+    """For every position, the first position of its clique with the same
+    ``key`` (ints below ``size``; positions are grouped clique by clique).
+    A scatter finds the first position of every key; positions whose key
+    was met first in an earlier clique are led by a sort of their (clique,
+    key) pairs instead."""
+    at = np.arange(len(key))
+    first = np.full(size, len(key))
+    np.minimum.at(first, key, at)
+    lead = first[key]
+    later = np.flatnonzero(clique_of[lead] != clique_of)
+    if later.size:
+        pairs = clique_of[later] * size + key[later]
+        _, head, back = np.unique(pairs, return_index=True, return_inverse=True)
+        lead[later] = later[head][back]
+    return lead
+
+
+def _cover(spec: GroupSpec, listing: np.ndarray, clique_of: np.ndarray, shift: int):
+    """Lists cyclic subgroups that together hold every vertex of
+    ``listing`` (vertex positions grouped clique by clique, ``clique_of``
+    each; vertex i is the element at i + ``shift``) and splits every clique
+    into units, its members that generate one cyclic subgroup.
+
+    Each round takes the first unhomed member of every clique, finds its
+    order (``_orders``) and lists <g> for those still unhomed, largest order
+    first (``_listing``), so that one row homes the cliques of its
+    subgroups.  Each element is homed in the first row that lists it.  At
+    column k of a row of order top sits g^k, of order top / gcd(k, top); it
+    generates what the entry at column gcd(k, top) mod top generates, its
+    canonical generator.  A round homes every member it takes, so the
+    rounds end.  Members generate one subgroup iff they have one canonical
+    generator, so the units of a clique are its members with one canonical
+    generator: one home row and one order.
+
+    Returns the unit of every listing position, the first position of every
+    unit (units are numbered in that order), the home row and the order of
+    every unit, and the tables listed, rows numbered on across tables."""
     size = spec.order
-    unit_of = np.empty(len(listing), dtype=np.int64)
-    unit_rep, unit_g, orders, starts, elems = [], [], [], [], []
-    n_reps = n_units = n_flat = 0
-    pending = np.arange(len(listing))  # listing positions still unplaced
+    primes = [p for p, _ in factorize(size)]
+    unmet = np.iinfo(np.int64).max
+    home = np.full(size, unmet)
+    order = np.zeros(size, dtype=np.int64)
+    canon = np.zeros(size, dtype=np.int64)
+    tables, n_rows = [], 0
+    pending = np.arange(len(listing))
     while pending.size:
-        cl = clique_of_listing[pending]
-        first = np.flatnonzero(np.r_[True, cl[1:] != cl[:-1]])
-        reps = listing[pending[first]] + shift
-        o = _orders(spec, reps)
-        owner, k, elem = _subgroups(spec, reps, o)
-        keys = owner * size + elem
-        by_key = np.argsort(keys, kind="stable")
-        sorted_keys = keys[by_key]
-        repeat = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
-        if repeat.size:
-            x = element_label(spec, reps[owner[by_key[repeat[0]]]])
-            raise StructureValidationError(f"the powers of {x} repeat before its order in {spec}")
-        rep_of = np.repeat(np.arange(len(first)), np.diff(np.r_[first, len(pending)]))
-        query = rep_of * size + listing[pending] + shift
-        at = np.minimum(np.searchsorted(sorted_keys, query), len(keys) - 1)
-        found = sorted_keys[at] == query
-        g = np.gcd(k[by_key[at[found]]], o[rep_of[found]])
-        unit_key, unit_idx = np.unique(rep_of[found] * (size + 1) + g, return_inverse=True)
-        unit_of[listing[pending[found]]] = n_units + unit_idx.reshape(-1)
-        unit_rep.append(n_reps + unit_key // (size + 1))
-        unit_g.append(unit_key % (size + 1))
-        orders.append(o)
-        starts.append(n_flat + np.cumsum(o) - o)
-        elems.append(elem)
-        n_reps += len(reps)
-        n_units += len(unit_key)
-        n_flat += len(elem)
-        pending = pending[~found]
-    cat = np.concatenate
-    return unit_of, cat(unit_rep), cat(unit_g), cat(orders), cat(starts), cat(elems)
+        cl = clique_of[pending]
+        gens = listing[pending[np.r_[True, cl[1:] != cl[:-1]]]] + shift
+        o = _orders(spec, gens)
+        while gens.size:
+            top = int(o.max())
+            run = gens[o == top]
+            table = _listing(spec, run, top)
+            _home(table, n_rows, _column_gcds(top, primes), home, order, canon)
+            tables.append(table)
+            n_rows += len(run)
+            left = home[gens] == unmet
+            gens, o = gens[left], o[left]
+        pending = pending[home[listing[pending] + shift] == unmet]
+
+    lead = _leaders(canon[listing + shift], clique_of, size)
+    is_leader = lead == np.arange(len(lead))
+    leaders = np.flatnonzero(is_leader)
+    unit_at = (np.cumsum(is_leader) - 1)[lead]
+    heads = listing[leaders] + shift
+    return unit_at, leaders, home[heads], order[heads], tables
+
+
+# entries of the listed tables that ``_comparable`` reads at a time
+_SLICE = 1 << 18
+
+
+def _comparable(tables, unit_of, first, unit_home, unit_order, shift):
+    """The pairs (a, v) of units with S_a in S_v and a != v, where equal
+    subgroups count once.  A row lists S_a iff it lists m_a = ``first[a]``,
+    the smallest vertex of a, and S_a lies in S_v iff the home row of v
+    lists m_a and o_a divides o_v, as a cyclic group holds one subgroup of
+    each order.  Each (row, a) is met once, since rows repeat nothing.  The
+    tables are read a slice of rows at a time, each about ``_SLICE``
+    entries or one row, which bounds the memory of the pairs not kept."""
+    homed = np.argsort(unit_home, kind="stable")
+    per_row = np.bincount(unit_home, minlength=sum(map(len, tables)))
+    offset = np.cumsum(per_row) - per_row
+    found, n_rows = [], 0
+    for table in tables:
+        rows, top = table.shape
+        per_slice = -(-_SLICE // top)
+        for lo in range(0, rows, per_slice):
+            # column 0, e, is no vertex of the proper variant
+            y = (table[lo : lo + per_slice, shift:] - shift).ravel()
+            a = unit_of[y]
+            at = np.flatnonzero(first[a] == y)
+            a, r = a[at], n_rows + lo + at // (top - shift)
+            # every (r, a) joined with every unit v homed in row r
+            count = per_row[r]
+            v = np.repeat(offset[r] - np.cumsum(count) + count, count)
+            v = homed[v + np.arange(len(v))]
+            a = np.repeat(a, count)
+            oa, ov = unit_order[a], unit_order[v]
+            keep = (ov % oa == 0) & (a != v) & ((oa != ov) | (a < v))
+            found.append((a[keep], v[keep]))
+        n_rows += rows
+    a, v = zip(*found)
+    return np.concatenate(a), np.concatenate(v)
 
 
 def validate_structure(js: JoinStructure) -> None:
@@ -356,25 +461,28 @@ def validate_structure(js: JoinStructure) -> None:
     (proper) power graph of ``js.spec``, from the group law alone.
 
     x ~ y in a power graph iff <x> and <y> are comparable under inclusion.
-    Every clique splits into units of members that generate one cyclic
-    subgroup S (see ``_units``), so a pair of vertices is adjacent in the
-    power graph iff their units are the same or have comparable subgroups,
-    and in the join iff their units share a clique or sit in
-    template-adjacent blocks.  S_u is contained in S_v iff the smallest
-    vertex m_u of unit u lies in S_v, so listing every S_v once yields
-    every comparable pair of units; equal subgroups, met in both orders,
-    count once.  Both relations are then counted per pair of blocks and
-    per clique, and every count must be all of the pairs or none, as the
-    join says.  That costs
-    O(s log s) time and O(s) memory for s = sum of |S|, about N log N for
-    a group of order N, and uses only ``mul`` and ``factorize(|G|)``.
+    ``_cover`` lists cyclic subgroups that cover G and splits every clique
+    into units of members that generate one cyclic subgroup S: a unit is
+    the members of a clique with one home row and one order.  A pair of
+    vertices is adjacent in the power graph iff their units are the same
+    or have comparable subgroups, and in the join iff their units share a
+    clique or sit in template-adjacent blocks.  As a cyclic group holds one
+    subgroup of each order, S_u lies in S_v iff the home row of v lists
+    the smallest vertex m_u of u and o_u divides o_v; the comparable pairs
+    are thus the units met in each row joined with the units homed there
+    (``_comparable``).  Both relations are then counted per pair of blocks
+    and per clique, and every count must be all of the pairs or none, as
+    the join says.  The rows hold N entries for Z_n and about 1.5N for D_n
+    and Q_n, so that costs about N log N time and a few arrays of N
+    entries, and uses only ``mul`` and ``factorize``.
 
     The block members must hold every vertex position exactly once, in
     whole cliques, and the template must be a symmetric t x t array for t
     blocks.  A refusal names the first mismatching vertex pair in row-major
-    order, by ``element_label``.  Everything the spectra read of ``js`` --
-    the blocks' cliques, their template adjacency and the degrees derived
-    from both -- is thus certified."""
+    order, by ``element_label``, or the first listed row that repeats an
+    entry.  Everything the spectra read of ``js`` -- the blocks' cliques,
+    their template adjacency and the degrees derived from both -- is thus
+    certified."""
     spec = js.spec
     shift = 1 if js.variant is Variant.PROPER else 0
     n_vert = spec.order - shift
@@ -387,7 +495,7 @@ def validate_structure(js: JoinStructure) -> None:
         raise StructureValidationError(
             f"block members of {spec} are not the positions 0..{n_vert - 1}, each once"
         )
-    listing = listing.astype(np.int64)
+    listing = listing.astype(np.int64, copy=False)
     clique = np.array([b.clique for b in js.blocks])
     if np.any(clique < 1) or np.any(np.array(js.sizes) % clique):
         raise StructureValidationError(f"a block of {spec} is not made of whole cliques")
@@ -400,28 +508,18 @@ def validate_structure(js: JoinStructure) -> None:
     copies = np.array([b.copies for b in js.blocks])
     block_of_clique = np.repeat(np.arange(len(js.blocks)), copies)
     clique_of_listing = np.repeat(np.arange(len(block_of_clique)), clique[block_of_clique])
-    unit_of, unit_rep, unit_g, orders, starts, elems = _units(js, listing, clique_of_listing)
-
-    n_units = len(unit_rep)
+    unit_at, leaders, unit_home, unit_order, tables = _cover(
+        spec, listing, clique_of_listing, shift
+    )
+    n_units = len(leaders)
+    unit_of = np.empty(n_vert, dtype=np.int64)
+    unit_of[listing] = unit_at
+    del unit_at
     first = np.full(n_units, n_vert)  # m_u, the smallest vertex of unit u
     np.minimum.at(first, unit_of, np.arange(n_vert))
-    clique_of_vertex = np.empty(n_vert, dtype=np.int64)
-    clique_of_vertex[listing] = clique_of_listing
-    unit_clique = clique_of_vertex[first]
+    unit_clique = clique_of_listing[leaders]
     unit_block = block_of_clique[unit_clique]
-    unit_size = orders[unit_rep] // unit_g  # |S_u|
-
-    # S_u is rep^(g*j), j < |S_u|; (a, v): m_a in S_v, a != v
-    v = np.repeat(np.arange(n_units), unit_size)
-    j = np.arange(len(v)) - np.repeat(np.cumsum(unit_size) - unit_size, unit_size)
-    y = elems[starts[unit_rep[v]] + unit_g[v] * j] - shift
-    keep = y >= 0  # the identity is no vertex of the proper variant
-    y, v = y[keep], v[keep]
-    a = unit_of[y]
-    keep = (first[a] == y) & (a != v)
-    a, v = a[keep], v[keep]
-    keep = (unit_size[a] != unit_size[v]) | (a < v)
-    a, v = a[keep], v[keep]
+    a, v = _comparable(tables, unit_of, first, unit_home, unit_order, shift)
 
     count = np.bincount(unit_block[a] * t + unit_block[v], minlength=t * t).reshape(t, t)
     comparable = count + count.T

@@ -425,6 +425,21 @@ def test_memory_error_is_one_line_exit_1(capsys, monkeypatch):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "60000" in lines[0]
+    assert lines[0].endswith("the dense arrays of a group of order 60000 do not fit")
+
+
+def test_memory_error_of_the_certificate_names_it(capsys, monkeypatch):
+    def no_memory(js):
+        raise MemoryError
+
+    monkeypatch.setattr("powspec.joinstruct.validate_structure", no_memory)
+    # a plain spectrum builds no dense array: what ran out is the certificate
+    code, out, err = run(capsys, "spectrum", "--group", "dn", "--n", "30")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: out of memory for dn n=30: the join structure and certificate "
+        "of a group of order 60 do not fit\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ oracle."""
 
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,8 @@ from powspec.joinstruct import (
     JoinStructure,
     StructureValidationError,
     Variant,
+    _column_gcds,
+    _gcds,
     _orders,
     _power,
     build_join,
@@ -118,6 +121,16 @@ def test_divisor_graph_is_pairwise_divisibility():
         divs = divisors(n)
         want = [[a != b and (b % a == 0 or a % b == 0) for b in divs] for a in divs]
         assert divisor_graph(divs).tolist() == want, n
+
+
+def test_gcd_sieves_are_gcd():
+    # gcd(k, m) with k = 0 counting as m: the divisor class of a^k in the
+    # builder, the column gcd of a listed row in the certificate
+    for m in list(range(1, 2001)) + [720720]:
+        want = np.gcd(np.arange(m), m)
+        want[0] = m
+        assert np.array_equal(_gcds(m), want), m
+        assert np.array_equal(_column_gcds(m, [p for p, _ in factorize(2 * m)]), want), m
 
 
 def dihedral_template(n):
@@ -675,6 +688,32 @@ def test_orders_refusal_names_the_same_element_under_a_broken_law(monkeypatch, s
     assert str(exc.value) == orders_or_refusal(orders_by_primes, spec, reps)
 
 
+@pytest.mark.parametrize(
+    "spec, label",
+    [
+        (GroupSpec(Z, 12), "1"),
+        (GroupSpec(Z, 30), "1"),
+        (GroupSpec(D, 6), "a"),
+        (GroupSpec(Q, 6), "a"),
+    ],
+)
+def test_listing_refuses_a_row_that_repeats_under_a_broken_law(monkeypatch, spec, label):
+    # positions added modulo |G|, except that a product landing on the last
+    # position lands on 1: every first-round rep has an order that passes
+    # _orders, but the powers of position 1, listed first, come back to 1
+    # at column |G| - 1
+    size = spec.order
+    landing = np.arange(size)
+    landing[-1] = 1
+    monkeypatch.setattr("powspec.joinstruct.mul", lambda spec, i, j: landing[(i + j) % size])
+    js = build_join(spec, Variant.POWER, validate=False)
+    reps = np.concatenate([b.members.reshape(-1, b.clique)[:, 0] for b in js.blocks])
+    assert isinstance(orders_or_refusal(_orders, spec, reps), list)
+    with pytest.raises(StructureValidationError) as exc:
+        validate_structure(js)
+    assert str(exc.value) == f"the powers of {label} repeat before its order in {spec}"
+
+
 def random_structure(spec, variant, rng):
     """Vertices shuffled into blocks of random clique sizes under a random
     template: cliques that mix generator classes, split them or straddle
@@ -707,6 +746,25 @@ def test_certificate_matches_oracle_on_random_structures():
     assert accepted > 0 and refused > 300
 
 
+def test_certificate_matches_oracle_read_in_small_slices(monkeypatch):
+    # the comparable pairs read a few table entries at a time, so that every
+    # row offset of a slice counts, against the oracle as above
+    monkeypatch.setattr("powspec.joinstruct._SLICE", 5)
+    rng = random.Random("certificate:slices")
+    for _ in range(100):
+        family = rng.choice(list(GroupFamily))
+        spec = GroupSpec(family, rng.randint(2, 9))
+        variant = rng.choice(list(Variant))
+        js = random_structure(spec, variant, rng)
+        assert certificate_refusal(js) == oracle_refusal(js), (spec, variant)
+    for spec in (GroupSpec(Z, 60), GroupSpec(D, 15), GroupSpec(Q, 12)):
+        js = build_join(spec, Variant.PROPER, validate=False)
+        validate_structure(js)
+        for _ in range(10):
+            mutated = swap_members(js, rng)
+            assert certificate_refusal(mutated) == oracle_refusal(mutated), spec
+
+
 def looped_z6(clique):
     """Z_6 with block 1 (the generators 1 and 5) cut into cliques of size
     ``clique`` and its template vertex looped, which the structure clears."""
@@ -734,3 +792,20 @@ def test_validation_refuses_a_loop_on_several_cliques():
 
 def test_validation_accepts_a_loop_on_one_clique():
     validate_structure(looped_z6(2))
+
+
+@pytest.mark.parametrize(
+    "spec, limit_mb",
+    [(GroupSpec(Z, 720720), 150), (GroupSpec(D, 360360), 216), (GroupSpec(Q, 180180), 205)],
+    ids=["Z720720", "D360360", "Q180180"],
+)
+def test_certificate_memory_is_bounded(spec, limit_mb):
+    # the traced peak of the certificate alone, beyond the structure it checks
+    js = build_join(spec, Variant.POWER, validate=False)
+    tracemalloc.start()
+    try:
+        validate_structure(js)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 10**6, peak
