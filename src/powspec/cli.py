@@ -41,6 +41,7 @@ from .closedforms import (
     cyclic_two_prime_complement_eta0,
     cyclic_two_prime_quotient,
     dicyclic_repeated_eigenvalue,
+    dihedral_prime_power_proper,
     quaternion8_complement_spectrum,
 )
 from .groups import (
@@ -274,11 +275,14 @@ def _closed_form_checks(js, complement, params, computed):
         pq = [p for p, _ in facs] if [e for _, e in facs] == [1, 1] else None  # n = pq
         if pq and not complement:
             cf = cyclic_two_prime_quotient(*pq, params)
-            qvals = dense_eigen(quotient_matrix(js, params).sym, vectors=False).expanded()
+            qvals = dense_eigen(quotient_matrix(js, params).sym).expanded()
             checks.append(("two-prime-quotient", multiset_gap(cf, qvals)))
         if pq and complement and params.eta == 0:
             cf = cyclic_two_prime_complement_eta0(*pq, params)
             checks.append(("two-prime-complement", multiset_gap(cf, computed)))
+    if spec.family is GroupFamily.DIHEDRAL and variant is Variant.PROPER and prime_power(n):
+        cf = dihedral_prime_power_proper(*prime_power(n), params, complemented=complement)
+        checks.append(("dihedral-proper", multiset_gap(cf, computed)))
     if spec.family is GroupFamily.DICYCLIC:
         value, mult = dicyclic_repeated_eigenvalue(
             n, params, proper=variant is Variant.PROPER, complemented=complement
@@ -311,7 +315,7 @@ def _check_rows(args, g, js, complement, params, structural, identity=None):
     rows = [_Row("residual", residual.max_residual, bound, residual.passed)]
     if args.command == "spectrum" and not args.oracle_check:
         return rows
-    dense = dense_eigen(u, vectors=False)
+    dense = dense_eigen(u)
     rows.append(_gap_row("dense-route", multiset_gap(structural, dense), bound))
     if args.command == "spectrum":
         checks = _closed_form_checks(js, complement, params, structural.expanded())

@@ -8,7 +8,10 @@ route and the dense eigensolver.  Each evaluator refuses inputs outside
 its hypotheses instead of extrapolating.  A spectrum comes back as a
 ``Spectrum`` of ``Eigenspace`` values whose provenance names the closed
 form; int and Fraction parameters keep the values exact where the formula
-is rational.
+is rational.  Eigenvectors come as the structural route's compact
+``Basis``: in-block differences as (plus, minus) vertex pairs, indicator,
+bipartite and lifted vectors as dense rows, so nothing of size N is made
+per difference.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from math import gcd, sqrt
 import numpy as np
 
 from .numtheory import is_prime, totient
-from .spectra import Eigenspace, Spectrum, UniversalParams, dense_eigen
+from .spectra import Basis, Eigenspace, Spectrum, UniversalParams, dense_eigen
 
 __all__ = [
     "cyclic_prime_power_spectrum",
@@ -32,29 +35,29 @@ __all__ = [
 ]
 
 
-def _merged(entries) -> tuple:
-    """Collapse exactly-equal values, drop zero multiplicities."""
-    out: list[Eigenspace] = []
-    for e in entries:
-        if e.multiplicity == 0:
+def _merged(total: int, provenance: str, entries) -> Spectrum:
+    """The spectrum of (value, multiplicity, segments) entries in dimension
+    ``total``: exactly-equal values merge, their basis segments joined in
+    entry order into one ``Basis.of_segments``, and zero multiplicities
+    drop.  A values-only form passes ``None`` for segments."""
+    merged: dict[float, list] = {}
+    for value, multiplicity, segments in entries:
+        if multiplicity == 0:
             continue
-        hit = next((o for o in out if float(o.value) == float(e.value)), None)
-        if hit is None:
-            out.append(e)
-        else:
-            basis = None
-            if hit.basis is not None and e.basis is not None:
-                basis = tuple(hit.basis) + tuple(e.basis)
-            out[out.index(hit)] = Eigenspace(
-                hit.value,
-                hit.multiplicity + e.multiplicity,
-                hit.provenance
-                if hit.provenance == e.provenance
-                else f"{hit.provenance}+{e.provenance}",
-                basis,
-            )
-    out.sort(key=lambda e: -float(e.value))
-    return tuple(out)
+        hit = merged.setdefault(float(value), [value, 0, []])
+        hit[1] += multiplicity
+        hit[2] = None if hit[2] is None or segments is None else hit[2] + segments
+    spaces = [
+        Eigenspace(
+            value,
+            multiplicity,
+            provenance,
+            None if segments is None else Basis.of_segments(total, segments),
+        )
+        for value, multiplicity, segments in merged.values()
+    ]
+    spaces.sort(key=lambda e: -float(e.value))
+    return Spectrum(tuple(spaces), total)
 
 
 def _require_prime(p: int) -> None:
@@ -62,16 +65,16 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
-def _diff_vectors(total: int, support: list[int]):
-    """In-block difference vectors: +1 on the first supported coordinate,
-    -1 on each later one."""
-    out = []
-    for j in support[1:]:
-        x = np.zeros(total)
-        x[support[0]] = 1.0
-        x[j] = -1.0
-        out.append(x)
-    return out
+def _diffs(support) -> tuple:
+    """The in-block differences e_{support[0]} - e_s for each later s, as
+    one segment of pairs."""
+    support = np.asarray(support, dtype=np.int64)
+    return True, np.column_stack([np.repeat(support[:1], len(support) - 1), support[1:]])
+
+
+def _rows(*vectors) -> tuple:
+    """Dense vectors as one segment of rows."""
+    return False, np.array(vectors, dtype=float)
 
 
 def _indicator(total: int, support: list[int], value: float = 1.0):
@@ -96,13 +99,11 @@ def cyclic_prime_power_spectrum(p: int, r: int, params: UniversalParams) -> Spec
     a, b, g, e = params.alpha, params.beta, params.gamma, params.eta
     top = a * (n - 1) + b * (n - 1) + e * n + g
     rest = -a + b * (n - 1) + g
-    ones = _indicator(n, list(range(n)))
-    diffs = tuple(_diff_vectors(n, list(range(n))))
     entries = [
-        Eigenspace(top, 1, "prime-power", (ones,)),
-        Eigenspace(rest, n - 1, "prime-power", diffs),
+        (top, 1, [_rows(np.ones(n))]),
+        (rest, n - 1, [_diffs(range(n))]),
     ]
-    return Spectrum(_merged(entries), n)
+    return _merged(n, "prime-power", entries)
 
 
 def _two_prime_blocks(p: int, q: int):
@@ -154,18 +155,12 @@ def cyclic_two_prime_quotient(p: int, q: int, params: UniversalParams) -> Spectr
         rad = sqrt(float(b * b * (p - q) ** 2 + 4 * e * e * (p - 1) * (q - 1)))
         lam3 = (mean + rad) / 2
         lam4 = (mean - rad) / 2
-        entries = [
-            Eigenspace(lam12, 2, "two-prime-quotient-case1"),
-            Eigenspace(lam3, 1, "two-prime-quotient-case1"),
-            Eigenspace(lam4, 1, "two-prime-quotient-case1"),
-        ]
-        return Spectrum(_merged(entries), 4)
+        entries = [(lam12, 2, None), (lam3, 1, None), (lam4, 1, None)]
+        return _merged(4, "two-prime-quotient-case1", entries)
     source = "two-prime-quotient-case2" if e == 0 else "two-prime-quotient-case4"
-    spec = dense_eigen(_two_prime_quotient_matrix(p, q, params), vectors=False)
-    entries = [
-        Eigenspace(es.value, es.multiplicity, source) for es in spec.eigenspaces
-    ]
-    return Spectrum(_merged(entries), 4)
+    spec = dense_eigen(_two_prime_quotient_matrix(p, q, params))
+    entries = [(es.value, es.multiplicity, None) for es in spec.eigenspaces]
+    return _merged(4, source, entries)
 
 
 def cyclic_two_prime_case2_charpoly(p: int, q: int, params: UniversalParams, lam):
@@ -178,7 +173,9 @@ def cyclic_two_prime_case2_charpoly(p: int, q: int, params: UniversalParams, lam
             + 2 alpha^3 (a3 + a4) ]
 
     with a_i = (kappa_ii - lambda) / n_i in the block order (pq, 1, q, p).
-    Exact inputs give an exact value.
+    Exact inputs give an exact value.  It evaluates a determinant rather
+    than giving a spectrum, so it has no row among the CLI's closed-form
+    checks; the tests compare it with ``charpoly_exact`` of the quotient.
     """
     _require_prime(p)
     _require_prime(q)
@@ -214,29 +211,33 @@ def _two_prime_members(p: int, q: int):
 def cyclic_two_prime_complement_adjacency(p: int, q: int) -> Spectrum:
     """Adjacency spectrum of the complement of the power graph of Z_{pq}:
     0 with multiplicity pq-2 and the pair +-sqrt((p-1)(q-1)) carried by the
-    complete bipartite part between the gcd-q and gcd-p blocks."""
+    complete bipartite part between the gcd-q and gcd-p blocks.  It is the
+    (alpha, beta, gamma, eta) = (1, 0, 0, 0) case of
+    ``cyclic_two_prime_complement_eta0``, which the CLI's closed-form checks
+    already run, so it has no row of its own there."""
     _require_prime(p)
     _require_prime(q)
     if p == q:
         raise ValueError("needs two distinct primes")
     n = p * q
     zero_block, gens, q_block, p_block = _two_prime_members(p, q)
-    zero_basis = []
-    for block in (gens, q_block, p_block):
-        zero_basis.extend(_diff_vectors(n, block))
-    zero_basis.append(_indicator(n, zero_block, sqrt(q - 1)))
-    zero_basis.append(_indicator(n, gens, 1.0 / sqrt(p - 1)))
+    zero_basis = [
+        _diffs(gens),
+        _diffs(q_block),
+        _diffs(p_block),
+        _rows(_indicator(n, zero_block, sqrt(q - 1)), _indicator(n, gens, 1.0 / sqrt(p - 1))),
+    ]
     rad = sqrt((p - 1) * (q - 1))
     plus = _indicator(n, q_block, sqrt((q - 1) / (p - 1)))
     plus[p_block] = 1.0
     minus = plus.copy()
     minus[p_block] = -1.0
     entries = [
-        Eigenspace(rad, 1, "two-prime-complement", (plus,)),
-        Eigenspace(0, n - 2, "two-prime-complement", tuple(zero_basis)),
-        Eigenspace(-rad, 1, "two-prime-complement", (minus,)),
+        (rad, 1, [_rows(plus)]),
+        (0, n - 2, zero_basis),
+        (-rad, 1, [_rows(minus)]),
     ]
-    return Spectrum(_merged(entries), n)
+    return _merged(n, "two-prime-complement", entries)
 
 
 def cyclic_two_prime_complement_eta0(
@@ -261,9 +262,10 @@ def cyclic_two_prime_complement_eta0(
     n = p * q
     zero_block, gens, q_block, p_block = _two_prime_members(p, q)
 
-    gamma_basis = _diff_vectors(n, gens)
-    gamma_basis.append(_indicator(n, zero_block, sqrt(q - 1)))
-    gamma_basis.append(_indicator(n, gens, 1.0 / sqrt(p - 1)))
+    gamma_basis = [
+        _diffs(gens),
+        _rows(_indicator(n, zero_block, sqrt(q - 1)), _indicator(n, gens, 1.0 / sqrt(p - 1))),
+    ]
 
     rad = sqrt(float(b * b * (p - q) ** 2 + 4 * a * a * (p - 1) * (q - 1)))
     mean = b * (p + q - 2) + 2 * g
@@ -278,23 +280,13 @@ def cyclic_two_prime_complement_eta0(
         return x
 
     entries = [
-        Eigenspace(g, totient(n) + 1, "two-prime-complement-eta0", tuple(gamma_basis)),
-        Eigenspace(
-            b * (q - 1) + g,
-            p - 2,
-            "two-prime-complement-eta0",
-            tuple(_diff_vectors(n, q_block)),
-        ),
-        Eigenspace(
-            b * (p - 1) + g,
-            q - 2,
-            "two-prime-complement-eta0",
-            tuple(_diff_vectors(n, p_block)),
-        ),
-        Eigenspace(lam_plus, 1, "two-prime-complement-eta0", (bipartite_vector(rad),)),
-        Eigenspace(lam_minus, 1, "two-prime-complement-eta0", (bipartite_vector(-rad),)),
+        (g, totient(n) + 1, gamma_basis),
+        (b * (q - 1) + g, p - 2, [_diffs(q_block)]),
+        (b * (p - 1) + g, q - 2, [_diffs(p_block)]),
+        (lam_plus, 1, [_rows(bipartite_vector(rad))]),
+        (lam_minus, 1, [_rows(bipartite_vector(-rad))]),
     ]
-    return Spectrum(_merged(entries), n)
+    return _merged(n, "two-prime-complement-eta0", entries)
 
 
 # ---------------------------------------------------------------------------
@@ -353,22 +345,12 @@ def dihedral_prime_power_proper(
         return x
 
     entries = [
-        Eigenspace(
-            rot_val,
-            m - 2,
-            "dihedral-proper",
-            tuple(_diff_vectors(total, rotations)),
-        ),
-        Eigenspace(
-            ref_val,
-            m - 1,
-            "dihedral-proper",
-            tuple(_diff_vectors(total, reflections)),
-        ),
-        Eigenspace(lam1, 1, "dihedral-proper", (lift(nu1),)),
-        Eigenspace(lam2, 1, "dihedral-proper", (lift(nu2),)),
+        (rot_val, m - 2, [_diffs(rotations)]),
+        (ref_val, m - 1, [_diffs(reflections)]),
+        (lam1, 1, [_rows(lift(nu1))]),
+        (lam2, 1, [_rows(lift(nu2))]),
     ]
-    return Spectrum(_merged(entries), total)
+    return _merged(total, "dihedral-proper", entries)
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +391,11 @@ def quaternion8_complement_spectrum(params: UniversalParams) -> Spectrum:
 
     Vertex order: e, a, a^2, a^3, b, ab, a^2 b, a^3 b.  The radical pair is
     2a + 2b + g + 4e +- 2*sqrt(a^2 + b^2 + 4e^2 + 2ab + 2ae + 2be); its
-    printed eigenvectors need eta != 0, so for eta = 0 the vectors are
-    recovered from the dense eigensolver on the 4x4 quotient instead.
+    printed eigenvectors need eta != 0.  With eta = 0 the quotient splits:
+    g on the lift of (1, 0, 0, 0) and 4a + 4b + g on the lift of
+    (0, 1, 1, 1), and the pair 2a + 2b + g +- 2|a + b| takes them in the
+    order the sign of a + b gives; at a + b = 0 both values are g and the
+    two vectors stay independent.
     """
     a, b, g, e = params.alpha, params.beta, params.gamma, params.eta
     blocks = [[0, 2], [1, 3], [4, 6], [5, 7]]
@@ -427,43 +412,17 @@ def quaternion8_complement_spectrum(params: UniversalParams) -> Spectrum:
         return x
 
     if e != 0:
-        nu_plus = [(rad / 2 - (a + b + e)) / e, 1.0, 1.0, 1.0]
-        nu_minus = [(-rad / 2 - (a + b + e)) / e, 1.0, 1.0, 1.0]
-        plus_basis = (lift(nu_plus),)
-        minus_basis = (lift(nu_minus),)
+        plus = lift([(rad / 2 - (a + b + e)) / e, 1.0, 1.0, 1.0])
+        minus = lift([(-rad / 2 - (a + b + e)) / e, 1.0, 1.0, 1.0])
     else:
-        k = np.array(
-            [
-                [float(g + 2 * e), float(2 * e), float(2 * e), float(2 * e)],
-                [float(2 * e), float(4 * b + g + 2 * e), float(2 * (a + e)), float(2 * (a + e))],
-                [float(2 * e), float(2 * (a + e)), float(4 * b + g + 2 * e), float(2 * (a + e))],
-                [float(2 * e), float(2 * (a + e)), float(2 * (a + e)), float(4 * b + g + 2 * e)],
-            ]
-        )
-        dense = dense_eigen(k)
-        gtol = 1e-7 * max(1.0, float(np.max(np.abs(k))))
-        plus_space = dense.find(float(lam_plus), gtol)
-        minus_space = dense.find(float(lam_minus), gtol)
-        plus_basis = (lift(plus_space.basis[0]),)
-        # lam_plus = lam_minus when the radicand is 0: one space holds both
-        minus_basis = (lift(minus_space.basis[1 if minus_space is plus_space else 0]),)
+        low, high = lift([1.0, 0.0, 0.0, 0.0]), lift([0.0, 1.0, 1.0, 1.0])
+        plus, minus = (high, low) if a + b >= 0 else (low, high)
 
-    diff_basis = tuple(tuple(_diff_vectors(total, block)) for block in blocks)
     entries = [
-        Eigenspace(g, 1, "quaternion8-complement", diff_basis[0]),
-        Eigenspace(
-            4 * b + g,
-            3,
-            "quaternion8-complement",
-            diff_basis[1] + diff_basis[2] + diff_basis[3],
-        ),
-        Eigenspace(lam_plus, 1, "quaternion8-complement", plus_basis),
-        Eigenspace(lam_minus, 1, "quaternion8-complement", minus_basis),
-        Eigenspace(
-            -2 * a + 4 * b + g,
-            2,
-            "quaternion8-complement",
-            (lift([0.0, 1.0, -1.0, 0.0]), lift([0.0, 1.0, 0.0, -1.0])),
-        ),
+        (g, 1, [_diffs(blocks[0])]),
+        (4 * b + g, 3, [_diffs(block) for block in blocks[1:]]),
+        (lam_plus, 1, [_rows(plus)]),
+        (lam_minus, 1, [_rows(minus)]),
+        (-2 * a + 4 * b + g, 2, [_rows(lift([0.0, 1.0, -1.0, 0.0]), lift([0.0, 1.0, 0.0, -1.0]))]),
     ]
-    return Spectrum(_merged(entries), total)
+    return _merged(total, "quaternion8-complement", entries)

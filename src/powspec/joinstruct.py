@@ -207,8 +207,8 @@ def build_join(spec: GroupSpec, variant: Variant, validate: bool = True) -> Join
     labels = divisors(m)
     adj = divisor_graph(labels)
     classes = _gcds(m)
-    by_class = np.argsort(classes, kind="stable")
-    members = np.split(by_class, np.flatnonzero(np.diff(classes[by_class])) + 1)
+    # gcd(k, m) = d holds only for k = d*j, whose gcds are classes[::d]
+    members = [d * np.flatnonzero(classes[::d] == d) for d in labels]
     cliques = [len(group) for group in members]
     if clique is not None:
         t = len(labels)

@@ -11,8 +11,8 @@ complement).  Two independent routes to its spectrum live here:
 * the structural route: for a validated join structure, per-block
   difference eigenpairs plus the eigenpairs of a small symmetric
   quotient matrix, lifted to block-constant vectors;
-* the brute-force route: LAPACK's dense symmetric eigensolver (``eigh``)
-  on U itself.
+* the brute-force route: LAPACK's dense symmetric eigenvalue solver
+  (``eigvalsh``) on U itself.
 
 Everything downstream cross-validates the two against each other.
 
@@ -143,10 +143,10 @@ class Basis:
 
     Vector k is e_i - e_j, for the next row (i, j) of the int array
     ``pairs``, when ``is_pair[k]``, and the next row of the float array
-    ``dense`` otherwise.  The structural route keeps its two-entry
-    block differences as pairs and everything else (clique-indicator
-    differences, lifted quotient vectors) as dense rows, in the order it
-    lists them; the dense route and the closed forms hold dense rows only.
+    ``dense`` otherwise.  The structural route and the closed forms keep
+    their two-entry block differences as pairs and everything else
+    (clique-indicator differences, indicator and lifted vectors) as dense
+    rows, in the order they list them; the dense route carries no basis.
     A ``Basis`` still reads as a sequence of dense vectors of length
     ``dimension``: ``len``, indexing, iteration and ``np.array``."""
 
@@ -238,12 +238,6 @@ class Spectrum:
         values = np.array([e.value for e in self.eigenspaces], dtype=float)
         return np.sort(np.repeat(values, [e.multiplicity for e in self.eigenspaces]))
 
-    def find(self, value: float, tol: float) -> Eigenspace | None:
-        for e in self.eigenspaces:
-            if abs(e.value - value) <= tol:
-                return e
-        return None
-
 
 def multiset_gap(a, b) -> float:
     """Largest entrywise distance between two sorted eigenvalue multisets;
@@ -262,12 +256,11 @@ def _group_tolerance(values) -> float:
     return GROUPING_RTOL * max(1.0, scale)
 
 
-def dense_eigen(m: np.ndarray, vectors: bool = True) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix by LAPACK (``eigh``),
-    grouped into eigenspaces by the merge tolerance.  The brute-force oracle.
-
-    ``vectors=False`` calls ``eigvalsh`` and skips the eigenvector bases
-    (eigenvalue-multiset consumers don't pay for them)."""
+def dense_eigen(m: np.ndarray) -> Spectrum:
+    """The eigenvalues of a symmetric matrix by LAPACK (``eigvalsh``),
+    grouped into eigenspaces by the merge tolerance, with no bases.  The
+    brute-force oracle: its readers compare values, and eigenvectors come
+    from the structural route and the closed forms."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("square matrix required")
@@ -276,20 +269,14 @@ def dense_eigen(m: np.ndarray, vectors: bool = True) -> Spectrum:
     n = m.shape[0]
     if n == 0:
         return Spectrum((), 0)
-    if vectors:
-        vals, vecs = np.linalg.eigh(m)  # ascending
-    else:
-        vals = np.linalg.eigvalsh(m)
+    vals = np.linalg.eigvalsh(m)  # ascending
     gtol = _group_tolerance(vals.tolist())
     spaces = []
     start = 0
     for i in range(1, n + 1):
         if i == n or vals[i] - vals[i - 1] > gtol:
             group = vals[start:i]
-            basis = Basis.of_rows(vecs[:, start:i].T) if vectors else None
-            spaces.append(
-                Eigenspace(float(np.mean(group)) + 0.0, i - start, "Dense", basis)
-            )
+            spaces.append(Eigenspace(float(np.mean(group)) + 0.0, i - start, "Dense"))
             start = i
     spaces.sort(key=lambda e: -e.value)
     return Spectrum(tuple(spaces), n)

@@ -89,7 +89,7 @@ def test_acceptance_1_oracle_equivalence_sweep():
                     p = sample_params(rng)
                     u = universal_matrix(target, p)
                     p_eff = complement_params(p, gv.n) if comp else p
-                    gap = multiset_gap(hjoin_spectrum(js, p_eff), dense_eigen(u, vectors=False))
+                    gap = multiset_gap(hjoin_spectrum(js, p_eff), dense_eigen(u))
                     ratio = gap / (1e-8 * inf_scale(u))
                     worst = max(worst, ratio)
                     compared += 1

@@ -113,6 +113,12 @@ SPECTRUM = [
         [],
     ),
     (
+        f"--group dn --n 27 --variant proper --complement {O} {P}",
+        0, ["residual", "dense-route", "dihedral-proper"],
+        "1.0658141036401503e-14", "5.6904761904761905e-07", "true",
+        [],
+    ),
+    (
         f"--group zn --n 8 {O} {P} --tol 1e-300",
         2, ["residual", "dense-route", "prime-power"],
         "8.8817841970012523e-16", "6.5476190476190473e-300", "false",

@@ -1,6 +1,7 @@
 """Closed-form evaluators against the engine and the dense oracle."""
 
 from fractions import Fraction
+import tracemalloc
 from math import sqrt
 
 import numpy as np
@@ -104,6 +105,22 @@ def test_prime_power_exact_formula_matches_engine():
         ones = [Fraction(1)] * len(sizes)
         image = [sum(Fraction(b_form[i][j]) * ones[j] for j in range(len(sizes))) for i in range(len(sizes))]
         assert all(x == top for x in image)  # B * 1 = top * 1 exactly
+
+
+def test_closed_form_bases_are_compact():
+    # in-block differences are vertex pairs, not dense rows of length N
+    params = UniversalParams(Fraction(3, 2), Fraction(-1, 3), 2, 0)
+    for build in (
+        lambda: cyclic_prime_power_spectrum(2, 12, params),
+        lambda: cyclic_two_prime_complement_eta0(61, 67, params),
+    ):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10**6, peak
 
 
 def test_prime_power_residuals():
@@ -302,7 +319,7 @@ def dense_count(n, params, value, proper=False, complemented=False) -> int:
         g = complement_graph(g)
     u = universal_matrix(g, params)
     scale = max(1.0, float(np.abs(u).sum(axis=1).max()))
-    vals = dense_eigen(u, vectors=False).expanded()
+    vals = dense_eigen(u).expanded()
     return int(np.sum(np.abs(vals - float(value)) <= 1e-8 * scale))
 
 
@@ -370,8 +387,15 @@ def test_quaternion8_radical_example():
 
 
 def test_quaternion8_eta_zero_fallback():
+    # alpha + beta > 0, = 0 (Laplacian) and < 0 pick the eta = 0 vectors apart
     g = complement_graph(power_graph_oracle(GroupSpec(Q, 2)))
-    for params in (ADJACENCY, LAPLACIAN, SIGNLESS):
+    for params in (
+        ADJACENCY,
+        LAPLACIAN,
+        SIGNLESS,
+        UniversalParams(-2, 1, 0, 0),
+        UniversalParams(-2, 1, 3, 0),
+    ):
         cf = quaternion8_complement_spectrum(params)
         u = universal_matrix(g, params)
         assert multiset_gap(cf.expanded(), dense_eigen(u)) < 1e-10

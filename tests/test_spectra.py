@@ -15,6 +15,7 @@ from powspec.groups import (
     power_graph_oracle,
 )
 import powspec.spectra
+from powspec.closedforms import cyclic_prime_power_spectrum
 from powspec.joinstruct import Variant, build_join, variant_graph
 from powspec.spectra import (
     Basis,
@@ -222,12 +223,13 @@ def test_verify_eigenpairs_exact_k4_laplacian():
 def test_verify_eigenpairs_reports_its_scale():
     # scale = max(1, ||U||_inf), the factor of every residual bound
     u = universal_matrix(power_graph_oracle(GroupSpec(Z, 4)), LAPLACIAN)
-    s = dense_eigen(u)
+    s = cyclic_prime_power_spectrum(2, 2, LAPLACIAN)
     report = verify_eigenpairs(u, s, tol=1e-8)
     assert report.scale == 6.0  # degree 3 plus three off-diagonal -1
     assert all(bound <= 1e-8 * 6.0 for _, _, _, bound in report.rows)  # |x|_inf <= 1
     small = 0.25 * np.eye(2)
-    assert verify_eigenpairs(small, dense_eigen(small)).scale == 1.0
+    s = Spectrum((Eigenspace(0.25, 2, "x", tuple(np.eye(2))),), 2)
+    assert verify_eigenpairs(small, s).scale == 1.0
 
 
 def test_verify_eigenpairs_errors():
