@@ -100,52 +100,80 @@ def _table(arr: np.ndarray) -> tuple:
     return [_fmt_float(v) for v in bits.view(np.float64).tolist()], inv.reshape(arr.shape)
 
 
-def _array_text(inv: np.ndarray, table: list, indent: int) -> str:
+def _array_text(inv: list, table: list, indent: int) -> str:
     """A row of string-table indices, laid out like the list path."""
-    items = list(map(table.__getitem__, inv.tolist()))
+    items = list(map(table.__getitem__, inv))
     if not items:
         return "[]"
     inner = "  " * (indent + 1)
     return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{'  ' * indent}]"
 
 
+def _set_entries(plus: list, minus: list) -> list:
+    """(position, text) of the nonzero entries of the set difference
+    1_P - 1_M, ascending: "1" and "-1", or the count where a vertex
+    repeats."""
+    entry = dict.fromkeys(plus + minus, 0)
+    for k in plus:
+        entry[k] += 1
+    for k in minus:
+        entry[k] -= 1
+    return sorted((k, str(v)) for k, v in entry.items() if v)
+
+
 def _write_basis(basis: Basis, indent: int, out: list) -> None:
     """Appends a basis to ``out`` as the array of its dense vectors would
-    print.  A pair row e_i - e_j is the row of all "0" with "1" and "-1"
-    spliced in at the offsets of i and j, and so is a dense row that is
-    mostly +0.0, with the formatted entries spliced in; any other dense row
-    takes the table path of an array."""
+    print.  A set difference is the row of all "0" with its nonzero
+    entries spliced in at their offsets, and so is a dense row that is
+    mostly +0.0; any other dense row takes the table path of an array.  A
+    lift prints from its t formatted coefficients, one per block, read
+    through its block map."""
     if not len(basis):
         out.append("[]")
         return
     inner = "  " * (indent + 2)
     head, sep = f"[\n{inner}", f",\n{inner}"
     zeros = head + sep.join("0" * basis.dimension) + f"\n{'  ' * (indent + 1)}]"
+    first, width = len(head), len(sep) + 1  # the offset of entry k is first + k * width
 
     def splice(entries):
         at = 0
         for k, token in entries:  # ascending positions
-            offset = len(head) + k * (len(sep) + 1)
+            offset = first + k * width
             out.extend((zeros[at:offset], token))
             at = offset + 1
         out.append(zeros[at:])
 
-    dense, pairs = iter(basis.dense), iter(basis.pairs.tolist())
+    plus, minus = basis.plus.tolist(), basis.minus.tolist()
+    sets, dense, lifts = iter(basis.set_size.tolist()), iter(basis.dense), iter(basis.coeffs.tolist())
+    block_of = basis.block_of.tolist() if len(basis.coeffs) else None
     row_start = f"\n{'  ' * (indent + 1)}"
+    at = 0
     out.append("[")
-    for n, is_pair in enumerate(basis.is_pair.tolist()):
+    for n, kind in enumerate(basis.kind.tolist()):
         out.append("," + row_start if n else row_start)
-        if is_pair:
-            i, j = next(pairs)
-            splice(sorted([(i, "1"), (j, "-1")]) if i != j else ())  # e_i - e_i is zero
-            continue
-        row = next(dense)
-        nonzero = np.flatnonzero(row.view(np.int64))  # every entry but +0.0
-        if 2 * len(nonzero) < len(row):
-            splice(zip(nonzero.tolist(), map(_fmt_float, row[nonzero].tolist())))
+        if kind == Basis.SET:
+            size = next(sets)
+            i, j = plus[at], minus[at]
+            if size == 1 and i != j:  # e_i - e_j, the common case, spliced inline
+                a, b = first + i * width, first + j * width
+                if a < b:
+                    out.extend((zeros[:a], "1", zeros[a + 1 : b], "-1", zeros[b + 1 :]))
+                else:
+                    out.extend((zeros[:b], "-1", zeros[b + 1 : a], "1", zeros[a + 1 :]))
+            else:
+                splice(_set_entries(plus[at : at + size], minus[at : at + size]))
+            at += size
+        elif kind == Basis.LIFT:
+            out.append(_array_text(block_of, list(map(_fmt_float, next(lifts))), indent + 1))
         else:
-            table, inv = _table(row)
-            out.append(_array_text(inv, table, indent + 1))
+            row = next(dense)
+            nonzero = np.flatnonzero(row.view(np.int64))  # every entry but +0.0
+            if 2 * len(nonzero) < len(row):
+                splice(zip(nonzero.tolist(), map(_fmt_float, row[nonzero].tolist())))
+            else:
+                table, inv = _table(row)
+                out.append(_array_text(inv.tolist(), table, indent + 1))
     out.append(f"\n{'  ' * indent}]")
 
 
@@ -193,7 +221,8 @@ def _check_finite(values, bases=()) -> None:
     entry of the ``bases`` is NaN or infinite: a report that printed it
     would not be JSON, and a check against an infinite tolerance would
     pass on nothing."""
-    arrays = [np.asarray(values, dtype=float)] + [b.dense.ravel() for b in bases]
+    arrays = [np.asarray(values, dtype=float)]
+    arrays += [a.ravel() for b in bases for a in (b.dense, b.coeffs)]
     if not np.isfinite(np.concatenate(arrays)).all():
         raise OverflowError("a report holds a NaN or infinite value")
 

@@ -9,7 +9,7 @@ its hypotheses instead of extrapolating.  A spectrum comes back as a
 ``Spectrum`` of ``Eigenspace`` values whose provenance names the closed
 form; int and Fraction parameters keep the values exact where the formula
 is rational.  Eigenvectors come as the structural route's compact
-``Basis``: in-block differences as (plus, minus) vertex pairs, indicator,
+``Basis``: in-block differences as set differences e_i - e_j, indicator,
 bipartite and lifted vectors as dense rows, so nothing of size N is made
 per difference.
 """
@@ -67,14 +67,14 @@ def _require_prime(p: int) -> None:
 
 def _diffs(support) -> tuple:
     """The in-block differences e_{support[0]} - e_s for each later s, as
-    one segment of pairs."""
-    support = np.asarray(support, dtype=np.int64)
-    return True, np.column_stack([np.repeat(support[:1], len(support) - 1), support[1:]])
+    one segment of sets of size 1."""
+    support = np.asarray(support, dtype=np.int64).reshape(-1, 1)
+    return Basis.SET, (np.repeat(support[:1], len(support) - 1, axis=0), support[1:])
 
 
 def _rows(*vectors) -> tuple:
     """Dense vectors as one segment of rows."""
-    return False, np.array(vectors, dtype=float)
+    return Basis.DENSE, np.array(vectors, dtype=float)
 
 
 def _indicator(total: int, support: list[int], value: float = 1.0):

@@ -14,9 +14,11 @@ positions, on plain ints or on numpy index arrays alike, and
 The power graph is built directly from generated cyclic subgroups:
 u ~ v iff one lies in the subgroup generated by the other.  The oracle
 steps the powers x, x^2, x^3, ... of all elements together under the
-group law, marks each power in x's row, and drops x once its power
-returns to the identity.  That costs O(sum over x of ord(x)) array work
-and N^2 bytes of boolean memory for a group of order N.  This
+group law, ``POWER_BLOCK`` powers per step: the first block x^1 .. x^B
+by doubling, every later one as the block before times x^B.  It marks
+each power in x's row and drops x once the identity shows in its block.
+That costs O(sum over x of ord(x)) array work in about max ord / B
+steps, and N^2 bytes of boolean memory for a group of order N.  This
 definitional construction is the ground-truth oracle against which the
 structural (join) route is validated.
 """
@@ -139,28 +141,60 @@ def cyclic_subgroup(spec: GroupSpec, x: int) -> set:
     return out
 
 
+# Powers stepped per block, and the side of the square tiles in which the
+# membership matrix is made symmetric.
+POWER_BLOCK = 32
+_TILE = 512
+
+
+def _exponent_bound(spec: GroupSpec) -> int:
+    """A bound on every element order: n in Z_n, max(n, 2) in D_n (a
+    rotation or a reflection) and 2n, the order of a, in Q_n."""
+    if spec.family is GroupFamily.DICYCLIC:
+        return 2 * spec.n
+    return spec.n if spec.family is GroupFamily.CYCLIC else max(2, spec.n)
+
+
 def power_graph_oracle(spec: GroupSpec) -> LabeledGraph:
     """Definitional power graph: u ~ v iff u != v and one of them is a power
     of the other (membership in the generated cyclic subgroup).
 
     Row x of the membership matrix marks x, x^2, ... up to the identity,
-    all rows stepped together under the group law."""
+    all rows stepped together under the group law ``POWER_BLOCK`` powers
+    at a time: x^1 .. x^B by doubling, then each block the previous one
+    times x^B.  A row drops once the identity shows in its block; the
+    powers marked after it in that block come round again, so they are
+    already marked."""
     size = spec.order
+    top = _exponent_bound(spec)
+    width = min(POWER_BLOCK, top)
+    block = np.arange(size)[None].repeat(width, axis=0)  # row k is to hold x^(k+1)
+    done = 1
+    while done < width:  # rows done .. 2 done - 1 are the first ones times x^done
+        step = min(done, width - done)
+        first = block[0] if step == 1 else block[:step]  # one row as 1-d, cheaper on small groups
+        block[done : done + step] = mul(spec, first, block[done - 1])
+        done += step
+    stride = block[-1]  # x^width
+    rows = block[0] * size
     member = np.zeros((size, size), dtype=bool)
-    member[:, 0] = True  # the identity (index 0) is a power of everything
     flat = member.reshape(-1)
-    base = np.arange(size)
-    row_start = base * size
-    power = base
-    while base.size:
-        flat[row_start + power] = True
-        power = mul(spec, power, base)
-        live = power != 0
+    for _ in range(-(-top // width) - 1):  # every row meets the identity by the last block
+        flat[rows + block] = True
+        live = block.all(axis=0)
         if not live.all():
-            base, row_start, power = base[live], row_start[live], power[live]
-    adj = member | member.T
-    np.fill_diagonal(adj, False)
-    return LabeledGraph(adj, identity_index=0)
+            block, rows, stride = block[:, live], rows[live], stride[live]
+        block = mul(spec, block, stride)
+    flat[rows + block] = True
+    if size <= _TILE:
+        member = member | member.T
+    else:  # tile by tile, so that the transposed reads stay in cache
+        for i in range(0, size, _TILE):
+            for j in range(0, size, _TILE):
+                member[i : i + _TILE, j : j + _TILE] |= member[j : j + _TILE, i : i + _TILE].T
+    flat = member.reshape(-1)
+    flat[:: size + 1] = False
+    return LabeledGraph(member, identity_index=0)
 
 
 def delete_identity(g: LabeledGraph) -> LabeledGraph:

@@ -138,29 +138,71 @@ def universal_matrix(g: LabeledGraph, p: UniversalParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# the fields of a basis without sets or without lifts, and the kind codes
+_NO_SETS = (np.zeros(0, dtype=np.int64),) * 3
+_NO_LIFTS = (np.zeros((0, 0)), None)
+_KINDS = np.arange(3, dtype=np.int8)
+
+
 class Basis:
     """The eigenvectors of one eigenspace, in compact form.
 
-    Vector k is e_i - e_j, for the next row (i, j) of the int array
-    ``pairs``, when ``is_pair[k]``, and the next row of the float array
-    ``dense`` otherwise.  The structural route and the closed forms keep
-    their two-entry block differences as pairs and everything else
-    (clique-indicator differences, indicator and lifted vectors) as dense
-    rows, in the order they list them; the dense route carries no basis.
-    A ``Basis`` still reads as a sequence of dense vectors of length
+    ``kind[k]`` names the kind of vector k, and each kind keeps its vectors,
+    in basis order, in fields of its own:
+
+    * ``SET``: the set difference 1_P - 1_M of two vertex lists P and M of
+      one length s, counted with multiplicity (a vertex in both cancels).
+      ``set_size`` holds s per vector, and the int arrays ``plus`` and
+      ``minus`` the members of every P and every M, one list after the
+      other.  e_i - e_j is the case s = 1.
+    * ``DENSE``: the next row of the float array ``dense``.
+    * ``LIFT``: a block-constant vector, the next row of the float array
+      ``coeffs`` read through the int array ``block_of``: its entry at
+      vertex v is coeffs[k, block_of[v]].
+
+    The structural route keeps its in-clique differences, and those of
+    single-vertex cliques, as sets of size 1, the differences of wider
+    clique indicators (Q_n's coset cliques) as sets of the clique size and
+    its lifted quotient vectors as t block coefficients; the closed forms
+    keep their in-block differences as sets and the rest as dense rows.  A
+    ``Basis`` still reads as a sequence of dense vectors of length
     ``dimension``: ``len``, indexing, iteration and ``np.array``."""
 
-    def __init__(self, dimension: int, pairs=None, dense=None, is_pair=None):
+    SET, DENSE, LIFT = 0, 1, 2
+
+    def __init__(self, dimension: int, sets=None, dense=None, lifts=None, kind=None):
+        """``sets`` is (plus, minus, set_size) and ``lifts`` is (coeffs,
+        block_of); without ``kind`` the sets come first, then the dense
+        rows, then the lifts.  Raises ``ValueError`` when a field has the
+        wrong shape or ``kind`` counts a kind other than its rows."""
         self.dimension = dimension
-        self.pairs = np.zeros((0, 2), dtype=np.int64) if pairs is None else pairs
+        self.plus, self.minus, self.set_size = _NO_SETS if sets is None else sets
         self.dense = np.zeros((0, dimension)) if dense is None else dense
-        if is_pair is None:
-            is_pair = np.repeat([True, False], [len(self.pairs), len(self.dense)])
-        self.is_pair = is_pair
+        self.coeffs, self.block_of = _NO_LIFTS if lifts is None else lifts
+        counts = [len(self.set_size), len(self.dense), len(self.coeffs)]
+        if kind is not None:
+            flags = np.bincount(kind, minlength=3).tolist() if len(kind) else [0, 0, 0]
+            if flags != counts:
+                raise ValueError(f"kind flags count {flags} vectors per kind, the fields hold {counts}")
+        self.kind = np.repeat(_KINDS, counts) if kind is None else kind
         if self.dense.ndim != 2 or self.dense.shape[1] != dimension:
             raise ValueError(f"dense rows of shape {self.dense.shape} in dimension {dimension}")
-        if self.pairs.shape[1:] != (2,) or np.count_nonzero(is_pair) != len(self.pairs):
-            raise ValueError("pairs and is_pair disagree")
+        if sets is not None and (
+            self.plus.shape != self.minus.shape
+            or len(self.plus) != int(self.set_size.sum())
+            or (counts[0] and int(self.set_size.min()) < 1)
+        ):
+            raise ValueError("set members and set sizes disagree")
+        if counts[0] and not 0 <= min(self.plus.min(), self.minus.min()) <= max(
+            self.plus.max(), self.minus.max()
+        ) < dimension:
+            raise ValueError(f"a set member lies outside the vertices 0..{dimension - 1}")
+        if lifts is not None and (
+            self.coeffs.ndim != 2
+            or np.shape(self.block_of) != (dimension,)
+            or (counts[2] and not 0 <= self.block_of.min() <= self.block_of.max() < self.coeffs.shape[1])
+        ):
+            raise ValueError("lift coefficients need one block index per vertex, in range")
 
     @classmethod
     def of_rows(cls, rows) -> "Basis":
@@ -172,23 +214,37 @@ class Basis:
 
     @classmethod
     def of_segments(cls, dimension: int, segments) -> "Basis":
-        """Vectors from (is_pairs, array) segments, in order: an (m, 2) int
-        array of pairs or an (m, dimension) array of dense rows."""
+        """Vectors from (kind, data) segments, in order: for ``SET`` a pair
+        (plus, minus) of (m, s) int arrays, row r the lists P and M of
+        vector r; for ``DENSE`` an (m, dimension) array of rows; for
+        ``LIFT`` a pair (coeffs, block_of), every lift segment of a basis
+        with the same ``block_of``."""
         def stack(arrays):
             return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
-        pairs = [a for is_pairs, a in segments if is_pairs]
-        dense = [a for is_pairs, a in segments if not is_pairs]
-        is_pair = np.repeat([is_pairs for is_pairs, _ in segments], [len(a) for _, a in segments])
-        return cls(
-            dimension,
-            stack(pairs) if pairs else None,
-            stack(dense) if dense else None,
-            is_pair.astype(bool),
-        )
+        parts: dict = {cls.SET: [], cls.DENSE: [], cls.LIFT: []}
+        for kind, data in segments:
+            parts[kind].append(data)
+        sets, dense, lifts = parts[cls.SET], parts[cls.DENSE], parts[cls.LIFT]
+        if sets:
+            sets = (
+                stack([p.ravel() for p, _ in sets]),
+                stack([q.ravel() for _, q in sets]),
+                stack([np.full(len(p), p.shape[1], dtype=np.int64) for p, _ in sets]),
+            )
+        if lifts:
+            block_of = lifts[0][1]
+            if any(b is not block_of and not np.array_equal(b, block_of) for _, b in lifts):
+                raise ValueError("the lifts of one basis read one block map")
+            lifts = (stack([c for c, _ in lifts]), block_of)
+        kind = None
+        if len(segments) > 1:
+            counts = [len(data) if kind == cls.DENSE else len(data[0]) for kind, data in segments]
+            kind = np.repeat(np.array([kind for kind, _ in segments], dtype=np.int8), counts)
+        return cls(dimension, sets or None, stack(dense) if dense else None, lifts or None, kind)
 
     def __len__(self) -> int:
-        return len(self.is_pair)
+        return len(self.kind)
 
     def __getitem__(self, k) -> np.ndarray:
         return self.__array__()[k]
@@ -196,14 +252,19 @@ class Basis:
     def __iter__(self):
         return iter(self.__array__())
 
+    def lifted(self) -> np.ndarray:
+        """The lifts as dense rows."""
+        return self.coeffs[:, self.block_of] if len(self.coeffs) else np.zeros((0, self.dimension))
+
     def __array__(self, dtype=None, copy=None):
         """The dense vectors stacked as rows: O(m N), for readers of the
         dense form; the checks and the emitter read the compact fields."""
         out = np.zeros((len(self), self.dimension))
-        out[~self.is_pair] = self.dense
-        rows = np.flatnonzero(self.is_pair)
-        out[rows, self.pairs[:, 0]] = 1.0
-        out[rows, self.pairs[:, 1]] -= 1.0  # a pair (i, i) is the zero vector
+        out[self.kind == self.DENSE] = self.dense
+        out[self.kind == self.LIFT] = self.lifted()
+        rows = np.repeat(np.flatnonzero(self.kind == self.SET), self.set_size)
+        np.add.at(out, (rows, self.plus), 1.0)
+        np.add.at(out, (rows, self.minus), -1.0)  # a vertex in P and M cancels
         return out if dtype is None else out.astype(dtype)
 
 
@@ -271,13 +332,10 @@ def dense_eigen(m: np.ndarray) -> Spectrum:
         return Spectrum((), 0)
     vals = np.linalg.eigvalsh(m)  # ascending
     gtol = _group_tolerance(vals.tolist())
-    spaces = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or vals[i] - vals[i - 1] > gtol:
-            group = vals[start:i]
-            spaces.append(Eigenspace(float(np.mean(group)) + 0.0, i - start, "Dense"))
-            start = i
+    cuts = [0, *(np.flatnonzero(np.diff(vals) > gtol) + 1).tolist(), n]
+    spaces = [
+        Eigenspace(float(np.mean(vals[a:b])) + 0.0, b - a, "Dense") for a, b in zip(cuts, cuts[1:])
+    ]
     spaces.sort(key=lambda e: -e.value)
     return Spectrum(tuple(spaces), n)
 
@@ -389,13 +447,13 @@ def hjoin_spectrum(js: JoinStructure, p: UniversalParams, want_vectors: bool = F
     ``Fraction``.
 
     Under ``want_vectors`` each eigenspace carries a compact ``Basis``,
-    its vectors in the order their candidate values sort: the two-entry
-    differences (in-clique ones, and those of single-vertex cliques) as
-    (plus, minus) vertex pairs, the wider clique-indicator differences and
-    the lifted vectors as dense rows.  Nothing of size N is made per pair.
-    Block members are vertex positions of the underlying graph (element
-    positions, see ``groups``), so the eigenvectors pair directly with
-    ``universal_matrix`` of that graph.
+    its vectors in the order their candidate values sort: the in-clique
+    differences as sets of size 1, the clique-indicator differences as sets
+    of the clique size (a pair when the cliques are single vertices) and
+    the lifted vectors as t block coefficients.  Nothing of size N is made
+    per vector.  Block members are vertex positions of the underlying graph
+    (element positions, see ``groups``), so the eigenvectors pair directly
+    with ``universal_matrix`` of that graph.
     """
     blocks = js.blocks
     sizes = js.sizes
@@ -423,34 +481,28 @@ def hjoin_spectrum(js: JoinStructure, p: UniversalParams, want_vectors: bool = F
         candidates.append((value, 1, "Quotient", k))
 
     def segments(source):
-        """(is_pairs, array) segments of the basis vectors of a candidate:
-        its block parts, or the index of its quotient eigenvector."""
+        """(kind, data) segments of the basis vectors of a candidate: its
+        block parts, or the index of its quotient eigenvector."""
         if isinstance(source, int):
-            return [(False, lifted[source : source + 1])]
+            return [(Basis.LIFT, (coeffs[source : source + 1], block_of))]
         out = []
         for i, lam, _ in source:
             cliques = blocks[i].members.reshape(-1, blocks[i].clique)
-            size = cliques.shape[1]
-            if lam == -1:  # in-clique differences
-                plus, minus = np.repeat(cliques[:, 0], size - 1), cliques[:, 1:].ravel()
-            elif size == 1:  # differences of single-vertex cliques
-                plus, minus = np.repeat(cliques[0], len(cliques) - 1), cliques[1:, 0]
-            else:  # differences of clique indicators
-                rows = np.zeros((len(cliques) - 1, total))
-                rows[:, cliques[0]] = 1.0
-                rows[np.arange(len(rows))[:, None], cliques[1:]] = -1.0
-                out.append((False, rows))
-                continue
-            out.append((True, np.column_stack([plus, minus]).astype(np.int64)))
+            if lam == -1:  # in-clique differences: a clique's first vertex minus its r-th
+                size = cliques.shape[1]
+                plus, minus = np.repeat(cliques[:, :1], size - 1, axis=0), cliques[:, 1:].reshape(-1, 1)
+            else:  # differences of clique indicators: the first clique minus the r-th
+                plus, minus = np.repeat(cliques[:1], len(cliques) - 1, axis=0), cliques[1:]
+            out.append((Basis.SET, (plus, minus)))
         return out
 
     if want_vectors:
-        # lifted[k] is quotient vector k, constant nu_l * sqrt(n_last / n_l) on block l
+        # row k is quotient vector k, nu_l * sqrt(n_last / n_l) on block l
         weights = np.array([sqrt(sizes[-1] / size) for size in sizes])
+        coeffs = (qvecs * weights[:, None]).T
         block_of = np.empty(total, dtype=np.int64)
         for l, b in enumerate(blocks):
             block_of[b.members] = l
-        lifted = np.take((qvecs * weights[:, None]).T, block_of, axis=1)
 
     gtol = _group_tolerance([v for v, *_ in candidates])
     candidates.sort(key=lambda c: c[0])
@@ -503,44 +555,98 @@ def _full_rank(vecs, multiplicity: int) -> bool:
     return bool(np.min(pivots) > RANK_PIVOT_MIN)
 
 
-def _pair_residuals(u: np.ndarray, pairs: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """||U x - lambda x||_inf of each pair vector x = e_i - e_j with its
-    value lambda, as U[:, i] - U[:, j] - lambda*(e_i - e_j): for a finite U
-    that is U x - lambda x bit for bit, since every other term of U x is an
-    exact zero.  The columns go in blocks of 64 KB, which stay in cache."""
-    out = np.empty(len(pairs))
-    step = max(1, 8192 // max(1, len(u)))
-    for lo in range(0, len(pairs), step):
-        (i, j), lam = pairs[lo : lo + step].T, values[lo : lo + step]
-        k = np.arange(len(lam))
-        r = u[:, i] - u[:, j]
-        r[i, k] -= lam
-        r[j, k] += lam
-        out[lo : lo + step] = np.max(np.abs(r), axis=0)
-    return out
+def _set_residuals(u: np.ndarray, sets: Basis, values: np.ndarray) -> tuple:
+    """(||U x - lambda x||_inf, ||x||_inf) of each set difference x of
+    ``sets`` (a ``Basis`` of sets only) with its value lambda.  U x is
+    gathered from columns: the sum of U[:, p] over P, left to right, minus
+    that over M.  For a finite U and sets of size 1 that is U x bit for
+    bit, since every other term of U x is an exact zero; wider sets differ
+    from a dot product in rounding only.  lambda x is then taken off on
+    the coordinates x touches: -lambda on P and +lambda on M where no
+    member repeats, and lambda times x's summed entries where one does.
+    Sets go by size, their columns in blocks of 128 KB."""
+    dim, sizes = sets.dimension, sets.set_size
+    count = len(sizes)
+    res, norms = np.empty(count), np.ones(count)
+    starts = np.cumsum(sizes) - sizes
+    wide = len(sets.plus) > count
+    for size in sorted(set(sizes.tolist())) if wide else [1] * bool(count):
+        which = np.flatnonzero(sizes == size) if wide else np.arange(count)
+        # column j of the (vectors x size) lists of P and of M
+        plus = [sets.plus[starts[which] + j] for j in range(size)]
+        minus = [sets.minus[starts[which] + j] for j in range(size)]
+        members = np.sort(np.column_stack(plus + minus), axis=1)
+        repeats = (members[:, 1:] == members[:, :-1]).any(axis=1)
+        step = max(1, 16384 // max(1, dim * size))
+        for lo in range(0, len(which), step):
+            hi = lo + step
+            r, q = u[:, plus[0][lo:hi]], u[:, minus[0][lo:hi]]
+            for j in range(1, size):
+                r += u[:, plus[j][lo:hi]]
+                q += u[:, minus[j][lo:hi]]
+            r -= q
+            lam, col = values[which[lo:hi]], np.arange(r.shape[1])
+            if repeats[lo:hi].any():
+                x = np.zeros_like(r)
+                for j in range(size):
+                    np.add.at(x, (plus[j][lo:hi], col), 1.0)
+                    np.add.at(x, (minus[j][lo:hi], col), -1.0)
+                touched, vec = np.nonzero(x)
+                r[touched, vec] -= x[touched, vec] * lam[vec]
+                norms[which[lo:hi]] = np.max(np.abs(x), axis=0)
+            else:
+                for j in range(size):
+                    r[plus[j][lo:hi], col] -= lam
+                    r[minus[j][lo:hi], col] += lam
+            res[which[lo:hi]] = np.max(np.abs(r), axis=0)
+    return res, norms
 
 
-def _lone_coordinates(pairs: np.ndarray, owner: np.ndarray, dimension: int) -> np.ndarray:
-    """For each pair vector e_i - e_j, whether i or j is a coordinate that no
-    other vector of the same owner touches."""
-    keys = (owner[:, None] * dimension + pairs).ravel()
+def _lone_coordinates(sets: Basis, owner: np.ndarray) -> np.ndarray:
+    """For each set difference of ``sets`` (a ``Basis`` of sets only),
+    whether one of its members is a coordinate that no other member of a
+    vector of the same owner touches."""
+    sizes = sets.set_size
+    if not len(sizes):
+        return np.zeros(0, dtype=bool)
+    base = np.repeat(owner, sizes) * sets.dimension
+    keys = np.concatenate([base + sets.plus, base + sets.minus])
     _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    return (counts[inverse].reshape(-1, 2) == 1).any(axis=1)
+    single = (counts[inverse] == 1).reshape(2, -1).any(axis=0)
+    return np.logical_or.reduceat(single, np.cumsum(sizes) - sizes)
+
+
+def _block_balanced(basis: Basis) -> bool:
+    """Whether every set difference of ``basis`` has as many members of P
+    as of M in each block of its lifts: then it sums to zero on every
+    block, and so is exactly orthogonal to every block-constant vector."""
+    t = basis.coeffs.shape[1]
+    vec = np.repeat(np.arange(len(basis.set_size)), basis.set_size) * t
+    side = [np.sort(vec + basis.block_of[members]) for members in (basis.plus, basis.minus)]
+    return bool(np.array_equal(*side))
 
 
 def _independent(basis: Basis, multiplicity: int, lone: np.ndarray) -> bool:
     """The verdict of ``_full_rank`` on a basis of finite nonzero vectors,
-    given ``_lone_coordinates`` of its pairs.  A single vector, and a basis
-    of pairs that each have a coordinate of their own, pass without a
-    Cholesky factor: that coordinate (a single vector's largest) keeps each
-    max-normalised vector at distance at least 1 from the span of the
-    others, so every pivot would be at least 1.  Any other basis runs
-    ``_full_rank``."""
+    given ``_lone_coordinates`` of its sets.  A single vector, and sets
+    that each have a coordinate of their own, pass without a Cholesky
+    factor: that coordinate (a single vector's largest) keeps each
+    max-normalised vector at distance at least 1/s from the span of the
+    others, s its set size (1 for a single vector), so every pivot would
+    be at least that, far above ``RANK_PIVOT_MIN``.  Beside such sets,
+    lifts that ``_block_balanced`` proves orthogonal to them take the
+    Cholesky test alone, a single lift none.  Any other basis runs
+    ``_full_rank`` on all its vectors."""
     if len(basis) != multiplicity:
         return False
-    if len(basis) == 1 or (not len(basis.dense) and lone.all()):
+    if len(basis) == 1:
         return True
-    return _full_rank(basis, multiplicity)
+    if len(basis.dense) or not lone.all():
+        return _full_rank(basis, multiplicity)
+    lifts = len(basis.coeffs)
+    if lifts and len(basis.set_size) and not _block_balanced(basis):
+        return _full_rank(basis, multiplicity)
+    return lifts < 2 or _full_rank(basis.lifted(), lifts)
 
 
 def verify_eigenpairs(u: np.ndarray, s: Spectrum, tol: float = 1e-8) -> VerificationReport:
@@ -549,11 +655,13 @@ def verify_eigenpairs(u: np.ndarray, s: Spectrum, tol: float = 1e-8) -> Verifica
     fails, a U with a NaN or infinite entry fails, and so does an
     eigenspace whose basis has rank below its multiplicity.
 
-    The work follows the compact bases: the pair vectors of all eigenspaces
-    go through ``_pair_residuals`` at O(N) each, and each dense row takes
-    one product U x.  The rank test of an eigenspace is ``_independent``,
-    O(m) for m pairs that each have a coordinate of their own and a
-    Cholesky factor of the Gram matrix only where that does not hold."""
+    The work follows the compact bases: the set differences of all
+    eigenspaces go through ``_set_residuals`` at O(N s) each, and each
+    dense row and each lift, expanded to its N entries, takes one product
+    U x.  The rank test of an eigenspace is ``_independent``: O(m) for m
+    sets that each have a coordinate of their own, a Cholesky factor of
+    the Gram matrix of its lifts alone where its sets are also exactly
+    orthogonal to them, and of all its vectors only where neither holds."""
     u = np.asarray(u, dtype=float)
     if u.shape != (s.dimension, s.dimension):
         raise ValueError(
@@ -565,35 +673,44 @@ def verify_eigenpairs(u: np.ndarray, s: Spectrum, tol: float = 1e-8) -> Verifica
     if any(e.basis is None for e in spaces):
         raise ValueError("spectrum carries no eigenvector bases")
     values = [float(e.value) for e in spaces]
-    counts = [len(e.basis.pairs) for e in spaces]
+    counts = [len(e.basis.set_size) for e in spaces]
+    sets = Basis(
+        s.dimension,
+        tuple(np.concatenate([getattr(e.basis, f) for e in spaces] + [np.zeros(0, np.int64)])
+              for f in ("plus", "minus", "set_size")),
+    )
     owner = np.repeat(np.arange(len(spaces)), counts)
-    pairs = np.concatenate([e.basis.pairs for e in spaces] + [np.zeros((0, 2), np.int64)])
-    pair_res = _pair_residuals(u, pairs, np.repeat(values, counts))
-    pair_size = (pairs[:, 0] != pairs[:, 1]).astype(float)
-    lone = _lone_coordinates(pairs, owner, s.dimension)
+    residual, size = _set_residuals(u, sets, np.repeat(values, counts))
+    lone = _lone_coordinates(sets, owner)
+    # then the dense rows and lifts of every eigenspace, one product U x each
+    residual, size, owner = [residual], [size], [owner]
+    for k, (e, value) in enumerate(zip(spaces, values)):
+        for dense in (e.basis.dense, e.basis.lifted()):
+            if len(dense):
+                residual.append(np.array([np.max(np.abs(u @ x - value * x)) for x in dense]))
+                size.append(np.max(np.abs(dense), axis=1))
+                owner.append(np.full(len(dense), k))
+    residual, size, owner = (np.concatenate(a) for a in (residual, size, owner))
+    limit = tol * scale * size
+    # a NaN residual fails, and so does a zero or non-finite vector
+    passed = (isfinite(norm) or bool(np.isfinite(u).all())) and bool(
+        np.all(residual <= limit) and np.all((size > 0.0) & (size < np.inf))
+    )
+    # the largest residual and bound of each eigenspace, 0 for one without vectors
+    res, bound = np.zeros(len(spaces)), np.zeros(len(spaces))
+    with np.errstate(invalid="ignore"):  # a NaN carries over, as the check above failed it
+        np.maximum.at(res, owner, residual)
+        np.maximum.at(bound, owner, limit)
 
     rows = []
     worst = 0.0
-    passed = isfinite(norm) or bool(np.isfinite(u).all())
     start = 0
-    for e, value, count in zip(spaces, values, counts):
-        r, size = pair_res[start : start + count], pair_size[start : start + count]
-        dense = e.basis.dense
-        if len(dense):
-            r = np.concatenate([r, [np.max(np.abs(u @ x - value * x)) for x in dense]])
-            size = np.concatenate([size, np.max(np.abs(dense), axis=1)])
-        res = bound = 0.0
-        if len(r):
-            b = tol * scale * size
-            res, bound = float(r.max()), float(b.max())
-            # a NaN residual fails, and so does a zero or non-finite vector
-            if not (np.all(r <= b) and np.all((size > 0.0) & (size < np.inf))):
-                passed = False
+    for e, value, count, r, b in zip(spaces, values, counts, res.tolist(), bound.tolist()):
+        rows.append((value, e.multiplicity, r, b))
+        worst = max(worst, r)
         # skipped once failed: a zero vector would divide by 0
         if passed and not _independent(e.basis, e.multiplicity, lone[start : start + count]):
             passed = False
-        rows.append((value, e.multiplicity, res, bound))
-        worst = max(worst, res)
         start += count
     return VerificationReport(tuple(rows), worst, passed, scale)
 

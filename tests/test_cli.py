@@ -585,10 +585,19 @@ def table_emit(arr, indent):
 def dense_form(basis):
     """The stacked dense vectors of a basis, built here from its fields."""
     out = np.zeros((len(basis), basis.dimension))
-    out[~basis.is_pair] = basis.dense
-    for row, (i, j) in zip(np.flatnonzero(basis.is_pair), basis.pairs.tolist()):
-        if i != j:
-            out[row, i], out[row, j] = 1.0, -1.0
+    out[basis.kind == Basis.DENSE] = basis.dense
+    sets, dense_rows, lifts, at = iter(basis.set_size.tolist()), 0, 0, 0
+    for row, kind in enumerate(basis.kind.tolist()):
+        if kind == Basis.SET:
+            size = next(sets)
+            for i in basis.plus[at : at + size].tolist():
+                out[row, i] += 1.0
+            for j in basis.minus[at : at + size].tolist():
+                out[row, j] -= 1.0
+            at += size
+        elif kind == Basis.LIFT:
+            out[row] = [basis.coeffs[lifts, l] for l in basis.block_of.tolist()]
+            lifts += 1
     return out
 
 
@@ -628,17 +637,28 @@ def test_basis_emitter_matches_the_table_path_on_special_values(trial):
         np.concatenate([nans.view(np.float64), [-0.0, 5e-324, -np.inf]])
     )
     dim = int(rng.integers(1, 14))
+    blocks = int(rng.integers(1, 4))
+    block_of = rng.integers(0, blocks, size=dim)
     segments = []
-    for _ in range(int(rng.integers(1, 6))):
-        if rng.random() < 0.5:
-            segments.append((True, rng.integers(0, dim, size=(int(rng.integers(1, 4)), 2))))
-            continue
-        rows = np.zeros((int(rng.integers(1, 4)), dim))
-        for row in rows:  # sparse rows, half-full rows and full rows
-            hit = rng.random(dim) < rng.choice([0.1, 0.5, 1.0])
-            row[hit] = rng.choice(special, size=int(hit.sum()))
-        segments.append((False, rows))
+    for _ in range(int(rng.integers(1, 7))):
+        count = int(rng.integers(1, 4))
+        pick = rng.random()
+        if pick < 0.3:  # sets of 1 to 3 vertices, repeats and overlaps included
+            size = int(rng.integers(1, 4))
+            plus, minus = (rng.integers(0, dim, size=(count, size)) for _ in range(2))
+            segments.append((Basis.SET, (plus, minus)))
+        elif pick < 0.6:  # lifts whose blocks take special values
+            coeffs = rng.choice(special, size=(count, blocks))
+            coeffs[rng.random(coeffs.shape) < 0.3] = 0.0
+            segments.append((Basis.LIFT, (coeffs, block_of)))
+        else:
+            rows = np.zeros((count, dim))
+            for row in rows:  # sparse rows, half-full rows and full rows
+                hit = rng.random(dim) < rng.choice([0.1, 0.5, 1.0])
+                row[hit] = rng.choice(special, size=int(hit.sum()))
+            segments.append((Basis.DENSE, rows))
     basis = Basis.of_segments(dim, segments)
+    assert np.array(basis).tobytes() == dense_form(basis).tobytes()
     for indent in (0, 3):
         assert _emit_json(basis, indent) == table_emit(dense_form(basis), indent)
         assert _emit_json({"basis": basis}, indent) == _emit_json(

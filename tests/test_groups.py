@@ -15,6 +15,7 @@ from powspec.groups import (
     mul,
     power_graph_oracle,
 )
+from powspec.groups import POWER_BLOCK, _exponent_bound
 from powspec.numtheory import prime_power
 
 Z = GroupFamily.CYCLIC
@@ -272,3 +273,13 @@ def test_oracle_matches_structural_rule(family, top):
     for n in range(1 if family is not Q else 2, top + 1):
         spec = GroupSpec(family, n)
         assert np.array_equal(power_graph_oracle(spec).adj, structural_power_graph(spec)), n
+
+
+@pytest.mark.parametrize("family, n", [(Z, 1260), (D, 630), (Q, 315)], ids=["zn", "dn", "qn"])
+def test_oracle_matches_structural_rule_several_blocks_deep(family, n):
+    # element orders up to 1260 and 630 take many blocks of powers; every
+    # order divides 1260, so none is a multiple of 8, and with blocks of a
+    # multiple of 8 powers every row drops inside a block
+    spec = GroupSpec(family, n)
+    assert _exponent_bound(spec) > 16 * POWER_BLOCK and POWER_BLOCK % 8 == 0
+    assert np.array_equal(power_graph_oracle(spec).adj, structural_power_graph(spec))

@@ -41,7 +41,7 @@ from powspec.spectra import (
     _full_rank,
     _independent,
     _lone_coordinates,
-    _pair_residuals,
+    _set_residuals,
 )
 
 Z = GroupFamily.CYCLIC
@@ -945,15 +945,30 @@ def test_multiset_gap_count_mismatch():
 
 
 def reference_residual_rows(u, s, tol):
-    """verify_eigenpairs' rows, one matrix-vector product per basis vector."""
-    scale = max(1.0, float(np.max(np.abs(u).sum(axis=1))))
+    """verify_eigenpairs' rows, one matrix-vector product per basis vector;
+    a set difference wider than one vertex takes the gathered-column
+    formula instead, which must lie within 4 N eps ||U||_inf of its
+    product."""
+    norm = float(np.max(np.abs(u).sum(axis=1)))
+    scale = max(1.0, norm)
+    slack = 4 * len(u) * np.finfo(float).eps * norm
     rows = []
     for e in s.eigenspaces:
+        b, value = e.basis, float(e.value)
         res = bound = 0.0
-        for x in e.basis:
-            res = max(res, float(np.max(np.abs(u @ x - float(e.value) * x))))
+        sets, at = iter(b.set_size.tolist()), 0
+        for kind, x in zip(b.kind.tolist(), b):
+            r = float(np.max(np.abs(u @ x - value * x)))
+            if kind == Basis.SET:
+                k = next(sets)
+                if k > 1:
+                    gathered = gathered_residual(u, b.plus[at : at + k], b.minus[at : at + k], value)
+                    assert abs(gathered - r) <= slack
+                    r = gathered
+                at += k
+            res = max(res, r)
             bound = max(bound, tol * scale * float(np.max(np.abs(x))))
-        rows.append((float(e.value), e.multiplicity, res, bound))
+        rows.append((value, e.multiplicity, res, bound))
     return rows
 
 
@@ -967,8 +982,9 @@ def reference_residual_rows(u, s, tol):
     ],
 )
 def test_verify_eigenpairs_matches_per_vector_products(spec, variant, complement):
-    # the residuals of the signed two-entry columns come from one product
-    # per eigenspace; they must equal the per-vector ones bit for bit
+    # the residuals of the signed two-entry columns come from gathered
+    # columns; they must equal the per-vector ones bit for bit, and those
+    # of wider sets the gathered-column formula
     rng = np.random.default_rng(16)
     g = variant_graph(power_graph_oracle(spec), variant)
     js = build_join(spec, variant)
@@ -1011,33 +1027,91 @@ def test_expanded_equals_the_list_of_every_value():
 
 def test_basis_reads_as_dense_vectors():
     dense = np.array([[0.5, -0.0, 2.0, 1.0]])
-    b = Basis(4, np.array([[2, 0], [1, 1]]), dense, np.array([True, False, True]))
+    b = Basis(
+        4,
+        (np.array([2, 1]), np.array([0, 1]), np.array([1, 1])),
+        dense,
+        kind=np.array([Basis.SET, Basis.DENSE, Basis.SET]),
+    )
     expect = [[-1.0, 0.0, 1.0, 0.0], [0.5, -0.0, 2.0, 1.0], [0.0, 0.0, 0.0, 0.0]]
     assert len(b) == 3 and bool(b)
     assert np.array(b).tobytes() == np.array(expect).tobytes()
     assert [x.tolist() for x in b] == expect
     assert b[-1].tolist() == expect[2] and b[1].tobytes() == dense[0].tobytes()
     assert np.column_stack(b).shape == (4, 3)
+    # wider sets count with multiplicity, and a lift reads its block map
+    wide = Basis.of_segments(
+        5,
+        [
+            (Basis.LIFT, (np.array([[2.5, -0.0]]), np.array([1, 0, 0, 1, 1]))),
+            (Basis.SET, (np.array([[0, 1], [3, 3]]), np.array([[2, 4], [3, 0]]))),
+        ],
+    )
+    expect = [[-0.0, 2.5, 2.5, -0.0, -0.0], [1.0, 1.0, -1.0, 0.0, -1.0], [-1.0, 0.0, 0.0, 1.0, 0.0]]
+    assert wide.kind.tolist() == [Basis.LIFT, Basis.SET, Basis.SET]
+    assert np.array(wide).tobytes() == np.array(expect).tobytes()
     # a sequence of vectors becomes dense rows
     e = Eigenspace(1.0, 2, "x", (np.ones(3), np.zeros(3)))
     assert isinstance(e.basis, Basis) and e.basis.dimension == 3
-    assert not len(e.basis.pairs) and np.array(e.basis).tolist() == [[1.0] * 3, [0.0] * 3]
+    assert not len(e.basis.set_size) and np.array(e.basis).tolist() == [[1.0] * 3, [0.0] * 3]
     assert len(Eigenspace(1.0, 0, "x", ()).basis) == 0
     with pytest.raises(ValueError):
         Basis(3, dense=np.ones((1, 4)))
     with pytest.raises(ValueError):
-        Basis(3, np.array([[0, 1]]), None, np.array([False]))
+        Basis(3, (np.array([0, 1]), np.array([1]), np.array([1])))
+    with pytest.raises(ValueError):
+        Basis(3, (np.array([0]), np.array([1]), np.array([2])))
+    with pytest.raises(ValueError):
+        Basis(3, lifts=(np.ones((1, 2)), np.array([0, 1])))
+    for outside in (-1, 3):  # numpy would wrap -1, and the emitter splice at a bad offset
+        with pytest.raises(ValueError):
+            Basis(3, (np.array([0]), np.array([outside]), np.array([1])))
+        with pytest.raises(ValueError):
+            Basis(3, lifts=(np.ones((1, 3)), np.array([0, outside, 1])))
+
+
+def one_of_each(dimension=3):
+    """The fields of a basis with one set, one dense row and one lift."""
+    return dict(
+        sets=(np.array([0]), np.array([1]), np.array([1])),
+        dense=np.ones((1, dimension)),
+        lifts=(np.ones((1, 2)), np.array([0, 1, 1])),
+    )
+
+
+@pytest.mark.parametrize("kind", [Basis.SET, Basis.DENSE, Basis.LIFT])
+def test_basis_refuses_kind_flags_that_disagree_with_its_rows(kind):
+    fields = one_of_each()
+    assert len(Basis(3, **fields)) == 3
+    flags = [Basis.SET, Basis.DENSE, Basis.LIFT]
+    for wrong in (flags + [kind], [f for f in flags if f != kind], [kind] * 3):
+        with pytest.raises(ValueError):
+            Basis(3, **fields, kind=np.array(wrong, dtype=np.int8))
+    # one kind's rows alone, with flags that count two of them
+    alone = {name: fields[name] for name in ("sets", "dense", "lifts")[kind : kind + 1]}
+    with pytest.raises(ValueError):
+        Basis(3, **alone, kind=np.array([kind, kind], dtype=np.int8))
+    with pytest.raises(ValueError):
+        Basis(3, **alone, kind=np.zeros(0, dtype=np.int8))
+    if kind == Basis.DENSE:  # the reproducer: one row, two flags
+        with pytest.raises(ValueError):
+            Basis(3, dense=np.ones((1, 3)), kind=np.array([Basis.DENSE] * 2, dtype=np.int8))
+
+
+def sets_of(basis):
+    """The set differences of ``basis`` alone, as a basis."""
+    return Basis(basis.dimension, (basis.plus, basis.minus, basis.set_size))
 
 
 def lone_of(basis):
-    """``_lone_coordinates`` of the pairs of one basis."""
-    owner = np.zeros(len(basis.pairs), dtype=np.int64)
-    return _lone_coordinates(basis.pairs, owner, basis.dimension)
+    """``_lone_coordinates`` of the sets of one basis."""
+    return _lone_coordinates(sets_of(basis), np.zeros(len(basis.set_size), dtype=np.int64))
 
 
 def structural_cases(family, top):
     """Every instance of ``family`` up to ``top``, both variants, plain and
-    complement, at one seeded float quadruple each: (U, structural spectrum)."""
+    complement, at one seeded float quadruple each: (U, structural
+    spectrum, join structure, the parameters of the spectrum)."""
     rng = np.random.default_rng(1700 + top)
     for n in range(2 if family is Q else 1, top + 1):
         spec = GroupSpec(family, n)
@@ -1049,33 +1123,171 @@ def structural_cases(family, top):
             for complement in (False, True):
                 p = sample_params(rng)
                 u = universal_matrix(complement_graph(g) if complement else g, p)
-                yield u, hjoin_spectrum(
-                    js, complement_params(p, g.n) if complement else p, want_vectors=True
-                )
+                p_eff = complement_params(p, g.n) if complement else p
+                yield u, hjoin_spectrum(js, p_eff, want_vectors=True), js, p_eff
+
+
+def gathered_residual(u, plus, minus, value):
+    """||U x - lambda x||_inf of x = 1_P - 1_M with distinct members, from
+    columns: the sum of U[:, p] over P left to right, minus that over M,
+    then lambda off at P and on at M."""
+    r = u[:, plus[0]].copy()
+    for p in plus[1:]:
+        r += u[:, p]
+    q = u[:, minus[0]].copy()
+    for m in minus[1:]:
+        q += u[:, m]
+    r -= q
+    r[plus] -= value
+    r[minus] += value
+    return float(np.max(np.abs(r)))
+
+
+def lift_coeffs(s):
+    """The block coefficients of every lift of ``s``, stacked."""
+    return np.concatenate([e.basis.coeffs for e in s.eigenspaces if len(e.basis.coeffs)])
+
+
+def block_map(js):
+    """The block of every vertex of ``js``."""
+    out = np.empty(js.order, dtype=np.int64)
+    for l, b in enumerate(js.blocks):
+        out[b.members] = l
+    return out
+
+
+def legacy_rows(js, p):
+    """The eigenvectors of ``hjoin_spectrum(js, p, want_vectors=True)`` as
+    the dense construction before compact sets and lifts made them, for
+    float ``p``: the rows of every candidate, in the order the candidates
+    sort, which is the order of the eigenspaces by ascending value."""
+    total = js.order
+    groups = {}
+    for i, (b, degree) in enumerate(zip(js.blocks, js.degrees)):
+        for lam, mult in b.local_eigenvalues():
+            if mult:
+                value = float(p.alpha * lam + p.beta * degree + p.gamma)
+                groups.setdefault(value, []).append((i, lam))
+    candidates = []
+    for value, parts in groups.items():
+        rows = []
+        for i, lam in parts:
+            cliques = js.blocks[i].members.reshape(-1, js.blocks[i].clique)
+            size = cliques.shape[1]
+            if lam == -1 or size == 1:  # two-entry differences
+                if lam == -1:
+                    plus, minus = np.repeat(cliques[:, 0], size - 1), cliques[:, 1:].ravel()
+                else:
+                    plus, minus = np.repeat(cliques[0], len(cliques) - 1), cliques[1:, 0]
+                block = np.zeros((len(plus), total))
+                block[np.arange(len(plus)), plus] = 1.0
+                block[np.arange(len(plus)), minus] -= 1.0
+            else:  # differences of clique indicators
+                block = np.zeros((len(cliques) - 1, total))
+                block[:, cliques[0]] = 1.0
+                block[np.arange(len(block))[:, None], cliques[1:]] = -1.0
+            rows.append(block)
+        candidates.append((value, np.concatenate(rows)))
+    qvals, qvecs = np.linalg.eigh(quotient_matrix(js, p).sym)
+    sizes = js.sizes
+    weights = np.array([sqrt(sizes[-1] / size) for size in sizes])
+    lifted = np.take((qvecs * weights[:, None]).T, block_map(js), axis=1)
+    candidates += [(value, lifted[k : k + 1]) for k, value in enumerate(qvals.tolist())]
+    candidates.sort(key=lambda c: c[0])
+    return np.concatenate([rows for _, rows in candidates])
 
 
 @pytest.mark.parametrize("family, top", [(Z, 200), (D, 100), (Q, 60)])
 def test_pair_residuals_and_rank_verdicts_match_the_dense_forms(family, top):
-    # every pair residual is bit for bit the U x - lambda x of the dense
-    # vector, every rank verdict the one of the Cholesky test, and every
-    # row of the report the one of the per-vector products
-    pairs_seen = 0
-    for u, s in structural_cases(family, top):
-        scale = max(1.0, float(np.max(np.abs(u).sum(axis=1))))
+    # the compact bases expand to the dense construction before them; a
+    # set residual of size 1 is bit for bit the U x - lambda x of the dense
+    # vector, a wider one the gathered-column formula and within
+    # 4 N eps ||U||_inf of the dense product; every rank verdict is the
+    # one of the Cholesky test, and every row of the report the one of
+    # these residuals
+    sets_seen = wide_seen = mixed_seen = 0
+    for u, s, js, p in structural_cases(family, top):
+        ascending = [np.array(e.basis) for e in reversed(s.eigenspaces)]
+        assert np.concatenate(ascending).tobytes() == legacy_rows(js, p).tobytes()
+        norm = float(np.max(np.abs(u).sum(axis=1)))
+        scale, slack = max(1.0, norm), 4 * len(u) * np.finfo(float).eps * norm
+        lifts = (lift_coeffs(s), block_map(js))
         rows = []
         for e in s.eigenspaces:
-            b, vecs = e.basis, list(e.basis)
+            b, vecs = e.basis, np.array(e.basis)
             value = float(e.value)
             per_vector = np.array([np.max(np.abs(u @ x - value * x)) for x in vecs])
-            got = _pair_residuals(u, b.pairs, np.full(len(b.pairs), value))
-            assert got.tobytes() == per_vector[b.is_pair].tobytes()
+            got, norms = _set_residuals(u, sets_of(b), np.full(len(b.set_size), value))
+            is_set = b.kind == Basis.SET
+            at = np.cumsum(b.set_size) - b.set_size
+            formula = np.array([
+                gathered_residual(u, b.plus[a : a + k], b.minus[a : a + k], value)
+                for a, k in zip(at.tolist(), b.set_size.tolist())
+            ])
+            assert got.tobytes() == formula.tobytes()
+            assert norms.tolist() == [1.0] * len(norms)
+            pairs = b.set_size == 1
+            assert got[pairs].tobytes() == per_vector[is_set][pairs].tobytes()
+            assert np.all(np.abs(got - per_vector[is_set]) <= slack)
+            expect = per_vector.copy()
+            expect[is_set] = got
             assert _independent(b, e.multiplicity, lone_of(b)) == _full_rank(vecs, e.multiplicity)
-            size = max(float(np.max(np.abs(x))) for x in vecs)
-            rows.append((value, e.multiplicity, float(per_vector.max()), 1e-8 * scale * size))
-            pairs_seen += len(b.pairs)
+            size = float(np.max(np.abs(vecs)))
+            rows.append((value, e.multiplicity, float(expect.max()), 1e-8 * scale * size))
+            sets_seen += len(b.set_size)
+            wide_seen += int(np.count_nonzero(~pairs))
+            if len(b.set_size):  # the sets of this space beside every lift
+                mixed = Basis(b.dimension, (b.plus, b.minus, b.set_size), lifts=lifts)
+                assert _independent(mixed, len(mixed), lone_of(mixed)) == _full_rank(
+                    np.array(mixed), len(mixed)
+                )
+                mixed_seen += 1
         report = verify_eigenpairs(u, s)
         assert report.passed and list(report.rows) == rows
-    assert pairs_seen > 1000
+    assert sets_seen > 1000 and mixed_seen > 100
+    assert (wide_seen > 100) == (family is Q)
+
+
+def test_mixed_spaces_split_only_where_exactly_orthogonal(monkeypatch):
+    # sets that each sum to zero on every block beside lifts: the Cholesky
+    # factor runs on the lifts alone; a set that crosses two blocks, or a
+    # repeated lift, sends the whole basis to the Cholesky test, and every
+    # verdict is the one of _full_rank on the dense vectors
+    spec = GroupSpec(Q, 15)
+    js = build_join(spec, Variant.POWER)
+    p = UniversalParams(Fraction(3, 2), Fraction(-1, 3), Fraction(2), Fraction(-5, 7))
+    s = hjoin_spectrum(js, p, want_vectors=True)
+    coset = js.blocks[-1].members.reshape(-1, 2)
+    coeffs, block_of = lift_coeffs(s), block_map(js)
+    calls = []
+    real = powspec.spectra._full_rank
+
+    def spy(vecs, multiplicity):
+        calls.append(len(vecs))
+        return real(vecs, multiplicity)
+
+    monkeypatch.setattr(powspec.spectra, "_full_rank", spy)
+    cases = {
+        "balanced": (np.repeat(coset[:1], 3, axis=0), coset[1:4], coeffs[:4], True, 4),
+        "crossing": (
+            np.repeat(coset[:1], 3, axis=0),
+            np.vstack([coset[1:3], [[coset[3, 0], js.blocks[0].members[0]]]]),
+            coeffs[:4],
+            True,
+            7,
+        ),
+        "repeated lift": (
+            np.repeat(coset[:1], 3, axis=0), coset[1:4], coeffs[[0, 1, 1]], False, 3,
+        ),
+    }
+    for name, (plus, minus, c, verdict, factored) in cases.items():
+        b = Basis.of_segments(
+            js.order, [(Basis.SET, (plus, minus)), (Basis.LIFT, (c, block_of))]
+        )
+        calls.clear()
+        assert _independent(b, len(b), lone_of(b)) is verdict, name
+        assert calls == [factored], name
+        assert real(np.array(b), len(b)) is verdict, name
 
 
 def reflection_space(n=11):
@@ -1091,18 +1303,27 @@ def reflection_space(n=11):
     return universal_matrix(power_graph_oracle(spec), p), s, k, js.blocks[-1].members.tolist()
 
 
-def with_pairs(s, k, pairs):
+def with_sets(s, k, plus, minus):
+    """``s`` with the basis of eigenspace k replaced by the set differences
+    of the rows of ``plus`` and ``minus``."""
     spaces = list(s.eigenspaces)
     e = spaces[k]
-    basis = Basis(s.dimension, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    plus, minus = (np.array(a, dtype=np.int64).reshape(len(a), -1) for a in (plus, minus))
+    basis = Basis.of_segments(s.dimension, [(Basis.SET, (plus, minus))])
     spaces[k] = Eigenspace(e.value, e.multiplicity, e.provenance, basis)
     return Spectrum(tuple(spaces), s.dimension)
+
+
+def with_pairs(s, k, pairs):
+    return with_sets(s, k, [i for i, _ in pairs], [j for _, j in pairs])
 
 
 def test_pair_bases_fail_zero_repeated_missing_and_cyclic_vectors():
     u, s, k, c = reflection_space()
     assert verify_eigenpairs(u, s, tol=1e-12).passed
-    pairs = s.eigenspaces[k].basis.pairs.tolist()
+    b = s.eigenspaces[k].basis
+    assert b.set_size.tolist() == [1] * (len(c) - 1)
+    pairs = np.column_stack([b.plus, b.minus]).tolist()
     assert pairs == [[c[0], c[r]] for r in range(1, len(c))]
     mutants = {
         "zero": [[c[0], c[0]]] + pairs[1:],
@@ -1113,6 +1334,44 @@ def test_pair_bases_fail_zero_repeated_missing_and_cyclic_vectors():
     for name, mutant in mutants.items():
         m = with_pairs(s, k, mutant)
         assert len(m.eigenspaces[k].basis) == len(pairs) - (name == "missing")
+        report = verify_eigenpairs(u, m, tol=1e-12)
+        assert not report.passed, name
+        if name in ("repeated", "cycle"):  # sound eigenvectors: the rank test fails them
+            assert report.max_residual <= 1e-12 * report.scale
+
+
+def coset_clique_space(n=15):
+    """Q_n at generic parameters with the space of its coset cliques'
+    indicator differences, sets of size 2: (U, spectrum, index of that
+    space, the n cliques)."""
+    spec = GroupSpec(Q, n)
+    js = build_join(spec, Variant.POWER)
+    p = UniversalParams(Fraction(3, 2), Fraction(-1, 3), Fraction(2), Fraction(-5, 7))
+    s = hjoin_spectrum(js, p, want_vectors=True)
+    k = next(k for k, e in enumerate(s.eigenspaces) if e.multiplicity == n - 1)
+    assert s.eigenspaces[k].provenance == "BlockDiff"
+    cliques = js.blocks[-1].members.reshape(-1, 2).tolist()
+    return universal_matrix(power_graph_oracle(spec), p), s, k, cliques
+
+
+def test_set_bases_fail_zero_repeated_missing_and_swapped_clique_vectors():
+    u, s, k, c = coset_clique_space()
+    assert verify_eigenpairs(u, s, tol=1e-12).passed
+    b = s.eigenspaces[k].basis
+    assert b.set_size.tolist() == [2] * (len(c) - 1)
+    plus, minus = b.plus.reshape(-1, 2).tolist(), b.minus.reshape(-1, 2).tolist()
+    assert plus == [c[0]] * (len(c) - 1) and minus == c[1:]
+    mutants = {
+        "zero": ([c[1]] + plus[1:], minus),
+        "zero, listed apart": ([c[1][::-1]] + plus[1:], minus),
+        "repeated": (plus, [minus[0]] + minus[:-1]),
+        "missing": (plus[:-1], minus[:-1]),
+        "swapped clique": (plus, [[c[1][0], c[2][1]], [c[2][0], c[1][1]]] + minus[2:]),
+        "cycle": ([c[0], c[1], c[2]] + plus[3:], [c[1], c[2], c[0]] + minus[3:]),
+    }
+    for name, (mp, mm) in mutants.items():
+        m = with_sets(s, k, mp, mm)
+        assert len(m.eigenspaces[k].basis) == len(plus) - (name == "missing")
         report = verify_eigenpairs(u, m, tol=1e-12)
         assert not report.passed, name
         if name in ("repeated", "cycle"):  # sound eigenvectors: the rank test fails them
@@ -1149,10 +1408,9 @@ def test_seed_905_merged_space_keeps_its_verdict():
     s = hjoin_spectrum(js, complement_params(p, js.order), want_vectors=True)
     u = universal_matrix(complement_graph(power_graph_oracle(spec)), p)
     merged = [e for e in s.eigenspaces if e.provenance == "BlockDiff+Quotient"]
-    # twelve in-clique pairs and one lifted dense row: a mixed space
-    assert [(e.multiplicity, len(e.basis.pairs), len(e.basis.dense)) for e in merged] == [
-        (13, 12, 1)
-    ]
+    # twelve in-clique pairs and one lift: a mixed space
+    shape = [(e.multiplicity, len(e.basis.set_size), len(e.basis.dense), len(e.basis.coeffs)) for e in merged]
+    assert shape == [(13, 12, 0, 1)]
     report = verify_eigenpairs(u, s)
     assert not report.passed
     assert report.max_residual == 0.0002821692542056553
