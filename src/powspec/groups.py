@@ -147,31 +147,24 @@ POWER_BLOCK = 32
 _TILE = 512
 
 
-def _exponent_bound(spec: GroupSpec) -> int:
-    """A bound on every element order: n in Z_n, max(n, 2) in D_n (a
-    rotation or a reflection) and 2n, the order of a, in Q_n."""
-    if spec.family is GroupFamily.DICYCLIC:
-        return 2 * spec.n
-    return spec.n if spec.family is GroupFamily.CYCLIC else max(2, spec.n)
-
-
 def power_graph_oracle(spec: GroupSpec) -> LabeledGraph:
     """Definitional power graph: u ~ v iff u != v and one of them is a power
     of the other (membership in the generated cyclic subgroup).
 
     Row x of the membership matrix marks x, x^2, ... up to the identity,
     all rows stepped together under the group law ``POWER_BLOCK`` powers
-    at a time: x^1 .. x^B by doubling, then each block the previous one
-    times x^B.  A row drops once the identity shows in its block; the
-    powers marked after it in that block come round again, so they are
-    already marked."""
+    at a time (fewer in a group of order below B): x^1 .. x^B by
+    doubling, then each block the previous one times x^B.
+    A row drops once the identity shows in its block; the powers marked
+    after it in that block come round again, so they are already marked.
+    The matrix is made symmetric tile by tile, so that the transposed
+    reads stay in cache."""
     size = spec.order
-    top = _exponent_bound(spec)
-    width = min(POWER_BLOCK, top)
+    width = min(POWER_BLOCK, size)
     block = np.arange(size)[None].repeat(width, axis=0)  # row k is to hold x^(k+1)
     done = 1
-    while done < width:  # rows done .. 2 done - 1 are the first ones times x^done
-        step = min(done, width - done)
+    while done < width:
+        step = min(done, width - done)  # rows done .. done + step - 1 are the first ones times x^done
         first = block[0] if step == 1 else block[:step]  # one row as 1-d, cheaper on small groups
         block[done : done + step] = mul(spec, first, block[done - 1])
         done += step
@@ -179,20 +172,17 @@ def power_graph_oracle(spec: GroupSpec) -> LabeledGraph:
     rows = block[0] * size
     member = np.zeros((size, size), dtype=bool)
     flat = member.reshape(-1)
-    for _ in range(-(-top // width) - 1):  # every row meets the identity by the last block
+    while True:
         flat[rows + block] = True
-        live = block.all(axis=0)
+        live = block.all(axis=0)  # the identity has not shown in these columns
+        if not live.any():
+            break
         if not live.all():
             block, rows, stride = block[:, live], rows[live], stride[live]
         block = mul(spec, block, stride)
-    flat[rows + block] = True
-    if size <= _TILE:
-        member = member | member.T
-    else:  # tile by tile, so that the transposed reads stay in cache
-        for i in range(0, size, _TILE):
-            for j in range(0, size, _TILE):
-                member[i : i + _TILE, j : j + _TILE] |= member[j : j + _TILE, i : i + _TILE].T
-    flat = member.reshape(-1)
+    for i in range(0, size, _TILE):
+        for j in range(0, size, _TILE):
+            member[i : i + _TILE, j : j + _TILE] |= member[j : j + _TILE, i : i + _TILE].T
     flat[:: size + 1] = False
     return LabeledGraph(member, identity_index=0)
 

@@ -332,10 +332,13 @@ def dense_eigen(m: np.ndarray) -> Spectrum:
         return Spectrum((), 0)
     vals = np.linalg.eigvalsh(m)  # ascending
     gtol = _group_tolerance(vals.tolist())
-    cuts = [0, *(np.flatnonzero(np.diff(vals) > gtol) + 1).tolist(), n]
-    spaces = [
-        Eigenspace(float(np.mean(vals[a:b])) + 0.0, b - a, "Dense") for a, b in zip(cuts, cuts[1:])
-    ]
+    spaces = []
+    start = 0
+    for i in range(1, n + 1):
+        if i == n or vals[i] - vals[i - 1] > gtol:
+            group = vals[start:i]
+            spaces.append(Eigenspace(float(np.mean(group)) + 0.0, i - start, "Dense"))
+            start = i
     spaces.sort(key=lambda e: -e.value)
     return Spectrum(tuple(spaces), n)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from powspec.groups import (
+    POWER_BLOCK,
     GroupFamily,
     GroupSpec,
     LabeledGraph,
@@ -15,7 +16,6 @@ from powspec.groups import (
     mul,
     power_graph_oracle,
 )
-from powspec.groups import POWER_BLOCK, _exponent_bound
 from powspec.numtheory import prime_power
 
 Z = GroupFamily.CYCLIC
@@ -281,5 +281,5 @@ def test_oracle_matches_structural_rule_several_blocks_deep(family, n):
     # order divides 1260, so none is a multiple of 8, and with blocks of a
     # multiple of 8 powers every row drops inside a block
     spec = GroupSpec(family, n)
-    assert _exponent_bound(spec) > 16 * POWER_BLOCK and POWER_BLOCK % 8 == 0
+    assert spec.order > 16 * POWER_BLOCK and POWER_BLOCK % 8 == 0
     assert np.array_equal(power_graph_oracle(spec).adj, structural_power_graph(spec))
