@@ -495,7 +495,11 @@ def cmd_verify(args) -> int:
 def _exact_text(values) -> list:
     """Every exact value as ``str`` gives it, in full.  Python's limit on
     the digits of an int-to-str conversion is lifted while formatting and
-    put back after, as ``main`` may run inside a longer-lived program."""
+    put back after, as ``main`` may run inside a longer-lived program.
+    Interpreters before 3.10.7 have no such limit, nor the functions that
+    set it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return [str(v) for v in values]
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

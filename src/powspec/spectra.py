@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, gcd, isfinite, isqrt, lcm, prod, sqrt
 
 import numpy as np
@@ -348,23 +349,82 @@ def dense_eigen(m: np.ndarray) -> Spectrum:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
 class QuotientMatrix:
     """Quotient of U over the block partition.
 
-    ``sym`` is the symmetric form (off-diagonal theta_ij * sqrt(n_i*n_j));
-    ``similar`` the integer-weighted form B = S^-1 K S with S = diag(sqrt n_i)
-    (off-diagonal theta_ij * n_j), kept in exact arithmetic whenever the
-    parameters are rational so characteristic polynomials stay exact.
+    ``sym`` is the symmetric form (off-diagonal theta_ij * sqrt(n_i*n_j)).
+    The integer-weighted form B = S^-1 K S with S = diag(sqrt n_i)
+    (off-diagonal theta_ij * n_j) has one exact form, ``integer_form``:
+    (A, d) with A = d*B an integer array over the least denominator d,
+    int64 where it fits and Python ints otherwise; None for float
+    parameters.  ``similar`` is B as nested lists of the entries' own
+    values (int, Fraction or float, as the parameters make them).  A
+    quotient of ``quotient_matrix`` makes each on its first read; one
+    built from ``similar`` alone derives its integer form at once.
     """
 
-    sym: np.ndarray
-    similar: list
-    sizes: tuple
+    def __init__(self, sym: np.ndarray, similar=None, sizes=(), source=None):
+        """``source`` is the (join structure, parameters) pair that
+        ``similar`` and ``integer_form`` are made from when not given."""
+        self.sym = sym
+        self.sizes = tuple(sizes)
+        self._source = source
+        if similar is not None:
+            self.similar = similar
+            self.integer_form = _integer_form(similar)
 
     @property
     def dimension(self) -> int:
         return len(self.sizes)
+
+    @cached_property
+    def similar(self) -> list:
+        js, p = self._source
+        theta_edge = p.alpha + p.eta
+        edge_col = [theta_edge * size for size in self.sizes]
+        plain_col = [p.eta * size for size in self.sizes]
+        similar = [
+            [e if joined else q for joined, e, q in zip(row, edge_col, plain_col)]
+            for row in js.adj.tolist()
+        ]
+        for i, k in enumerate(_kappa(js, p)):
+            similar[i][i] = k
+        return similar
+
+    @cached_property
+    def integer_form(self) -> tuple[np.ndarray, int] | None:
+        js, p = self._source
+        if not p.is_rational:
+            return None
+        d, q = _over_common_denominator(p)
+        kappa = _kappa(js, q)
+        edge, plain = q.alpha + q.eta, q.eta
+        # |kappa_i| plus |theta| times the order bounds every absolute row
+        # sum of A: below _INT64_RADIUS, int64 holds A and its row sums
+        widest = max(map(abs, kappa), default=0) + max(abs(edge), abs(plain)) * js.order
+        dtype = np.int64 if widest < _INT64_RADIUS else object
+        a = np.where(js.adj, np.array(edge, dtype), np.array(plain, dtype))
+        a = a * np.array(self.sizes, dtype)
+        np.fill_diagonal(a, kappa)
+        g = gcd(d, int(np.gcd.reduce(a, axis=None)))
+        return (a // g, d // g) if g > 1 else (a, d)
+
+
+# int64 holds every entry and row sum of an integer matrix whose absolute
+# row sums stay below this
+_INT64_RADIUS = 2**62
+
+
+def _integer_form(similar) -> tuple[np.ndarray, int] | None:
+    """(A, d), A = d*B for the rational entries of ``similar`` over the lcm
+    d of their denominators, as an object array; None when an entry is not
+    an int or a Fraction."""
+    entries = [x for row in similar for x in row]
+    if not all(isinstance(x, (int, Fraction)) and not isinstance(x, bool) for x in entries):
+        return None
+    d = lcm(*(x.denominator for x in entries))
+    a = np.array([x.numerator * (d // x.denominator) for x in entries], dtype=object)
+    return a.reshape(len(similar), len(similar)), d
 
 
 def _over_common_denominator(p: UniversalParams) -> tuple[int, UniversalParams]:
@@ -404,22 +464,12 @@ def quotient_matrix(js: JoinStructure, p: UniversalParams) -> QuotientMatrix:
     """kappa_i = alpha*r_i + beta*deg_i + gamma + eta*n_i on the diagonal;
     theta_ij = alpha+eta on template edges, eta elsewhere.
 
-    Builds the exact similar form beside the symmetric one, for the readers
-    of ``similar`` (``charpoly_exact`` and the normalized value); the
-    spectrum reads the symmetric form alone, from integer numerators."""
-    sizes = js.sizes
-    kappa = _kappa(js, p)
-    sym = _symmetric(js, p, [float(k) for k in kappa])
-    theta_edge = p.alpha + p.eta
-    edge_col = [theta_edge * size for size in sizes]
-    plain_col = [p.eta * size for size in sizes]
-    similar = [
-        [e if joined else q for joined, e, q in zip(row, edge_col, plain_col)]
-        for row in js.adj.tolist()
-    ]
-    for i, k in enumerate(kappa):
-        similar[i][i] = k
-    return QuotientMatrix(sym, similar, sizes)
+    Builds the symmetric form alone, its diagonal from integer numerators
+    over the common denominator of ``p`` as ``hjoin_spectrum`` does; the
+    exact forms are made when read."""
+    d, scaled = _over_common_denominator(p)
+    sym = _symmetric(js, p, [k / d for k in _kappa(js, scaled)])
+    return QuotientMatrix(sym, sizes=js.sizes, source=(js, p))
 
 
 def _block_value(p: UniversalParams, degree: int, lam):
@@ -749,37 +799,36 @@ def charpoly_exact(q: QuotientMatrix) -> list[Fraction]:
     in exact arithmetic.  Coefficients descend from lambda^t; identical to
     the polynomial of the symmetric form by similarity.
 
-    With d the lcm of the denominators of B, the integer matrix A = d*B
-    has the integer coefficients c_k of det(lambda*I - A), and the k-th
-    coefficient of B is c_k / d^k.  Every eigenvalue of A lies within R,
-    the largest absolute row sum of A (Gershgorin), so
+    The quotient's ``integer_form`` A = d*B, d the lcm of the denominators
+    of B, has the integer coefficients c_k of det(lambda*I - A), and the
+    k-th coefficient of B is c_k / d^k.  Every eigenvalue of A lies within
+    R, the largest absolute row sum of A (Gershgorin), so
     |c_k| <= C(t, k) * R^k.  The c_k are found modulo primes p whose
     product exceeds twice that bound, and recombined by the Chinese
     remainder theorem into symmetric residues, which are then the c_k.
 
-    Modulo p the Faddeev-LeVerrier recurrence M <- A (M + c_k I),
-    c_k = -tr(M) / k, needs k invertible, so every p > t.  It runs for all
-    primes at once, one stacked float64 matmul per k: entries in [0, p)
-    times entries in [0, 2p) sum exactly while t*p*2p < 2**53, which fixes
-    the size of p from t.  Products are reduced through int64."""
-    for row in q.similar:
-        for x in row:
-            if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
-                raise TypeError(
-                    "charpoly_exact needs rational parameters (int or Fraction)"
-                )
+    A is reduced modulo all primes at once: one int64 ``%`` while
+    R < 2**62, as for one-digit parameters over small denominators at
+    t = 240, and on Python ints only for wider entries.  Modulo p the
+    Faddeev-LeVerrier recurrence M <- A (M + c_k I), c_k = -tr(M) / k,
+    needs k invertible, so every p > t.  It runs for all primes at once,
+    one stacked float64 matmul per k, whose products are reduced in
+    float64 to symmetric residues, at most (p+1)/2 in absolute value:
+    entries in [0, p) times entries below 2p in absolute value sum exactly
+    while t*p*2p < 2**53, which fixes the size of p from t."""
+    if q.integer_form is None:
+        raise TypeError("charpoly_exact needs rational parameters (int or Fraction)")
+    a, d = q.integer_form
     t = q.dimension
-    entries = [x for row in q.similar for x in row]
-    d = lcm(*(x.denominator for x in entries))
-    a = np.array([x.numerator * (d // x.denominator) for x in entries], dtype=object)
-    a = a.reshape(t, t)
-    radius = max((sum(abs(x) for x in row) for row in a.tolist()), default=0)
+    radius = int(np.abs(a).sum(axis=1).max(initial=0))
     bound = max(comb(t, k) * radius**k for k in range(t + 1))
     primes = _charpoly_primes(t, bound)
     mod = np.array(primes, dtype=np.int64)
     mod3 = mod[:, None, None]
-    # a mod p on Python ints: entries of d*B may be wider than int64
-    a_mod = (a[None] % np.array(primes, dtype=object)[:, None, None]).astype(np.int64)
+    if radius < _INT64_RADIUS:
+        a_mod = a.astype(np.int64) % mod3
+    else:  # entries of A wider than int64: reduced as Python ints
+        a_mod = a[None] % np.array(primes, dtype=object)[:, None, None]
     a_float = a_mod.astype(float)
     # inv[k] = k^-1 mod p, from p = (p // k) * k + p % k
     inv = np.ones((t + 1, len(primes)), dtype=np.int64)
@@ -787,14 +836,26 @@ def charpoly_exact(q: QuotientMatrix) -> list[Fraction]:
         inv[k] = (mod - mod // k) * inv[mod % k, np.arange(len(primes))] % mod
     residues = np.zeros((t + 1, len(primes)), dtype=np.int64)
     residues[0] = 1
-    m = a_mod
+    mod_float = mod3.astype(float)
+    inv_mod = 1.0 / mod_float
+    # m and two buffers of its shape, reused: fresh temporaries of a few MB
+    # at t = 60 cost more than the arithmetic
+    m, step, multiple = a_float.copy(), np.empty_like(a_float), np.empty_like(a_float)
     diag = np.arange(t)
     for k in range(1, t + 1):
-        ck = (mod - m.trace(axis1=1, axis2=2) % mod) * inv[k] % mod
+        trace = m.trace(axis1=1, axis2=2).astype(np.int64)
+        ck = (mod - trace % mod) * inv[k] % mod
         residues[k] = ck
         if k < t:
             m[:, diag, diag] += ck[:, None]
-            m = np.matmul(a_float, m).astype(np.int64) % mod3
+            np.matmul(a_float, m, out=step)
+            # step minus its nearest multiple of p, exact: that multiple,
+            # give or take one p, stays below 2**53 as step does
+            np.multiply(step, inv_mod, out=multiple)
+            np.rint(multiple, out=multiple)
+            multiple *= mod_float
+            step -= multiple
+            m, step = step, m
     product = prod(primes)
     weights = [(product // p) * pow(product // p, -1, p) for p in primes]
     coeffs = []
@@ -843,9 +904,10 @@ def charpoly_roots(coeffs) -> list[float]:
             p0, p1 = prev[0], prev[1]
             c0, c1 = cur[0], (cur[1] if len(cur) > 1 else 0)
             diag.append((c1 * p0 - p1 * c0) / (c0 * p0))  # a_k
-            # c0^2 prev - (c0 p0 x + c0 p1 - p0 c1) cur, whose two leading terms cancel
+            # c0^2 prev - (c0 p0 x + c0 p1 - p0 c1) cur, past its two leading
+            # terms, which cancel
             u, v, w = c0 * c0, c0 * p0, c0 * p1 - p0 * c1
-            r = [u * p - v * c - w * e for p, c, e in zip(prev, cur + [0], [0] + cur)][2:]
+            r = [u * p - v * c - w * e for p, c, e in zip(prev[2:], cur[2:] + [0], cur[1:])]
             if not any(r):
                 break
             # b_k = -r_0 / (c0^2 p0); b_k = 0: the degree fell by more than one
@@ -877,18 +939,19 @@ def normalized_laplacian_charpoly_at(js: JoinStructure, lam, complement: bool = 
     p = UniversalParams(-1, 1 - x, 0, 0)
     if complement:
         p = complement_params(p, order)
-    value = Fraction(1)
-    denom = 1
+    d, scaled = _over_common_denominator(p)
+    num, count, denom = (-1) ** len(js.blocks), 0, 1
     for b, deg in zip(js.blocks, js.degrees):
         for loc, mult in b.local_eigenvalues():
-            value *= _block_value(p, deg, loc) ** mult
+            num *= _block_value(scaled, deg, loc) ** mult  # d times the block value
+            count += mult
         if complement:
             deg = order - 1 - deg
         if deg == 0:
             raise ValueError("graph has an isolated vertex; det(D) = 0")
         denom *= deg**b.size
-    value *= (-1) ** len(js.blocks) * charpoly_exact(quotient_matrix(js, p))[-1]
-    value /= denom
+    det_b = charpoly_exact(quotient_matrix(js, p))[-1]
+    value = Fraction(num * det_b.numerator, d**count * denom * det_b.denominator)
     return value if exact else float(value)
 
 

@@ -458,6 +458,7 @@ def test_value_beyond_float_is_one_line_exit_1(capsys, argv):
     assert err.splitlines() == ["error: a value does not fit a float (beyond about 1.8e308)"]
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit before Python 3.10.7")
 def test_charpoly_prints_coefficients_beyond_the_int_str_limit(capsys):
     # 1e-400 is a Fraction with a 401-digit denominator, and the exact
     # coefficients outgrow Python's default of 4300 digits per int-to-str;
@@ -482,6 +483,18 @@ def test_charpoly_prints_coefficients_beyond_the_int_str_limit(capsys):
     finally:
         sys.set_int_max_str_digits(before)
     assert max(map(len, coeffs)) > 4300
+
+
+def test_charpoly_prints_coefficients_without_the_int_str_limit_functions(capsys, monkeypatch):
+    # Python 3.10.0 to 3.10.6 have neither function, and no limit to lift
+    js = build_join(GroupSpec(GroupFamily.CYCLIC, 360), Variant.POWER)
+    p = UniversalParams(Fraction(7, 2), Fraction(-5, 3), Fraction(8, 5), Fraction(-9, 7))
+    expect = [str(c) for c in charpoly_exact(quotient_matrix(js, p))]
+    for name in ("get_int_max_str_digits", "set_int_max_str_digits"):
+        monkeypatch.delattr(sys, name, raising=False)
+    code, out, err = run(capsys, "charpoly", "--group", "zn", "--n", "360", "--quotient", "--params=7/2,-5/3,8/5,-9/7")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["coefficients"] == expect
 
 
 # ---------------------------------------------------------------------------

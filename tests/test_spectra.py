@@ -1,7 +1,7 @@
 """Universal matrix assembly, both spectral routes, and exact polynomials."""
 
 from fractions import Fraction
-from math import comb, lcm, prod, sqrt
+from math import comb, gcd, lcm, prod, sqrt
 
 import numpy as np
 import pytest
@@ -606,12 +606,17 @@ def _charpoly_by_integer_faddeev(similar) -> list[Fraction]:
     return [Fraction(c, d**k) for k, c in enumerate(coeffs)]
 
 
+def _gershgorin_radius(similar) -> int:
+    """R, the largest absolute row sum of d*B."""
+    d = lcm(*(Fraction(x).denominator for row in similar for x in row))
+    return int(max(sum(abs(x * d) for x in row) for row in similar))
+
+
 def _gershgorin_bound(similar) -> int:
     """C(t, k) * R^k at its largest, R the largest absolute row sum of d*B."""
     t = len(similar)
-    d = lcm(*(Fraction(x).denominator for row in similar for x in row))
-    radius = max(sum(abs(x * d) for x in row) for row in similar)
-    return max(comb(t, k) * int(radius) ** k for k in range(t + 1))
+    radius = _gershgorin_radius(similar)
+    return max(comb(t, k) * radius**k for k in range(t + 1))
 
 
 # (family, n, variant, complement) of the exact-quotient benchmark slots
@@ -627,7 +632,7 @@ EXACT_QUOTIENT_PARAMS = UniversalParams(
 )
 # the groups and variants of its normalized slots, at points X of its range
 NORMALIZED_SLOTS = [(Z, 60, Variant.PROPER), (D, 30, Variant.POWER), (Q, 15, Variant.POWER)]
-NORMALIZED_POINTS = [Fraction(-7, 4), Fraction(5, 4), Fraction(15, 4)]
+NORMALIZED_SLOT_POINTS = [Fraction(-7, 4), Fraction(5, 4), Fraction(15, 4)]
 
 
 def exact_quotient_matrices():
@@ -656,7 +661,7 @@ def test_charpoly_exact_matches_integer_faddeev_on_the_benchmark_slots():
         assert charpoly_exact(qm) == _charpoly_by_integer_faddeev(qm.similar)
     for family, n, variant in NORMALIZED_SLOTS:
         js = build_join(GroupSpec(family, n), variant)
-        for x in NORMALIZED_POINTS:
+        for x in NORMALIZED_SLOT_POINTS:
             qm = quotient_matrix(js, UniversalParams(-1, 1 - x, 0, 0))
             assert charpoly_exact(qm) == _charpoly_by_integer_faddeev(qm.similar)
 
@@ -676,6 +681,41 @@ def test_charpoly_exact_with_entries_wider_than_int64():
             d = lcm(*(Fraction(x).denominator for row in qm.similar for x in row))
             assert max(abs(x * d) for row in qm.similar for x in row) > 2**63
             assert charpoly_exact(qm) == _charpoly_by_integer_faddeev(qm.similar)
+
+
+def test_charpoly_exact_at_the_int64_boundary():
+    # the numerators of wide parameters scaled by k coprime to their lcm
+    # denominator 210, so d*B scales by k: a Gershgorin radius just below
+    # 2**62 (reduced in int64), just above it, and with an entry past
+    # int64, which a threshold admitting it would fail to convert
+    base = (Fraction(7654321, 2), Fraction(-1234567, 3), Fraction(4444441, 5), Fraction(-3333331, 7))
+
+    def scaled(k):
+        return UniversalParams(*(Fraction(k * v.numerator, v.denominator) for v in base))
+
+    def coprime(k, step):
+        while gcd(k, 210) > 1:
+            k += step
+        return k
+
+    for spec, variant in ((GroupSpec(Z, 60), Variant.POWER), (GroupSpec(D, 6), Variant.PROPER)):
+        js = build_join(spec, variant)
+        for complement in (False, True):
+            def quotient(k):
+                p = scaled(k)
+                return quotient_matrix(js, complement_params(p, js.order) if complement else p)
+
+            unit = quotient(1).similar
+            r0 = _gershgorin_radius(unit)
+            widest = max(abs(x) for row in unit for x in row) * 210
+            ks = [coprime(2**62 // r0, -1), coprime(2**62 // r0 + 1, 1), coprime(2**63 // widest + 1, 1)]
+            qms = [quotient(k) for k in ks]
+            radii = [_gershgorin_radius(qm.similar) for qm in qms]
+            assert 2**62 - r0 * 12 < radii[0] < 2**62 <= radii[1] < 2**62 + r0 * 12
+            assert max(abs(x * 210) for row in qms[2].similar for x in row) >= 2**63
+            for qm in qms:
+                assert qm.integer_form[1] == 210
+                assert charpoly_exact(qm) == _charpoly_by_integer_faddeev(qm.similar)
 
 
 def test_charpoly_exact_z5040_beyond_64_primes_of_20_bits():
@@ -868,6 +908,7 @@ SWEEP = [
     for n in range(2, top + 1)
     for variant in Variant
 ]
+SWEEP += [(GroupSpec(family, n), variant) for family, n, variant in NORMALIZED_SLOTS]
 
 
 NORMALIZED_POINTS = [Fraction(0), Fraction(1, 2), Fraction(-3, 4), Fraction(7, 4), Fraction(2)]
