@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
@@ -177,42 +177,45 @@ def _write_basis(basis: Basis, indent: int, out: list) -> None:
     out.append(f"\n{'  ' * indent}]")
 
 
-def _leaf_text(obj) -> str:
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+# the text of a leaf by its type; ``encode_basestring_ascii`` is what
+# ``json.dumps`` calls for a string
+_LEAVES = {
+    float: lambda x: format(x, ".17g"),
+    int: str,
+    str: encode_basestring_ascii,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
 
 
 def _write_json(obj, indent: int, out: list) -> None:
     """Appends the text of ``obj`` to ``out``.  Containers write their items
     in place, so the text of a large basis is copied once more, by the final
-    join, however deep it sits."""
+    join, however deep it sits; an item that is a leaf of a JSON type is
+    written without a further call."""
     if isinstance(obj, Basis):
         _write_basis(obj, indent, out)
         return
-    if not isinstance(obj, (dict, list, tuple)):
-        out.append(_leaf_text(obj))
+    if not isinstance(obj, (dict, list, tuple)):  # a leaf, by its type or nearest base
+        leaf = next((_LEAVES[base] for base in type(obj).__mro__ if base in _LEAVES), None)
+        if leaf is None:
+            raise TypeError(f"cannot serialize {type(obj)!r}")
+        out.append(leaf(obj))
         return
     is_dict = isinstance(obj, dict)
     if not obj:
         out.append("{}" if is_dict else "[]")
         return
-    inner = "  " * (indent + 1)
-    out.append("{" if is_dict else "[")
-    for k, item in enumerate(obj.items() if is_dict else obj):
-        out.append(f",\n{inner}" if k else f"\n{inner}")
-        if is_dict:
-            key, item = item
-            out.append(f'"{key}": ')  # every key is an ASCII identifier of this module
-        _write_json(item, indent + 1, out)
+    inner = "\n" + "  " * (indent + 1)
+    lead = ("{" if is_dict else "[") + inner
+    for key, item in obj.items() if is_dict else enumerate(obj):
+        out.append(f'{lead}"{key}": ' if is_dict else lead)  # keys: ASCII identifiers
+        leaf = _LEAVES.get(type(item))
+        if leaf is None:
+            _write_json(item, indent + 1, out)
+        else:
+            out.append(leaf(item))
+        lead = "," + inner
     out.append(f"\n{'  ' * indent}{'}' if is_dict else ']'}")
 
 

@@ -27,10 +27,11 @@ variant, which drops the identity 0.
 
 A ``JoinStructure`` holds only what the builder decides: the blocks
 (label, members, clique size) and the template as a read-only loop-free
-bool array.  Whatever the spectra read beyond that is derived when read:
-a vertex of block i has degree (c_i - 1) + sum of n_j over the template
-neighbours j of i (``JoinStructure.degrees``), so no stored copy can
-disagree with the adjacency that validation certifies.
+bool array.  What the spectra read beyond that is derived once per
+structure: the sizes n_i, the order and the degree (c_i - 1) + sum of n_j
+over the template neighbours j of block i (``JoinStructure.degrees``).
+The template is read-only, the blocks are frozen and an array's length is
+fixed, so no cached value can disagree with what validation certifies.
 
 ``build_join`` does not trust the rule: ``validate_structure`` proves,
 vertex for vertex, that the join graph is the power graph, by a
@@ -58,6 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -128,7 +130,8 @@ class JoinBlock:
 class JoinStructure:
     """Ordered blocks and their template: ``adj[i, j]`` joins blocks i and
     j completely.  Construction copies ``adj`` as a read-only bool array
-    without loops, so a block is always its disjoint cliques."""
+    without loops, so a block is always its disjoint cliques.  ``sizes``,
+    ``order`` and ``degrees`` are computed on first read and kept."""
 
     spec: GroupSpec
     variant: Variant
@@ -141,15 +144,15 @@ class JoinStructure:
         adj.setflags(write=False)
         object.__setattr__(self, "adj", adj)
 
-    @property
-    def order(self) -> int:
-        return sum(b.size for b in self.blocks)
-
-    @property
+    @cached_property
     def sizes(self) -> tuple:
         return tuple(b.size for b in self.blocks)
 
-    @property
+    @cached_property
+    def order(self) -> int:
+        return sum(self.sizes)
+
+    @cached_property
     def degrees(self) -> tuple:
         """The degree of every vertex of each block: its clique's other
         members plus every vertex of the template-adjacent blocks."""
@@ -207,9 +210,10 @@ def build_join(spec: GroupSpec, variant: Variant, validate: bool = True) -> Join
     labels = divisors(m)
     adj = divisor_graph(labels)
     classes = _gcds(m)
-    # gcd(k, m) = d holds only for k = d*j, whose gcds are classes[::d]
-    members = [d * np.flatnonzero(classes[::d] == d) for d in labels]
-    cliques = [len(group) for group in members]
+    # one stable sort (radix, on int16 keys) lists each class's k ascending
+    keys = classes.astype(np.int16) if m < 2**15 else classes
+    cliques = np.bincount(classes)[labels].tolist()
+    members = np.split(np.argsort(keys, kind="stable"), np.cumsum(cliques)[:-1])
     if clique is not None:
         t = len(labels)
         adj = np.pad(adj, (0, 1))
@@ -265,8 +269,8 @@ def _orders(spec: GroupSpec, x: np.ndarray) -> np.ndarray:
     2^j.  The other positions go one prime of |G| at a time: the p-part of
     o(x) is the order of x^(|G| / p^e), found by raising that power to p
     until it is e; for odd p that power is taken of x^(2^e2), which the
-    squaring left.  Refuses when some x^|G| is not e, naming the first such
-    x; a settled x has x^|G| = e, since 2^j divides |G|."""
+    squaring left, from one ladder of its squares.  Refuses when some x^|G|
+    is not e, naming the first such x; a settled x has x^|G| = e (2^j | |G|)."""
     size = spec.order
     two = size & -size  # 2^e2
     out = np.ones(len(x), dtype=np.int64)
@@ -277,11 +281,19 @@ def _orders(spec: GroupSpec, x: np.ndarray) -> np.ndarray:
         done = y == 0
         out[rest[done]] = 2**j
         rest, y = rest[~done], y[~done]
-    x, top, odd = x[rest], y, size // two  # top = x^(2^e2)
+    x, odd, primes = x[rest], size // two, factorize(size)
+    ladder = [y]  # top^(2^j), top = x^(2^e2): squared once for all odd p
+    for _ in range(1, max((odd // p**e for p, e in primes if p > 2), default=1).bit_length()):
+        ladder.append(mul(spec, ladder[-1], ladder[-1]))
     part = np.ones(len(x), dtype=np.int64)
-    for p, e in factorize(size):
-        # x^(|G| / p^e), for odd p as a power of x^(2^e2)
-        y = _power(spec, x, odd) if p == 2 else _power(spec, top, odd // p**e)
+    for p, e in primes:
+        # x^(|G| / p^e); for odd p, top^k, k = odd / p^e, as ``_power``
+        # multiplies it: the ladder entries of the bits of k, lowest first
+        if p == 2:
+            y = _power(spec, x, odd)
+        else:
+            k = odd // p**e
+            y = reduce(partial(mul, spec), [ladder[j] for j in range(k.bit_length()) if k >> j & 1])
         for _ in range(e):
             live = y != 0
             if not live.any():

@@ -313,33 +313,40 @@ def multiset_gap(a, b) -> float:
     return float(np.max(np.abs(va - vb)))
 
 
-def _group_tolerance(values) -> float:
-    scale = max((abs(v) for v in values), default=0.0)
-    return GROUPING_RTOL * max(1.0, scale)
+def _group_starts(values: np.ndarray) -> list:
+    """The first index of every group of the ascending float array
+    ``values``, then its length: a group ends at a gap between consecutive
+    values above GROUPING_RTOL * max(1, max |v|).  Both eigenspace builders
+    group by this one rule."""
+    gtol = GROUPING_RTOL * max(1.0, float(np.abs(values).max(initial=0.0)))
+    return [0, *(np.flatnonzero(np.diff(values) > gtol) + 1).tolist(), len(values)]
 
 
 def dense_eigen(m: np.ndarray) -> Spectrum:
     """The eigenvalues of a symmetric matrix by LAPACK (``eigvalsh``),
-    grouped into eigenspaces by the merge tolerance, with no bases.  The
-    brute-force oracle: its readers compare values, and eigenvectors come
-    from the structural route and the closed forms."""
+    grouped into eigenspaces by the merge tolerance (``_group_starts``),
+    each the mean of its group, with no bases.  The brute-force oracle: its
+    readers compare values, and eigenvectors come from the structural route
+    and the closed forms."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("square matrix required")
-    if not np.array_equal(m, m.T):
+    # m against m.T in 256 x 256 tiles, the transposed reads in cache; NaN equals nothing
+    step = range(0, len(m), 256)
+    if not all(
+        np.array_equal(m[i : i + 256, j : j + 256], m[j : j + 256, i : i + 256].T)
+        for i in step for j in step if j >= i
+    ):
         raise ValueError("dense_eigen requires an exactly symmetric matrix")
     n = m.shape[0]
     if n == 0:
         return Spectrum((), 0)
     vals = np.linalg.eigvalsh(m)  # ascending
-    gtol = _group_tolerance(vals.tolist())
-    spaces = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or vals[i] - vals[i - 1] > gtol:
-            group = vals[start:i]
-            spaces.append(Eigenspace(float(np.mean(group)) + 0.0, i - start, "Dense"))
-            start = i
+    starts = _group_starts(vals)
+    spaces = [
+        Eigenspace(float(np.mean(vals[lo:hi])) + 0.0, hi - lo, "Dense")
+        for lo, hi in zip(starts, starts[1:])
+    ]
     spaces.sort(key=lambda e: -e.value)
     return Spectrum(tuple(spaces), n)
 
@@ -446,8 +453,8 @@ def _kappa(js: JoinStructure, p: UniversalParams) -> list:
     the quotient, with deg_i the degree of block i's vertices; exact for
     exact ``p``."""
     return [
-        p.alpha * b.regularity + p.beta * deg + p.gamma + p.eta * b.size
-        for b, deg in zip(js.blocks, js.degrees)
+        p.alpha * (b.clique - 1) + p.beta * deg + p.gamma + p.eta * size
+        for b, size, deg in zip(js.blocks, js.sizes, js.degrees)
     ]
 
 
@@ -490,15 +497,18 @@ def hjoin_spectrum(js: JoinStructure, p: UniversalParams, want_vectors: bool = F
     eigenvalue lam of the block orthogonal to its all-ones vector gives
     alpha*lam + beta*deg + gamma.  lam = -1 has multiplicity
     copies*(c-1), with the in-clique difference vectors (+1 at a clique's
-    first vertex, -1 at its r-th) as eigenvectors; lam = c - 1 has multiplicity copies-1, with the
-    differences of clique indicator vectors (first clique minus the r-th).
-    Part two: the eigenpairs of the symmetric quotient matrix, each lifted
-    to a block-constant vector scaled by sqrt(n_last / n_block).  Values
-    are then grouped into eigenspaces by the merge tolerance.  For rational
-    ``p`` the block values and the quotient diagonal are integer numerators
-    over the common denominator of ``p``, each made a float by one int/int
-    division: ``float`` of the exact value, bit for bit, without a
-    ``Fraction``.
+    first vertex, -1 at its r-th) as eigenvectors; lam = c - 1 has
+    multiplicity copies-1, with the differences of clique indicator
+    vectors (first clique minus the r-th).  Part two: the eigenpairs of the
+    symmetric quotient matrix, each lifted to a block-constant vector
+    scaled by sqrt(n_last / n_block).  The candidate values, equal block
+    values as one, are sorted once as parallel arrays and cut into
+    eigenspaces by the merge tolerance (``_group_starts``), each the
+    multiplicity-weighted mean of its candidates (v * m / m for one).  For
+    rational ``p`` the block values and the quotient diagonal are integer
+    numerators over the common denominator of ``p``, each made a float by
+    one int/int division: ``float`` of the exact value, bit for bit,
+    without a ``Fraction``.
 
     Under ``want_vectors`` each eigenspace carries a compact ``Basis``,
     its vectors in the order their candidate values sort: the in-clique
@@ -509,29 +519,47 @@ def hjoin_spectrum(js: JoinStructure, p: UniversalParams, want_vectors: bool = F
     (element positions, see ``groups``), so the eigenvectors pair directly
     with ``universal_matrix`` of that graph.
     """
-    blocks = js.blocks
-    sizes = js.sizes
-    total = js.order
-
+    blocks, sizes, total = js.blocks, js.sizes, js.order
     d, scaled = _over_common_denominator(p)
 
-    # part 1, grouped by exact formula value
-    block_groups: dict[float, list] = {}
-    for i, (b, degree) in enumerate(zip(blocks, js.degrees)):
-        for lam, mult in b.local_eigenvalues():
-            if mult == 0:
-                continue
-            value = float(_block_value(scaled, degree, lam) / d)
-            block_groups.setdefault(value, []).append((i, lam, mult))
-
-    candidates = []  # (value, multiplicity, provenance, basis segments)
-    for value, parts in block_groups.items():
-        mult = sum(part_mult for _, _, part_mult in parts)
-        candidates.append((value, mult, "BlockDiff", parts))
-
+    # part 1, keyed by the float of the exact value: (block, lam, mult)
+    # parts, lam and mult as ``JoinBlock.local_eigenvalues`` gives them
+    parts: dict[float, list] = {}
+    for i, (size, c, degree) in enumerate(zip(sizes, [b.clique for b in blocks], js.degrees)):
+        copies = size // c
+        for lam, mult in ((-1, copies * (c - 1)), (c - 1, copies - 1)):
+            if mult:
+                value = float(_block_value(scaled, degree, lam) / d)
+                parts.setdefault(value, []).append((i, lam, mult))
     qvals, qvecs = np.linalg.eigh(_symmetric(js, p))
-    for k, value in enumerate(qvals.tolist()):
-        candidates.append((value, 1, "Quotient", k))
+
+    # the candidates: block values, then quotient values k = index - len(parts)
+    values = np.concatenate([list(parts), qvals])
+    mults = np.array([sum(m for *_, m in ps) for ps in parts.values()] + [1] * len(qvals))
+    order = np.argsort(values, kind="stable")
+    values, mults = values[order], mults[order]
+    starts = _group_starts(values)
+    lo = starts[:-1]
+    total_mult = np.add.reduceat(mults, lo).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # as silent as Python floats
+        weighted = values * mults
+        single = (weighted / mults + 0.0).tolist()
+    weighted = weighted.tolist()
+    space_values = [
+        single[a] if b - a == 1 else sum(weighted[a:b]) / m + 0.0
+        for a, b, m in zip(lo, starts[1:], total_mult)
+    ]
+    block = order < len(parts)  # 1, 2 or 3: block values, quotient values or both
+    provenance = (np.logical_or.reduceat(block, lo) + 2 * np.logical_or.reduceat(~block, lo)).tolist()
+
+    if want_vectors:
+        sources = [*parts.values(), *range(len(qvals))]
+        # row k is quotient vector k, nu_l * sqrt(n_last / n_l) on block l
+        weights = np.array([sqrt(sizes[-1] / size) for size in sizes])
+        coeffs = (qvecs * weights[:, None]).T
+        block_of = np.empty(total, dtype=np.int64)
+        for l, b in enumerate(blocks):
+            block_of[b.members] = l
 
     def segments(source):
         """(kind, data) segments of the basis vectors of a candidate: its
@@ -549,31 +577,14 @@ def hjoin_spectrum(js: JoinStructure, p: UniversalParams, want_vectors: bool = F
             out.append((Basis.SET, (plus, minus)))
         return out
 
-    if want_vectors:
-        # row k is quotient vector k, nu_l * sqrt(n_last / n_l) on block l
-        weights = np.array([sqrt(sizes[-1] / size) for size in sizes])
-        coeffs = (qvecs * weights[:, None]).T
-        block_of = np.empty(total, dtype=np.int64)
-        for l, b in enumerate(blocks):
-            block_of[b.members] = l
-
-    gtol = _group_tolerance([v for v, *_ in candidates])
-    candidates.sort(key=lambda c: c[0])
-    groups: list = []
-    for cand in candidates:
-        if not groups or cand[0] - groups[-1][-1][0] > gtol:
-            groups.append([])
-        groups[-1].append(cand)
+    names = (None, "BlockDiff", "Quotient", "BlockDiff+Quotient")
     spaces = []
-    for group in groups:
-        total_mult = sum(m for _, m, _, _ in group)
-        value = sum(v * m for v, m, _, _ in group) / total_mult + 0.0  # -0.0 -> 0.0
-        provenance = "+".join(sorted({prov for _, _, prov, _ in group}))
+    for g in sorted(range(len(space_values)), key=lambda g: -space_values[g]):
         basis = None
         if want_vectors:
-            basis = Basis.of_segments(total, [seg for *_, src in group for seg in segments(src)])
-        spaces.append(Eigenspace(value, total_mult, provenance, basis))
-    spaces.sort(key=lambda e: -e.value)
+            group = order[starts[g] : starts[g + 1]].tolist()
+            basis = Basis.of_segments(total, [seg for c in group for seg in segments(sources[c])])
+        spaces.append(Eigenspace(space_values[g], total_mult[g], names[provenance[g]], basis))
     return Spectrum(tuple(spaces), total)
 
 

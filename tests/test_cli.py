@@ -503,14 +503,34 @@ def test_charpoly_prints_coefficients_without_the_int_str_limit_functions(capsys
 
 
 def legacy_emit(obj, indent=0):
-    """The list emitter, one ``format(v, ".17g")`` per float."""
+    """The reference emitter: ``json.dumps`` for a string or a key, one
+    ``format(v, ".17g")`` per float."""
     pad, inner = "  " * indent, "  " * (indent + 1)
-    if isinstance(obj, float):
-        return format(obj, ".17g")
+    if obj is None or isinstance(obj, (bool, str)):
+        return json.dumps(obj)
+    if isinstance(obj, (int, float)):
+        return str(obj) if isinstance(obj, int) else format(obj, ".17g")
+    if isinstance(obj, dict):
+        parts = [f"{inner}{json.dumps(k)}: {legacy_emit(v, indent + 1)}" for k, v in obj.items()]
+        return "{\n" + ",\n".join(parts) + f"\n{pad}}}" if obj else "{}"
     if not obj:
         return "[]"
     parts = [f"{inner}{legacy_emit(v, indent + 1)}" for v in obj]
     return "[\n" + ",\n".join(parts) + f"\n{pad}]"
+
+
+# every kind of leaf and container a report holds, nested
+LEAVES = {
+    "quotes": 'say "hi"',
+    "backslashes": "a\\b\\",
+    "control": "\x00\x01\t\n\r\x1f\x7f",
+    "non_ascii": "\u00e9\u2028\U0001f600",
+    "empty_string": "",
+    "bools_and_ints": [True, 1, False, 0, -7, 10**30],
+    "floats": [-0.0, 0.0, 1e308, -1e308, 5e-324, 0.1, 3.0],
+    "none": None,
+    "empty": {"dict": {}, "list": [], "tuple": ()},
+}
 
 
 SPECIAL_FLOATS = [
@@ -539,6 +559,9 @@ def test_emit_json_array_matches_per_float_emitter(arr, indent):
     rows = arr if arr.ndim == 2 else arr[None]
     assert _emit_json(Basis.of_rows(rows), indent) == legacy_emit(rows.tolist(), indent)
     assert _emit_json(arr.tolist(), indent) == legacy_emit(arr.tolist(), indent)
+    report = {"values": arr.tolist(), "leaves": LEAVES, "rows": [LEAVES, [arr.tolist(), {}]]}
+    assert _emit_json(report, indent) == legacy_emit(report, indent)
+    assert json.loads(_emit_json(LEAVES, indent))["non_ascii"] == LEAVES["non_ascii"]
     with pytest.raises(TypeError):
         _emit_json({"basis": arr}, indent)
 

@@ -159,8 +159,22 @@ def test_dicyclic_template_poset():
     }
 
 
+def assert_derived_fields(js):
+    """``sizes``, ``order`` and ``degrees``, read twice, against their
+    recomputation from the blocks and the template."""
+    sizes = tuple(len(b.members) for b in js.blocks)
+    degrees = tuple(
+        b.clique - 1 + sum(size for size, joined in zip(sizes, row) if joined)
+        for b, row in zip(js.blocks, js.adj.tolist())
+    )
+    for _ in range(2):
+        assert (js.sizes, js.order, js.degrees) == (sizes, sum(sizes), degrees)
+        assert all(type(x) is int for x in (js.order, *js.sizes, *js.degrees))
+
+
 def test_build_join_z6_blocks():
     js = build_join(GroupSpec(Z, 6), Variant.POWER)
+    assert_derived_fields(js)
     by_label = {b.label: b for b in js.blocks}
     assert {lab: b.size for lab, b in by_label.items()} == {1: 2, 2: 2, 3: 1, 6: 1}
     assert all(b.clique == b.size for b in js.blocks)
@@ -168,6 +182,7 @@ def test_build_join_z6_blocks():
 
 def test_build_join_d15_blocks():
     js = build_join(GroupSpec(D, 15), Variant.POWER)
+    assert_derived_fields(js)
     by_label = {b.label: b for b in js.blocks}
     assert {lab: b.size for lab, b in by_label.items()} == {1: 8, 3: 4, 5: 2, 15: 1, "R": 15}
     assert by_label["R"].clique == 1
@@ -176,6 +191,7 @@ def test_build_join_d15_blocks():
 
 def test_build_join_q2_proper_blocks():
     js = build_join(GroupSpec(Q, 2), Variant.PROPER)
+    assert_derived_fields(js)
     assert [b.label for b in js.blocks] == [1, 2, "R"]
     assert js.sizes == (2, 1, 4)
     # vertices of the proper power graph: vertex i is the element at i + 1
@@ -276,7 +292,10 @@ def test_dicyclic_structure_refused_away_from_two_powers():
 
 def test_members_are_vertex_positions_of_cyclic_subgroups():
     # the blocks together hold each vertex position once, and every clique
-    # of a block is the set of generators of one cyclic subgroup, its own
+    # of a block is the set of generators of one cyclic subgroup, its own;
+    # rotation block d lists the k with gcd(k, m) = d ascending
+    from math import gcd
+
     specs = (
         [GroupSpec(Z, n) for n in range(1, 61)]
         + [GroupSpec(D, n) for n in range(1, 31)]
@@ -292,8 +311,12 @@ def test_members_are_vertex_positions_of_cyclic_subgroups():
             every = np.sort(np.concatenate([b.members for b in js.blocks]))
             assert np.array_equal(every, np.arange(spec.order - shift)), (spec, variant)
             seen = set()
+            m = spec.order if spec.family is Z else spec.order // 2
             for b in js.blocks:
                 assert b.members.dtype.kind == "i"
+                if b.label != "R":
+                    ks = [k for k in range(m) if (gcd(k, m) if k else m) == b.label]
+                    assert b.members.tolist() == [k - shift for k in ks], (spec, variant, b.label)
                 for clique in b.members.reshape(-1, b.clique) + shift:
                     generated = {subgroup[i] for i in clique.tolist()}
                     assert len(generated) == 1, (spec, variant, b.label)
@@ -414,6 +437,7 @@ def test_degrees_are_oracle_row_sums():
             if variant is Variant.PROPER and spec.order < 2:
                 continue
             js = build_join(spec, variant, validate=False)
+            assert_derived_fields(js)
             want = np.empty(js.order, dtype=np.int64)
             for b, degree in zip(js.blocks, js.degrees):
                 want[b.members] = degree

@@ -169,6 +169,30 @@ def test_dense_eigen_d15_quotient():
 def test_dense_eigen_rejects_asymmetric():
     with pytest.raises(ValueError):
         dense_eigen(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    # m is compared with m.T tile by tile: an entry in a far tile and a NaN
+    # are refused as by one comparison of the whole arrays
+    rng = np.random.default_rng(26)
+    m = rng.standard_normal((2000, 2000))
+    m += m.T
+    for i, j in ((1999, 3), (3, 1999), (1000, 1777), (1999, 1998)):
+        bad = m.copy()
+        bad[i, j] += 1.0
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            dense_eigen(bad)
+    for spots in (((5, 5),), ((7, 1900), (1900, 7))):  # NaN equals nothing, not even itself
+        bad = m.copy()
+        for i, j in spots:
+            bad[i, j] = np.nan
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            dense_eigen(bad)
+    for n in (1, 255, 256, 257, 513):  # tile edges
+        a = rng.standard_normal((n, n))
+        for b in (a + a.T, a + a.T * (1 + 2**-52)):  # the second off by an ulp for n > 1
+            if np.array_equal(b, b.T):
+                assert dense_eigen(b).dimension == n
+            else:
+                with pytest.raises(ValueError, match="exactly symmetric"):
+                    dense_eigen(b)
 
 
 @pytest.mark.parametrize(
@@ -488,7 +512,25 @@ QUOTIENT_BIT_IDENTITY_PARAMS = BIT_IDENTITY_PARAMS + [
 ]
 
 
-def test_quotient_matrix_bit_identical_to_loop_formula():
+def _hjoin_triples(js, p):
+    spaces = hjoin_spectrum(js, p).eigenspaces
+    assert all(type(e.value) is float and type(e.multiplicity) is int for e in spaces)
+    return [(e.value, e.multiplicity, e.provenance) for e in spaces]
+
+
+# the groups of the large-order benchmark workload
+LARGE_ORDER_JOINS = [
+    (GroupSpec(Z, 5040), Variant.POWER),
+    (GroupSpec(Z, 2310), Variant.PROPER),
+    (GroupSpec(D, 1155), Variant.PROPER),
+    (GroupSpec(Q, 512), Variant.POWER),
+    (GroupSpec(Q, 300), Variant.POWER),
+]
+
+
+def test_quotient_matrix_bit_identical_to_loop_formula(monkeypatch):
+    rng = np.random.default_rng(26)
+    params = QUOTIENT_BIT_IDENTITY_PARAMS + [sample_params(rng) for _ in range(10)]
     specs = [GroupSpec(Z, n) for n in (1, 2, 12, 60, 97)]
     specs += [GroupSpec(D, n) for n in (1, 6, 15, 32)]
     specs += [GroupSpec(Q, n) for n in (2, 4, 8)]
@@ -497,7 +539,7 @@ def test_quotient_matrix_bit_identical_to_loop_formula():
             if variant is Variant.PROPER and spec.order < 2:
                 continue
             js = build_join(spec, variant)
-            for p in QUOTIENT_BIT_IDENTITY_PARAMS:
+            for p in params:
                 for q in (p, complement_params(p, js.order)):
                     qm = quotient_matrix(js, q)
                     sym, similar = _quotient_by_loop_formula(js, q)
@@ -507,10 +549,22 @@ def test_quotient_matrix_bit_identical_to_loop_formula():
                     assert got == want
                     if q.is_rational:
                         assert all(type(x) in (int, Fraction) for _, x in got)
-                    spaces = hjoin_spectrum(js, q).eigenspaces
-                    got = [(e.value, e.multiplicity, e.provenance) for e in spaces]
-                    assert got == _hjoin_values_by_loop_formula(js, q)
-                    assert all(type(e.value) is float for e in spaces)
+                    assert _hjoin_triples(js, q) == _hjoin_values_by_loop_formula(js, q)
+    # hjoin_spectrum alone on the large-order groups, t up to 60
+    joins = [build_join(spec, variant) for spec, variant in LARGE_ORDER_JOINS]
+    pairs = [(js, q) for js in joins for p in params for q in (p, complement_params(p, js.order))]
+    for js, q in pairs:
+        assert _hjoin_triples(js, q) == _hjoin_values_by_loop_formula(js, q), (js.spec, q)
+    # the block values keep alpha*lam + beta*deg + gamma in that order: the
+    # same sum reordered rounds apart from the reference at float parameters
+    monkeypatch.setattr(
+        powspec.spectra, "_block_value", lambda p, deg, lam: p.gamma + p.beta * deg + p.alpha * lam
+    )
+    assert any(
+        _hjoin_triples(js, q) != _hjoin_values_by_loop_formula(js, q)
+        for js, q in pairs
+        if not q.is_rational
+    )
 
 
 # ---------------------------------------------------------------------------
