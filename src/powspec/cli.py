@@ -92,14 +92,6 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _table(arr: np.ndarray) -> tuple:
-    """(table, indices): each distinct value of a float64 array formatted
-    once, keyed by its bit pattern so that -0.0 keeps its sign and every
-    NaN its own entry, and the table index of every entry."""
-    bits, inv = np.unique(arr.view(np.int64).ravel(), return_inverse=True)
-    return [_fmt_float(v) for v in bits.view(np.float64).tolist()], inv.reshape(arr.shape)
-
-
 def _array_text(inv: list, table: list, indent: int) -> str:
     """A row of string-table indices, laid out like the list path."""
     items = list(map(table.__getitem__, inv))
@@ -124,10 +116,8 @@ def _set_entries(plus: list, minus: list) -> list:
 def _write_basis(basis: Basis, indent: int, out: list) -> None:
     """Appends a basis to ``out`` as the array of its dense vectors would
     print.  A set difference is the row of all "0" with its nonzero
-    entries spliced in at their offsets, and so is a dense row that is
-    mostly +0.0; any other dense row takes the table path of an array.  A
-    lift prints from its t formatted coefficients, one per block, read
-    through its block map."""
+    entries spliced in at their offsets.  A lift prints from its t
+    formatted coefficients, one per block, read through its block map."""
     if not len(basis):
         out.append("[]")
         return
@@ -145,7 +135,7 @@ def _write_basis(basis: Basis, indent: int, out: list) -> None:
         out.append(zeros[at:])
 
     plus, minus = basis.plus.tolist(), basis.minus.tolist()
-    sets, dense, lifts = iter(basis.set_size.tolist()), iter(basis.dense), iter(basis.coeffs.tolist())
+    sets, lifts = iter(basis.set_size.tolist()), iter(basis.coeffs.tolist())
     block_of = basis.block_of.tolist() if len(basis.coeffs) else None
     row_start = f"\n{'  ' * (indent + 1)}"
     at = 0
@@ -164,16 +154,8 @@ def _write_basis(basis: Basis, indent: int, out: list) -> None:
             else:
                 splice(_set_entries(plus[at : at + size], minus[at : at + size]))
             at += size
-        elif kind == Basis.LIFT:
-            out.append(_array_text(block_of, list(map(_fmt_float, next(lifts))), indent + 1))
         else:
-            row = next(dense)
-            nonzero = np.flatnonzero(row.view(np.int64))  # every entry but +0.0
-            if 2 * len(nonzero) < len(row):
-                splice(zip(nonzero.tolist(), map(_fmt_float, row[nonzero].tolist())))
-            else:
-                table, inv = _table(row)
-                out.append(_array_text(inv.tolist(), table, indent + 1))
+            out.append(_array_text(block_of, list(map(_fmt_float, next(lifts))), indent + 1))
     out.append(f"\n{'  ' * indent}]")
 
 
@@ -225,7 +207,7 @@ def _check_finite(values, bases=()) -> None:
     would not be JSON, and a check against an infinite tolerance would
     pass on nothing."""
     arrays = [np.asarray(values, dtype=float)]
-    arrays += [a.ravel() for b in bases for a in (b.dense, b.coeffs)]
+    arrays += [b.coeffs.ravel() for b in bases]
     if not np.isfinite(np.concatenate(arrays)).all():
         raise OverflowError("a report holds a NaN or infinite value")
 
@@ -233,8 +215,7 @@ def _check_finite(values, bases=()) -> None:
 def _emit_json(obj, indent: int = 0) -> str:
     """Deterministic JSON text: keys in insertion order, two-space indent,
     every float formatted by ``_fmt_float``.  A ``Basis`` prints as the
-    array of its dense vectors would, each distinct value of a dense row
-    formatted once (see ``_table``).
+    array of its dense vectors would (see ``_write_basis``).
     """
     out: list = []
     _write_json(obj, indent, out)
@@ -648,7 +629,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else list(argv)))
         if getattr(args, "normalized", None) and args.normalized_at is None:
             raise _UsageError("--normalized needs --at VALUE")
-        return args.func(args)
+        # numpy's warnings stay off stderr: a NaN or infinite value that
+        # reaches a report exits 1 by ``_check_finite`` or ``OverflowError``
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -10,8 +10,8 @@ its hypotheses instead of extrapolating.  A spectrum comes back as a
 form; int and Fraction parameters keep the values exact where the formula
 is rational.  Eigenvectors come as the structural route's compact
 ``Basis``: in-block differences as set differences e_i - e_j, indicator,
-bipartite and lifted vectors as dense rows, so nothing of size N is made
-per difference.
+bipartite and lifted vectors as dense rows, each a lift over one block per
+vertex, so nothing of size N is made per difference.
 """
 
 from __future__ import annotations
@@ -73,8 +73,9 @@ def _diffs(support) -> tuple:
 
 
 def _rows(*vectors) -> tuple:
-    """Dense vectors as one segment of rows."""
-    return Basis.DENSE, np.array(vectors, dtype=float)
+    """Dense vectors as one segment of lifts over one block per vertex."""
+    rows = np.array(vectors, dtype=float)
+    return Basis.LIFT, (rows, np.arange(rows.shape[1]))
 
 
 def _indicator(total: int, support: list[int], value: float = 1.0):

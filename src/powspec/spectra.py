@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, isfinite, isqrt, lcm, prod, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,7 +143,7 @@ def universal_matrix(g: LabeledGraph, p: UniversalParams) -> np.ndarray:
 # the fields of a basis without sets or without lifts, and the kind codes
 _NO_SETS = (np.zeros(0, dtype=np.int64),) * 3
 _NO_LIFTS = (np.zeros((0, 0)), None)
-_KINDS = np.arange(3, dtype=np.int8)
+_KINDS = np.arange(2, dtype=np.int8)
 
 
 class Basis:
@@ -156,10 +157,10 @@ class Basis:
       ``set_size`` holds s per vector, and the int arrays ``plus`` and
       ``minus`` the members of every P and every M, one list after the
       other.  e_i - e_j is the case s = 1.
-    * ``DENSE``: the next row of the float array ``dense``.
     * ``LIFT``: a block-constant vector, the next row of the float array
       ``coeffs`` read through the int array ``block_of``: its entry at
-      vertex v is coeffs[k, block_of[v]].
+      vertex v is coeffs[k, block_of[v]].  A dense row is the lift over one
+      block per vertex, ``block_of`` = 0..N-1 (``of_rows``).
 
     The structural route keeps its in-clique differences, and those of
     single-vertex cliques, as sets of size 1, the differences of wider
@@ -169,25 +170,22 @@ class Basis:
     ``Basis`` still reads as a sequence of dense vectors of length
     ``dimension``: ``len``, indexing, iteration and ``np.array``."""
 
-    SET, DENSE, LIFT = 0, 1, 2
+    SET, LIFT = 0, 1
 
-    def __init__(self, dimension: int, sets=None, dense=None, lifts=None, kind=None):
+    def __init__(self, dimension: int, sets=None, lifts=None, kind=None):
         """``sets`` is (plus, minus, set_size) and ``lifts`` is (coeffs,
-        block_of); without ``kind`` the sets come first, then the dense
-        rows, then the lifts.  Raises ``ValueError`` when a field has the
-        wrong shape or ``kind`` counts a kind other than its rows."""
+        block_of); without ``kind`` the sets come first, then the lifts.
+        Raises ``ValueError`` when a field has the wrong shape or ``kind``
+        counts a kind other than its rows."""
         self.dimension = dimension
         self.plus, self.minus, self.set_size = _NO_SETS if sets is None else sets
-        self.dense = np.zeros((0, dimension)) if dense is None else dense
         self.coeffs, self.block_of = _NO_LIFTS if lifts is None else lifts
-        counts = [len(self.set_size), len(self.dense), len(self.coeffs)]
+        counts = [len(self.set_size), len(self.coeffs)]
         if kind is not None:
-            flags = np.bincount(kind, minlength=3).tolist() if len(kind) else [0, 0, 0]
+            flags = np.bincount(kind, minlength=2).tolist() if len(kind) else [0, 0]
             if flags != counts:
                 raise ValueError(f"kind flags count {flags} vectors per kind, the fields hold {counts}")
         self.kind = np.repeat(_KINDS, counts) if kind is None else kind
-        if self.dense.ndim != 2 or self.dense.shape[1] != dimension:
-            raise ValueError(f"dense rows of shape {self.dense.shape} in dimension {dimension}")
         if sets is not None and (
             self.plus.shape != self.minus.shape
             or len(self.plus) != int(self.set_size.sum())
@@ -201,32 +199,32 @@ class Basis:
         if lifts is not None and (
             self.coeffs.ndim != 2
             or np.shape(self.block_of) != (dimension,)
-            or (counts[2] and not 0 <= self.block_of.min() <= self.block_of.max() < self.coeffs.shape[1])
+            or (  # a basis in dimension 0 has an empty block map
+                counts[1] and dimension
+                and not 0 <= self.block_of.min() <= self.block_of.max() < self.coeffs.shape[1]
+            )
         ):
             raise ValueError("lift coefficients need one block index per vertex, in range")
 
     @classmethod
     def of_rows(cls, rows) -> "Basis":
-        """Dense rows only, one vector per row."""
-        dense = np.array(rows, dtype=float) if len(rows) else np.zeros((0, 0))
-        if dense.ndim != 2:
+        """Dense rows, one vector per row: lifts over one block per vertex."""
+        rows = np.array(rows, dtype=float) if len(rows) else np.zeros((0, 0))
+        if rows.ndim != 2:
             raise ValueError("basis rows must be vectors of one length")
-        return cls(dense.shape[1], dense=dense)
+        return cls(rows.shape[1], lifts=(rows, np.arange(rows.shape[1])))
 
     @classmethod
     def of_segments(cls, dimension: int, segments) -> "Basis":
         """Vectors from (kind, data) segments, in order: for ``SET`` a pair
         (plus, minus) of (m, s) int arrays, row r the lists P and M of
-        vector r; for ``DENSE`` an (m, dimension) array of rows; for
-        ``LIFT`` a pair (coeffs, block_of), every lift segment of a basis
-        with the same ``block_of``."""
+        vector r; for ``LIFT`` a pair (coeffs, block_of), every lift
+        segment of a basis with the same ``block_of``."""
         def stack(arrays):
             return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
-        parts: dict = {cls.SET: [], cls.DENSE: [], cls.LIFT: []}
-        for kind, data in segments:
-            parts[kind].append(data)
-        sets, dense, lifts = parts[cls.SET], parts[cls.DENSE], parts[cls.LIFT]
+        sets = [data for kind, data in segments if kind == cls.SET]
+        lifts = [data for kind, data in segments if kind == cls.LIFT]
         if sets:
             sets = (
                 stack([p.ravel() for p, _ in sets]),
@@ -240,9 +238,9 @@ class Basis:
             lifts = (stack([c for c, _ in lifts]), block_of)
         kind = None
         if len(segments) > 1:
-            counts = [len(data) if kind == cls.DENSE else len(data[0]) for kind, data in segments]
+            counts = [len(data[0]) for _, data in segments]
             kind = np.repeat(np.array([kind for kind, _ in segments], dtype=np.int8), counts)
-        return cls(dimension, sets or None, stack(dense) if dense else None, lifts or None, kind)
+        return cls(dimension, sets or None, lifts or None, kind)
 
     def __len__(self) -> int:
         return len(self.kind)
@@ -261,7 +259,6 @@ class Basis:
         """The dense vectors stacked as rows: O(m N), for readers of the
         dense form; the checks and the emitter read the compact fields."""
         out = np.zeros((len(self), self.dimension))
-        out[self.kind == self.DENSE] = self.dense
         out[self.kind == self.LIFT] = self.lifted()
         rows = np.repeat(np.flatnonzero(self.kind == self.SET), self.set_size)
         np.add.at(out, (rows, self.plus), 1.0)
@@ -269,16 +266,11 @@ class Basis:
         return out if dtype is None else out.astype(dtype)
 
 
-@dataclass(frozen=True)
-class Eigenspace:
+class Eigenspace(NamedTuple):
     value: float  # a closed form keeps an int or Fraction value exact
     multiplicity: int
     provenance: str  # "BlockDiff" | "Quotient" | "BlockDiff+Quotient" | "Dense" | closed form
     basis: Basis | None = None  # one vector per multiplicity
-
-    def __post_init__(self):  # a sequence of vectors becomes a Basis of dense rows
-        if self.basis is not None and not isinstance(self.basis, Basis):
-            object.__setattr__(self, "basis", Basis.of_rows(self.basis))
 
 
 @dataclass(eq=False)
@@ -357,50 +349,30 @@ def dense_eigen(m: np.ndarray) -> Spectrum:
 
 
 class QuotientMatrix:
-    """Quotient of U over the block partition.
+    """Quotient of U over the block partition of ``js`` at parameters ``p``.
 
     ``sym`` is the symmetric form (off-diagonal theta_ij * sqrt(n_i*n_j)).
     The integer-weighted form B = S^-1 K S with S = diag(sqrt n_i)
     (off-diagonal theta_ij * n_j) has one exact form, ``integer_form``:
     (A, d) with A = d*B an integer array over the least denominator d,
     int64 where it fits and Python ints otherwise; None for float
-    parameters.  ``similar`` is B as nested lists of the entries' own
-    values (int, Fraction or float, as the parameters make them).  A
-    quotient of ``quotient_matrix`` makes each on its first read; one
-    built from ``similar`` alone derives its integer form at once.
+    parameters.  Each is made on its first read.
     """
 
-    def __init__(self, sym: np.ndarray, similar=None, sizes=(), source=None):
-        """``source`` is the (join structure, parameters) pair that
-        ``similar`` and ``integer_form`` are made from when not given."""
-        self.sym = sym
-        self.sizes = tuple(sizes)
-        self._source = source
-        if similar is not None:
-            self.similar = similar
-            self.integer_form = _integer_form(similar)
+    def __init__(self, js: JoinStructure, p: UniversalParams):
+        self.js, self.p = js, p
 
     @property
     def dimension(self) -> int:
-        return len(self.sizes)
+        return len(self.js.blocks)
 
     @cached_property
-    def similar(self) -> list:
-        js, p = self._source
-        theta_edge = p.alpha + p.eta
-        edge_col = [theta_edge * size for size in self.sizes]
-        plain_col = [p.eta * size for size in self.sizes]
-        similar = [
-            [e if joined else q for joined, e, q in zip(row, edge_col, plain_col)]
-            for row in js.adj.tolist()
-        ]
-        for i, k in enumerate(_kappa(js, p)):
-            similar[i][i] = k
-        return similar
+    def sym(self) -> np.ndarray:
+        return _symmetric(self.js, self.p)
 
     @cached_property
     def integer_form(self) -> tuple[np.ndarray, int] | None:
-        js, p = self._source
+        js, p = self.js, self.p
         if not p.is_rational:
             return None
         d, q = _over_common_denominator(p)
@@ -411,7 +383,7 @@ class QuotientMatrix:
         widest = max(map(abs, kappa), default=0) + max(abs(edge), abs(plain)) * js.order
         dtype = np.int64 if widest < _INT64_RADIUS else object
         a = np.where(js.adj, np.array(edge, dtype), np.array(plain, dtype))
-        a = a * np.array(self.sizes, dtype)
+        a = a * np.array(js.sizes, dtype)
         np.fill_diagonal(a, kappa)
         g = gcd(d, int(np.gcd.reduce(a, axis=None)))
         return (a // g, d // g) if g > 1 else (a, d)
@@ -420,18 +392,6 @@ class QuotientMatrix:
 # int64 holds every entry and row sum of an integer matrix whose absolute
 # row sums stay below this
 _INT64_RADIUS = 2**62
-
-
-def _integer_form(similar) -> tuple[np.ndarray, int] | None:
-    """(A, d), A = d*B for the rational entries of ``similar`` over the lcm
-    d of their denominators, as an object array; None when an entry is not
-    an int or a Fraction."""
-    entries = [x for row in similar for x in row]
-    if not all(isinstance(x, (int, Fraction)) and not isinstance(x, bool) for x in entries):
-        return None
-    d = lcm(*(x.denominator for x in entries))
-    a = np.array([x.numerator * (d // x.denominator) for x in entries], dtype=object)
-    return a.reshape(len(similar), len(similar)), d
 
 
 def _over_common_denominator(p: UniversalParams) -> tuple[int, UniversalParams]:
@@ -475,9 +435,8 @@ def quotient_matrix(js: JoinStructure, p: UniversalParams) -> QuotientMatrix:
     """kappa_i = alpha*r_i + beta*deg_i + gamma + eta*n_i on the diagonal;
     theta_ij = alpha+eta on template edges, eta elsewhere.
 
-    Builds the symmetric form alone; the exact forms are made when
-    read."""
-    return QuotientMatrix(_symmetric(js, p), sizes=js.sizes, source=(js, p))
+    Builds nothing: each form is made when read."""
+    return QuotientMatrix(js, p)
 
 
 def _block_value(p: UniversalParams, degree: int, lam):
@@ -700,12 +659,14 @@ def _independent(basis: Basis, multiplicity: int, lone: np.ndarray) -> bool:
     be at least that, far above ``RANK_PIVOT_MIN``.  Beside such sets,
     lifts that ``_block_balanced`` proves orthogonal to them take the
     Cholesky test alone, a single lift none.  Any other basis runs
-    ``_full_rank`` on all its vectors."""
+    ``_full_rank`` on all its vectors.  A dense row, the lift over one
+    block per vertex, leaves every nonzero set difference unbalanced, so a
+    basis that mixes dense rows with sets takes the full test."""
     if len(basis) != multiplicity:
         return False
     if len(basis) == 1:
         return True
-    if len(basis.dense) or not lone.all():
+    if not lone.all():
         return _full_rank(basis, multiplicity)
     lifts = len(basis.coeffs)
     if lifts and len(basis.set_size) and not _block_balanced(basis):
@@ -721,8 +682,8 @@ def verify_eigenpairs(u: np.ndarray, s: Spectrum, tol: float = 1e-8) -> Verifica
 
     The work follows the compact bases: the set differences of all
     eigenspaces go through ``_set_residuals`` at O(N s) each, and each
-    dense row and each lift, expanded to its N entries, takes one product
-    U x.  The rank test of an eigenspace is ``_independent``: O(m) for m
+    lift (a dense row among them), expanded to its N entries, takes one
+    product U x.  The rank test of an eigenspace is ``_independent``: O(m) for m
     sets that each have a coordinate of their own, a Cholesky factor of
     the Gram matrix of its lifts alone where its sets are also exactly
     orthogonal to them, and of all its vectors only where neither holds."""
@@ -746,14 +707,14 @@ def verify_eigenpairs(u: np.ndarray, s: Spectrum, tol: float = 1e-8) -> Verifica
     owner = np.repeat(np.arange(len(spaces)), counts)
     residual, size = _set_residuals(u, sets, np.repeat(values, counts))
     lone = _lone_coordinates(sets, owner)
-    # then the dense rows and lifts of every eigenspace, one product U x each
+    # then the lifts of every eigenspace, one product U x each
     residual, size, owner = [residual], [size], [owner]
     for k, (e, value) in enumerate(zip(spaces, values)):
-        for dense in (e.basis.dense, e.basis.lifted()):
-            if len(dense):
-                residual.append(np.array([np.max(np.abs(u @ x - value * x)) for x in dense]))
-                size.append(np.max(np.abs(dense), axis=1))
-                owner.append(np.full(len(dense), k))
+        dense = e.basis.lifted()
+        if len(dense):
+            residual.append(np.array([np.max(np.abs(u @ x - value * x)) for x in dense]))
+            size.append(np.max(np.abs(dense), axis=1))
+            owner.append(np.full(len(dense), k))
     residual, size, owner = (np.concatenate(a) for a in (residual, size, owner))
     limit = tol * scale * size
     # a NaN residual fails, and so does a zero or non-finite vector

@@ -98,12 +98,11 @@ def test_prime_power_exact_formula_matches_engine():
         assert part1 in values  # exact Fraction membership
         # the join of all the clique blocks is the complete graph; its top
         # quotient eigenvalue equals the closed form exactly on the
-        # block-constant all-ones direction: check through the similar form
+        # block-constant all-ones direction: check through the exact
+        # similar form B = A / d
         top = next(v for v in values if v != part1) if len(values) == 2 else part1
-        b_form = qm.similar
-        sizes = qm.sizes
-        ones = [Fraction(1)] * len(sizes)
-        image = [sum(Fraction(b_form[i][j]) * ones[j] for j in range(len(sizes))) for i in range(len(sizes))]
+        a, d = qm.integer_form
+        image = [Fraction(int(x), d) for x in a.sum(axis=1).tolist()]
         assert all(x == top for x in image)  # B * 1 = top * 1 exactly
 
 

@@ -20,7 +20,6 @@ from powspec.joinstruct import Variant, build_join, variant_graph
 from powspec.spectra import (
     Basis,
     Eigenspace,
-    QuotientMatrix,
     Spectrum,
     UndefinedUniversalMatrixError,
     UniversalParams,
@@ -226,8 +225,8 @@ def test_verify_eigenpairs_exact_k4_laplacian():
         diffs.append(x)
     s = Spectrum(
         (
-            Eigenspace(4.0, 3, "closed", tuple(diffs)),
-            Eigenspace(0.0, 1, "closed", (np.ones(n),)),
+            Eigenspace(4.0, 3, "closed", Basis.of_rows(diffs)),
+            Eigenspace(0.0, 1, "closed", Basis.of_rows([np.ones(n)])),
         ),
         n,
     )
@@ -236,8 +235,8 @@ def test_verify_eigenpairs_exact_k4_laplacian():
 
     bad = Spectrum(
         (
-            Eigenspace(4.001, 3, "closed", tuple(diffs)),
-            Eigenspace(0.0, 1, "closed", (np.ones(n),)),
+            Eigenspace(4.001, 3, "closed", Basis.of_rows(diffs)),
+            Eigenspace(0.0, 1, "closed", Basis.of_rows([np.ones(n)])),
         ),
         n,
     )
@@ -252,13 +251,13 @@ def test_verify_eigenpairs_reports_its_scale():
     assert report.scale == 6.0  # degree 3 plus three off-diagonal -1
     assert all(bound <= 1e-8 * 6.0 for _, _, _, bound in report.rows)  # |x|_inf <= 1
     small = 0.25 * np.eye(2)
-    s = Spectrum((Eigenspace(0.25, 2, "x", tuple(np.eye(2))),), 2)
+    s = Spectrum((Eigenspace(0.25, 2, "x", Basis.of_rows(np.eye(2))),), 2)
     assert verify_eigenpairs(small, s).scale == 1.0
 
 
 def test_verify_eigenpairs_errors():
     u = np.eye(3)
-    s = Spectrum((Eigenspace(1.0, 2, "x", (np.ones(2),)),), 2)
+    s = Spectrum((Eigenspace(1.0, 2, "x", Basis.of_rows([np.ones(2)])),), 2)
     with pytest.raises(ValueError):
         verify_eigenpairs(u, s)
     s2 = Spectrum((Eigenspace(1.0, 3, "x", None),), 3)
@@ -272,7 +271,7 @@ def test_verify_eigenpairs_rejects_zero_and_dependent_bases():
     ones, diff = np.array([1.0, 1.0]), np.array([1.0, -1.0])
 
     def spectrum(*spaces):
-        return Spectrum(tuple(Eigenspace(v, len(b), "x", b) for v, b in spaces), 2)
+        return Spectrum(tuple(Eigenspace(v, len(b), "x", Basis.of_rows(b)) for v, b in spaces), 2)
 
     # two zero vectors claiming a double eigenvalue 100
     assert not verify_eigenpairs(u, spectrum((100.0, (zero, zero)))).passed
@@ -280,24 +279,21 @@ def test_verify_eigenpairs_rejects_zero_and_dependent_bases():
     assert verify_eigenpairs(u, spectrum((3.0, (ones,)), (1.0, (diff,)))).passed
     # a repeated vector, and a short basis
     v = np.eye(3)
-    rep = Spectrum((Eigenspace(1.0, 3, "x", (v[0], v[1], v[1])),), 3)
+    rep = Spectrum((Eigenspace(1.0, 3, "x", Basis.of_rows([v[0], v[1], v[1]])),), 3)
     assert not verify_eigenpairs(np.eye(3), rep).passed
-    short = Spectrum((Eigenspace(1.0, 3, "x", (v[0], v[1])),), 3)
+    short = Spectrum((Eigenspace(1.0, 3, "x", Basis.of_rows([v[0], v[1]])),), 3)
     assert not verify_eigenpairs(np.eye(3), short).passed
 
 
 def test_verify_eigenpairs_accepts_nonorthogonal_block_differences():
     # K_5: eigenvalue -1 on the differences e_0 - e_r, pairwise non-orthogonal
     u = universal_matrix(power_graph_oracle(GroupSpec(Z, 5)), ADJACENCY)
-    diffs = tuple(np.eye(5)[0] - np.eye(5)[r] for r in range(1, 5))
-    s = Spectrum(
-        (Eigenspace(4.0, 1, "x", (np.ones(5),)), Eigenspace(-1.0, 4, "x", diffs)), 5
-    )
+    ones = Basis.of_rows([np.ones(5)])
+    diffs = Basis.of_rows([np.eye(5)[0] - np.eye(5)[r] for r in range(1, 5)])
+    s = Spectrum((Eigenspace(4.0, 1, "x", ones), Eigenspace(-1.0, 4, "x", diffs)), 5)
     assert verify_eigenpairs(u, s, tol=1e-12).passed
-    chain = tuple(np.eye(5)[r - 1] - np.eye(5)[r] for r in range(1, 5))
-    s = Spectrum(
-        (Eigenspace(4.0, 1, "x", (np.ones(5),)), Eigenspace(-1.0, 4, "x", chain)), 5
-    )
+    chain = Basis.of_rows([np.eye(5)[r - 1] - np.eye(5)[r] for r in range(1, 5)])
+    s = Spectrum((Eigenspace(4.0, 1, "x", ones), Eigenspace(-1.0, 4, "x", chain)), 5)
     assert verify_eigenpairs(u, s, tol=1e-12).passed
 
 
@@ -544,11 +540,15 @@ def test_quotient_matrix_bit_identical_to_loop_formula(monkeypatch):
                     qm = quotient_matrix(js, q)
                     sym, similar = _quotient_by_loop_formula(js, q)
                     assert qm.sym.tobytes() == sym.tobytes()
-                    got = [(type(x), x) for row in qm.similar for x in row]
-                    want = [(type(x), x) for row in similar for x in row]
-                    assert got == want
-                    if q.is_rational:
-                        assert all(type(x) in (int, Fraction) for _, x in got)
+                    if q.is_rational:  # A / d entry by entry, d the least denominator
+                        a, d = qm.integer_form
+                        entries = [int(x) for x in a.ravel().tolist()]
+                        assert [Fraction(x, d) for x in entries] == [
+                            Fraction(x) for row in similar for x in row
+                        ]
+                        assert gcd(d, *entries) == 1
+                    else:
+                        assert qm.integer_form is None
                     assert _hjoin_triples(js, q) == _hjoin_values_by_loop_formula(js, q)
     # hjoin_spectrum alone on the large-order groups, t up to 60
     joins = [build_join(spec, variant) for spec, variant in LARGE_ORDER_JOINS]
@@ -572,19 +572,26 @@ def test_quotient_matrix_bit_identical_to_loop_formula(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _quotient_stub(similar):
-    t = len(similar)
-    return QuotientMatrix(np.array(similar, dtype=float), similar, tuple([1] * t))
+def _loop_similar(qm):
+    """The similar form B of ``qm`` from the loop formula, as nested lists
+    of int or Fraction entries: the references' own quotient."""
+    return _quotient_by_loop_formula(qm.js, qm.p)[1]
 
 
 def test_charpoly_one_by_one():
-    assert charpoly_exact(_quotient_stub([[7]])) == [1, -7]
+    # Z_1: one block of one vertex, kappa = gamma + eta
+    qm = quotient_matrix(build_join(GroupSpec(Z, 1), Variant.POWER), UniversalParams(1, 0, 7, 0))
+    assert qm.integer_form[0].tolist() == [[7]]
+    assert charpoly_exact(qm) == [1, -7]
 
 
 def test_charpoly_two_by_two_symmetric():
+    # Z_2 = K_2: two blocks of one vertex, kappa = beta + gamma + eta and
+    # theta = alpha + eta
     a, b = 3, 5
-    coeffs = charpoly_exact(_quotient_stub([[a, b], [b, a]]))
-    assert coeffs == [1, -2 * a, a * a - b * b]
+    qm = quotient_matrix(build_join(GroupSpec(Z, 2), Variant.POWER), UniversalParams(b, 0, a, 0))
+    assert qm.integer_form[0].tolist() == [[a, b], [b, a]]
+    assert charpoly_exact(qm) == [1, -2 * a, a * a - b * b]
 
 
 def test_charpoly_d15_constant_term_zero():
@@ -705,19 +712,20 @@ def test_charpoly_exact_matches_fraction_loop():
             for q in (p, complement_params(p, js.order)):
                 qm = quotient_matrix(js, q)
                 coeffs = charpoly_exact(qm)
-                assert coeffs == _charpoly_by_fraction_loop(qm.similar)
-                assert coeffs == _charpoly_by_integer_faddeev(qm.similar)
+                similar = _loop_similar(qm)
+                assert coeffs == _charpoly_by_fraction_loop(similar)
+                assert coeffs == _charpoly_by_integer_faddeev(similar)
                 assert all(type(c) is Fraction for c in coeffs)
 
 
 def test_charpoly_exact_matches_integer_faddeev_on_the_benchmark_slots():
     for qm in exact_quotient_matrices():
-        assert charpoly_exact(qm) == _charpoly_by_integer_faddeev(qm.similar)
+        assert charpoly_exact(qm) == _charpoly_by_integer_faddeev(_loop_similar(qm))
     for family, n, variant in NORMALIZED_SLOTS:
         js = build_join(GroupSpec(family, n), variant)
         for x in NORMALIZED_SLOT_POINTS:
             qm = quotient_matrix(js, UniversalParams(-1, 1 - x, 0, 0))
-            assert charpoly_exact(qm) == _charpoly_by_integer_faddeev(qm.similar)
+            assert charpoly_exact(qm) == _charpoly_by_integer_faddeev(_loop_similar(qm))
 
 
 def test_charpoly_exact_with_entries_wider_than_int64():
@@ -732,9 +740,10 @@ def test_charpoly_exact_with_entries_wider_than_int64():
         js = build_join(spec, Variant.POWER)
         for q in (p, complement_params(p, js.order)):
             qm = quotient_matrix(js, q)
-            d = lcm(*(Fraction(x).denominator for row in qm.similar for x in row))
-            assert max(abs(x * d) for row in qm.similar for x in row) > 2**63
-            assert charpoly_exact(qm) == _charpoly_by_integer_faddeev(qm.similar)
+            similar = _loop_similar(qm)
+            d = lcm(*(Fraction(x).denominator for row in similar for x in row))
+            assert max(abs(x * d) for row in similar for x in row) > 2**63
+            assert charpoly_exact(qm) == _charpoly_by_integer_faddeev(similar)
 
 
 def test_charpoly_exact_at_the_int64_boundary():
@@ -759,28 +768,30 @@ def test_charpoly_exact_at_the_int64_boundary():
                 p = scaled(k)
                 return quotient_matrix(js, complement_params(p, js.order) if complement else p)
 
-            unit = quotient(1).similar
+            unit = _loop_similar(quotient(1))
             r0 = _gershgorin_radius(unit)
             widest = max(abs(x) for row in unit for x in row) * 210
             ks = [coprime(2**62 // r0, -1), coprime(2**62 // r0 + 1, 1), coprime(2**63 // widest + 1, 1)]
             qms = [quotient(k) for k in ks]
-            radii = [_gershgorin_radius(qm.similar) for qm in qms]
+            similars = [_loop_similar(qm) for qm in qms]
+            radii = [_gershgorin_radius(similar) for similar in similars]
             assert 2**62 - r0 * 12 < radii[0] < 2**62 <= radii[1] < 2**62 + r0 * 12
-            assert max(abs(x * 210) for row in qms[2].similar for x in row) >= 2**63
-            for qm in qms:
+            assert max(abs(x * 210) for row in similars[2] for x in row) >= 2**63
+            for qm, similar in zip(qms, similars):
                 assert qm.integer_form[1] == 210
-                assert charpoly_exact(qm) == _charpoly_by_integer_faddeev(qm.similar)
+                assert charpoly_exact(qm) == _charpoly_by_integer_faddeev(similar)
 
 
 def test_charpoly_exact_z5040_beyond_64_primes_of_20_bits():
     js = build_join(GroupSpec(Z, 5040), Variant.POWER, validate=False)
     qm = quotient_matrix(js, EXACT_QUOTIENT_PARAMS)
     assert qm.dimension == 60
-    bound = _gershgorin_bound(qm.similar)
+    similar = _loop_similar(qm)
+    bound = _gershgorin_bound(similar)
     assert bound.bit_length() > 64 * 20  # beyond 64 primes of 20 bits
     primes = _charpoly_primes(60, bound)
     assert len(primes) == 58 and all(p.bit_length() == 23 for p in primes)
-    assert charpoly_exact(qm) == _charpoly_by_integer_faddeev(qm.similar)
+    assert charpoly_exact(qm) == _charpoly_by_integer_faddeev(similar)
 
 
 @pytest.mark.parametrize("t", [1, 2, 15, 16, 17, 24, 48, 60, 240])
@@ -798,8 +809,9 @@ def test_charpoly_primes_cover_the_bound_and_one_fewer_does_not(t):
 
 def test_charpoly_coefficients_within_the_gershgorin_bound():
     for qm in exact_quotient_matrices():
-        d = lcm(*(Fraction(x).denominator for row in qm.similar for x in row))
-        bound = _gershgorin_bound(qm.similar)
+        similar = _loop_similar(qm)
+        d = lcm(*(Fraction(x).denominator for row in similar for x in row))
+        bound = _gershgorin_bound(similar)
         coeffs = charpoly_exact(qm)
         assert all(abs(c * d**k) <= bound for k, c in enumerate(coeffs))
 
@@ -1125,8 +1137,8 @@ def test_basis_reads_as_dense_vectors():
     b = Basis(
         4,
         (np.array([2, 1]), np.array([0, 1]), np.array([1, 1])),
-        dense,
-        kind=np.array([Basis.SET, Basis.DENSE, Basis.SET]),
+        (dense, np.arange(4)),  # a dense row: a lift over one block per vertex
+        kind=np.array([Basis.SET, Basis.LIFT, Basis.SET]),
     )
     expect = [[-1.0, 0.0, 1.0, 0.0], [0.5, -0.0, 2.0, 1.0], [0.0, 0.0, 0.0, 0.0]]
     assert len(b) == 3 and bool(b)
@@ -1145,13 +1157,15 @@ def test_basis_reads_as_dense_vectors():
     expect = [[-0.0, 2.5, 2.5, -0.0, -0.0], [1.0, 1.0, -1.0, 0.0, -1.0], [-1.0, 0.0, 0.0, 1.0, 0.0]]
     assert wide.kind.tolist() == [Basis.LIFT, Basis.SET, Basis.SET]
     assert np.array(wide).tobytes() == np.array(expect).tobytes()
-    # a sequence of vectors becomes dense rows
-    e = Eigenspace(1.0, 2, "x", (np.ones(3), np.zeros(3)))
-    assert isinstance(e.basis, Basis) and e.basis.dimension == 3
-    assert not len(e.basis.set_size) and np.array(e.basis).tolist() == [[1.0] * 3, [0.0] * 3]
-    assert len(Eigenspace(1.0, 0, "x", ()).basis) == 0
+    # a sequence of vectors becomes dense rows, lifts over one block per vertex
+    rows = Basis.of_rows((np.ones(3), np.zeros(3)))
+    assert rows.dimension == 3 and rows.block_of.tolist() == [0, 1, 2]
+    assert not len(rows.set_size) and np.array(rows).tolist() == [[1.0] * 3, [0.0] * 3]
+    assert len(Basis.of_rows(())) == 0
+    empty_rows = Basis.of_rows(np.zeros((2, 0)))  # two vectors in dimension 0
+    assert len(empty_rows) == 2 and np.array(empty_rows).shape == (2, 0)
     with pytest.raises(ValueError):
-        Basis(3, dense=np.ones((1, 4)))
+        Basis(3, lifts=(np.ones((1, 4)), np.arange(4)))
     with pytest.raises(ValueError):
         Basis(3, (np.array([0, 1]), np.array([1]), np.array([1])))
     with pytest.raises(ValueError):
@@ -1166,31 +1180,30 @@ def test_basis_reads_as_dense_vectors():
 
 
 def one_of_each(dimension=3):
-    """The fields of a basis with one set, one dense row and one lift."""
+    """The fields of a basis with one set and one lift."""
     return dict(
         sets=(np.array([0]), np.array([1]), np.array([1])),
-        dense=np.ones((1, dimension)),
         lifts=(np.ones((1, 2)), np.array([0, 1, 1])),
     )
 
 
-@pytest.mark.parametrize("kind", [Basis.SET, Basis.DENSE, Basis.LIFT])
+@pytest.mark.parametrize("kind", [Basis.SET, Basis.LIFT])
 def test_basis_refuses_kind_flags_that_disagree_with_its_rows(kind):
     fields = one_of_each()
-    assert len(Basis(3, **fields)) == 3
-    flags = [Basis.SET, Basis.DENSE, Basis.LIFT]
-    for wrong in (flags + [kind], [f for f in flags if f != kind], [kind] * 3):
+    assert len(Basis(3, **fields)) == 2
+    flags = [Basis.SET, Basis.LIFT]
+    for wrong in (flags + [kind], [f for f in flags if f != kind], [kind] * 2):
         with pytest.raises(ValueError):
             Basis(3, **fields, kind=np.array(wrong, dtype=np.int8))
     # one kind's rows alone, with flags that count two of them
-    alone = {name: fields[name] for name in ("sets", "dense", "lifts")[kind : kind + 1]}
+    alone = {name: fields[name] for name in ("sets", "lifts")[kind : kind + 1]}
     with pytest.raises(ValueError):
         Basis(3, **alone, kind=np.array([kind, kind], dtype=np.int8))
     with pytest.raises(ValueError):
         Basis(3, **alone, kind=np.zeros(0, dtype=np.int8))
-    if kind == Basis.DENSE:  # the reproducer: one row, two flags
+    if kind == Basis.LIFT:  # the reproducer: one dense row, two flags
         with pytest.raises(ValueError):
-            Basis(3, dense=np.ones((1, 3)), kind=np.array([Basis.DENSE] * 2, dtype=np.int8))
+            Basis(3, lifts=(np.ones((1, 3)), np.arange(3)), kind=np.array([Basis.LIFT] * 2, dtype=np.int8))
 
 
 def sets_of(basis):
@@ -1504,8 +1517,8 @@ def test_seed_905_merged_space_keeps_its_verdict():
     u = universal_matrix(complement_graph(power_graph_oracle(spec)), p)
     merged = [e for e in s.eigenspaces if e.provenance == "BlockDiff+Quotient"]
     # twelve in-clique pairs and one lift: a mixed space
-    shape = [(e.multiplicity, len(e.basis.set_size), len(e.basis.dense), len(e.basis.coeffs)) for e in merged]
-    assert shape == [(13, 12, 0, 1)]
+    shape = [(e.multiplicity, len(e.basis.set_size), len(e.basis.coeffs)) for e in merged]
+    assert shape == [(13, 12, 1)]
     report = verify_eigenpairs(u, s)
     assert not report.passed
     assert report.max_residual == 0.0002821692542056553
