@@ -1187,20 +1187,27 @@ def one_of_each(dimension=3):
     )
 
 
-@pytest.mark.parametrize("kind", [Basis.SET, Basis.LIFT])
+@pytest.mark.parametrize("kind", [Basis.SET, Basis.LIFT, 2])
 def test_basis_refuses_kind_flags_that_disagree_with_its_rows(kind):
+    """``kind`` 2 names no kind of vector (it was the dense rows' flag)."""
     fields = one_of_each()
     assert len(Basis(3, **fields)) == 2
     flags = [Basis.SET, Basis.LIFT]
-    for wrong in (flags + [kind], [f for f in flags if f != kind], [kind] * 2):
+    wrongs = [flags + [kind], [kind] * 2]
+    if kind in flags:
+        wrongs.append([f for f in flags if f != kind])
+    else:  # one flag per row, with the stray flag in place of either kind
+        wrongs += [[kind, Basis.LIFT], [Basis.SET, kind]]
+    for wrong in wrongs:
         with pytest.raises(ValueError):
             Basis(3, **fields, kind=np.array(wrong, dtype=np.int8))
-    # one kind's rows alone, with flags that count two of them
+    # one kind's rows alone (no rows for the stray flag), with flags that count two of them
     alone = {name: fields[name] for name in ("sets", "lifts")[kind : kind + 1]}
     with pytest.raises(ValueError):
         Basis(3, **alone, kind=np.array([kind, kind], dtype=np.int8))
-    with pytest.raises(ValueError):
-        Basis(3, **alone, kind=np.zeros(0, dtype=np.int8))
+    if kind in flags:
+        with pytest.raises(ValueError):
+            Basis(3, **alone, kind=np.zeros(0, dtype=np.int8))
     if kind == Basis.LIFT:  # the reproducer: one dense row, two flags
         with pytest.raises(ValueError):
             Basis(3, lifts=(np.ones((1, 3)), np.arange(3)), kind=np.array([Basis.LIFT] * 2, dtype=np.int8))
