@@ -17,7 +17,7 @@ from powspec import (
     build_join,
     complement_graph,
     cyclic_prime_power_spectrum,
-    cyclic_two_prime_complement_adjacency,
+    cyclic_two_prime_complement_eta0,
     cyclic_two_prime_quotient,
     dense_eigen,
     dicyclic_repeated_eigenvalue,
@@ -55,7 +55,7 @@ print(f"  radical pair: ({mean} +- {rad}) / 2 = {(mean+rad)/2}, {(mean-rad)/2}")
 
 # --- complements -------------------------------------------------------------
 
-cf = cyclic_two_prime_complement_adjacency(3, 5)
+cf = cyclic_two_prime_complement_eta0(3, 5, UniversalParams.preset("adjacency"))
 g = complement_graph(power_graph_oracle(GroupSpec(GroupFamily.CYCLIC, 15)))
 u = universal_matrix(g, UniversalParams.preset("adjacency"))
 print("\nadjacency spectrum of the complement of the power graph of Z_15:")

@@ -11,7 +11,6 @@ closed-form evaluators as a third cross-check.
 from .closedforms import (
     cyclic_prime_power_spectrum,
     cyclic_two_prime_case2_charpoly,
-    cyclic_two_prime_complement_adjacency,
     cyclic_two_prime_complement_eta0,
     cyclic_two_prime_quotient,
     dicyclic_repeated_eigenvalue,
@@ -45,7 +44,6 @@ from .numtheory import (
     factorize,
     is_prime,
     prime_power,
-    proper_divisors,
     totient,
 )
 from .spectra import (

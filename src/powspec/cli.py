@@ -54,6 +54,7 @@ from .groups import (
 from .joinstruct import StructureValidationError, Variant, build_join, variant_graph
 from .numtheory import factorize, prime_power
 from .spectra import (
+    PRESETS,
     Basis,
     UndefinedUniversalMatrixError,
     UniversalParams,
@@ -288,7 +289,7 @@ def _closed_form_checks(js, complement, params, computed):
         pq = [p for p, _ in facs] if [e for _, e in facs] == [1, 1] else None  # n = pq
         if pq and not complement:
             cf = cyclic_two_prime_quotient(*pq, params)
-            qvals = dense_eigen(quotient_matrix(js, params).sym).expanded()
+            qvals = dense_eigen(quotient_matrix(js, params).sym)
             checks.append(("two-prime-quotient", multiset_gap(cf, qvals)))
         if pq and complement and params.eta == 0:
             cf = cyclic_two_prime_complement_eta0(*pq, params)
@@ -333,11 +334,10 @@ def _check_rows(args, g, js, complement, params, structural, identity=None):
     if args.command == "spectrum":
         checks = _closed_form_checks(js, complement, params, structural.expanded())
         return rows + [_gap_row(name, gap, bound) for name, gap in checks]
-    values = dense.expanded()
     alpha, beta, gamma, eta = params.as_floats()
     tr_expect = 2.0 * beta * target.edge_count() + (gamma + eta) * g.n
-    rows.append(_gap_row("trace", abs(float(values.sum()) - tr_expect), 1e-9 * scale))
-    fro_gap = abs(float((values**2).sum()) - float((u**2).sum()))
+    rows.append(_gap_row("trace", abs(float(dense.sum()) - tr_expect), 1e-9 * scale))
+    fro_gap = abs(float((dense**2).sum()) - float((u**2).sum()))
     rows.append(_gap_row("frobenius", fro_gap, 1e-8 * max(1.0, scale**2)))
     if identity is not None:
         u_sub = universal_matrix(g, complement_params(identity, g.n))
@@ -498,6 +498,8 @@ def cmd_charpoly(args) -> int:
     if args.quotient == (args.normalized is not None):
         raise _UsageError("choose exactly one of --quotient or --normalized --at X")
     if args.quotient:
+        if args.normalized_at is not None:
+            raise _UsageError("--at goes with --normalized, not --quotient")
         params, preset_name = _parse_params(args)
         if not params.is_rational:
             raise _UsageError("charpoly --quotient needs rational parameters")
@@ -555,13 +557,13 @@ def cmd_graph(args) -> int:
 
 def _add_group(sub):
     """Flags of every subcommand; each adds only the further flags it reads."""
-    sub.add_argument("--group", required=True, choices=["zn", "dn", "qn"])
+    sub.add_argument("--group", required=True, choices=[f.value for f in GroupFamily])
     sub.add_argument("--n", required=True, type=int)
-    sub.add_argument("--variant", default="power", choices=["power", "proper"])
+    sub.add_argument("--variant", default=Variant.POWER.value, choices=[v.value for v in Variant])
 
 
 def _add_params(sub):
-    sub.add_argument("--preset", choices=["adjacency", "laplacian", "signless", "seidel"])
+    sub.add_argument("--preset", choices=list(PRESETS))
     sub.add_argument("--params", help="alpha,beta,gamma,eta (rationals accepted)")
 
 

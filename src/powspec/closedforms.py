@@ -27,7 +27,6 @@ __all__ = [
     "cyclic_prime_power_spectrum",
     "cyclic_two_prime_quotient",
     "cyclic_two_prime_case2_charpoly",
-    "cyclic_two_prime_complement_adjacency",
     "cyclic_two_prime_complement_eta0",
     "dihedral_prime_power_proper",
     "dicyclic_repeated_eigenvalue",
@@ -159,9 +158,8 @@ def cyclic_two_prime_quotient(p: int, q: int, params: UniversalParams) -> Spectr
         entries = [(lam12, 2, None), (lam3, 1, None), (lam4, 1, None)]
         return _merged(4, "two-prime-quotient-case1", entries)
     source = "two-prime-quotient-case2" if e == 0 else "two-prime-quotient-case4"
-    spec = dense_eigen(_two_prime_quotient_matrix(p, q, params))
-    entries = [(es.value, es.multiplicity, None) for es in spec.eigenspaces]
-    return _merged(4, source, entries)
+    values = dense_eigen(_two_prime_quotient_matrix(p, q, params)).tolist()
+    return _merged(4, source, [(v, 1, None) for v in values])
 
 
 def cyclic_two_prime_case2_charpoly(p: int, q: int, params: UniversalParams, lam):
@@ -209,38 +207,6 @@ def _two_prime_members(p: int, q: int):
     return [by_d[n], by_d[1], by_d[q], by_d[p]]
 
 
-def cyclic_two_prime_complement_adjacency(p: int, q: int) -> Spectrum:
-    """Adjacency spectrum of the complement of the power graph of Z_{pq}:
-    0 with multiplicity pq-2 and the pair +-sqrt((p-1)(q-1)) carried by the
-    complete bipartite part between the gcd-q and gcd-p blocks.  It is the
-    (alpha, beta, gamma, eta) = (1, 0, 0, 0) case of
-    ``cyclic_two_prime_complement_eta0``, which the CLI's closed-form checks
-    already run, so it has no row of its own there."""
-    _require_prime(p)
-    _require_prime(q)
-    if p == q:
-        raise ValueError("needs two distinct primes")
-    n = p * q
-    zero_block, gens, q_block, p_block = _two_prime_members(p, q)
-    zero_basis = [
-        _diffs(gens),
-        _diffs(q_block),
-        _diffs(p_block),
-        _rows(_indicator(n, zero_block, sqrt(q - 1)), _indicator(n, gens, 1.0 / sqrt(p - 1))),
-    ]
-    rad = sqrt((p - 1) * (q - 1))
-    plus = _indicator(n, q_block, sqrt((q - 1) / (p - 1)))
-    plus[p_block] = 1.0
-    minus = plus.copy()
-    minus[p_block] = -1.0
-    entries = [
-        (rad, 1, [_rows(plus)]),
-        (0, n - 2, zero_basis),
-        (-rad, 1, [_rows(minus)]),
-    ]
-    return _merged(n, "two-prime-complement", entries)
-
-
 def cyclic_two_prime_complement_eta0(
     p: int, q: int, params: UniversalParams
 ) -> Spectrum:
@@ -252,6 +218,10 @@ def cyclic_two_prime_complement_eta0(
     isolated vertices, which yields gamma with multiplicity phi(pq)+1,
     beta(q-1)+gamma and beta(p-1)+gamma on the in-block differences, and an
     explicit radical pair on the bipartite part.
+
+    The adjacency spectrum of the complement is the case (alpha, beta,
+    gamma, eta) = (1, 0, 0, 0): 0 with multiplicity pq-2 and the pair
+    +-sqrt((p-1)(q-1)).
     """
     _require_prime(p)
     _require_prime(q)

@@ -13,7 +13,6 @@ __all__ = [
     "factorize",
     "totient",
     "divisors",
-    "proper_divisors",
     "is_prime",
     "prime_power",
     "primes_below",
@@ -66,14 +65,6 @@ def divisors(n: int) -> list[int]:
         divs = [d * p**k for d in divs for k in range(e + 1)]
     divs.sort()
     return divs
-
-
-def proper_divisors(n: int) -> list[int]:
-    """Divisors of n strictly below n.  Needs n >= 2 (1 has none)."""
-    _check_positive(n)
-    if n < 2:
-        raise ValueError("proper divisors need n >= 2")
-    return divisors(n)[:-1]
 
 
 def is_prime(n: int) -> bool:

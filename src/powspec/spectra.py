@@ -269,7 +269,7 @@ class Basis:
 class Eigenspace(NamedTuple):
     value: float  # a closed form keeps an int or Fraction value exact
     multiplicity: int
-    provenance: str  # "BlockDiff" | "Quotient" | "BlockDiff+Quotient" | "Dense" | closed form
+    provenance: str  # "BlockDiff" | "Quotient" | "BlockDiff+Quotient" | closed form
     basis: Basis | None = None  # one vector per multiplicity
 
 
@@ -314,10 +314,10 @@ def _group_starts(values: np.ndarray) -> list:
     return [0, *(np.flatnonzero(np.diff(values) > gtol) + 1).tolist(), len(values)]
 
 
-def dense_eigen(m: np.ndarray) -> Spectrum:
-    """The eigenvalues of a symmetric matrix by LAPACK (``eigvalsh``),
-    grouped into eigenspaces by the merge tolerance (``_group_starts``),
-    each the mean of its group, with no bases.  The brute-force oracle: its
+def dense_eigen(m: np.ndarray) -> np.ndarray:
+    """The eigenvalues of a symmetric matrix by LAPACK (``eigvalsh``), one
+    per multiplicity, ascending: each is the mean of its group under the
+    merge tolerance (``_group_starts``).  The brute-force oracle: its
     readers compare values, and eigenvectors come from the structural route
     and the closed forms."""
     m = np.asarray(m, dtype=float)
@@ -330,17 +330,12 @@ def dense_eigen(m: np.ndarray) -> Spectrum:
         for i in step for j in step if j >= i
     ):
         raise ValueError("dense_eigen requires an exactly symmetric matrix")
-    n = m.shape[0]
-    if n == 0:
-        return Spectrum((), 0)
-    vals = np.linalg.eigvalsh(m)  # ascending
+    vals = np.linalg.eigvalsh(m) if len(m) else np.zeros(0)  # ascending
     starts = _group_starts(vals)
-    spaces = [
-        Eigenspace(float(np.mean(vals[lo:hi])) + 0.0, hi - lo, "Dense")
-        for lo, hi in zip(starts, starts[1:])
-    ]
-    spaces.sort(key=lambda e: -e.value)
-    return Spectrum(tuple(spaces), n)
+    for lo, hi in zip(starts, starts[1:]):
+        if hi - lo > 1:
+            vals[lo:hi] = np.mean(vals[lo:hi])
+    return vals + 0.0  # no -0.0
 
 
 # ---------------------------------------------------------------------------
@@ -453,21 +448,21 @@ def hjoin_spectrum(js: JoinStructure, p: UniversalParams, want_vectors: bool = F
 
     Part one: every block is ``copies`` disjoint cliques of size c, its
     vertices of degree deg (``JoinStructure.degrees``), and each adjacency
-    eigenvalue lam of the block orthogonal to its all-ones vector gives
-    alpha*lam + beta*deg + gamma.  lam = -1 has multiplicity
-    copies*(c-1), with the in-clique difference vectors (+1 at a clique's
-    first vertex, -1 at its r-th) as eigenvectors; lam = c - 1 has
-    multiplicity copies-1, with the differences of clique indicator
-    vectors (first clique minus the r-th).  Part two: the eigenpairs of the
-    symmetric quotient matrix, each lifted to a block-constant vector
-    scaled by sqrt(n_last / n_block).  The candidate values, equal block
-    values as one, are sorted once as parallel arrays and cut into
-    eigenspaces by the merge tolerance (``_group_starts``), each the
-    multiplicity-weighted mean of its candidates (v * m / m for one).  For
-    rational ``p`` the block values and the quotient diagonal are integer
-    numerators over the common denominator of ``p``, each made a float by
-    one int/int division: ``float`` of the exact value, bit for bit,
-    without a ``Fraction``.
+    eigenvalue lam of the block orthogonal to its all-ones vector
+    (``JoinBlock.local_eigenvalues``) gives alpha*lam + beta*deg + gamma.
+    lam = -1 has multiplicity copies*(c-1), with the in-clique difference
+    vectors (+1 at a clique's first vertex, -1 at its r-th) as eigenvectors;
+    lam = c - 1 has multiplicity copies-1, with the differences of clique
+    indicator vectors (first clique minus the r-th).  Part two: the
+    eigenpairs of the symmetric quotient matrix, each lifted to a
+    block-constant vector scaled by sqrt(n_last / n_block).  The candidate
+    values, equal block values as one, are sorted once as parallel arrays
+    and cut into eigenspaces by the merge tolerance (``_group_starts``),
+    each the multiplicity-weighted mean of its candidates (v * m / m for
+    one).  For rational ``p`` the block values and the quotient diagonal are
+    integer numerators over the common denominator of ``p``, each made a
+    float by one int/int division: ``float`` of the exact value, bit for
+    bit, without a ``Fraction``.
 
     Under ``want_vectors`` each eigenspace carries a compact ``Basis``,
     its vectors in the order their candidate values sort: the in-clique
@@ -481,12 +476,10 @@ def hjoin_spectrum(js: JoinStructure, p: UniversalParams, want_vectors: bool = F
     blocks, sizes, total = js.blocks, js.sizes, js.order
     d, scaled = _over_common_denominator(p)
 
-    # part 1, keyed by the float of the exact value: (block, lam, mult)
-    # parts, lam and mult as ``JoinBlock.local_eigenvalues`` gives them
+    # part 1, keyed by the float of the exact value: (block, lam, mult) parts
     parts: dict[float, list] = {}
-    for i, (size, c, degree) in enumerate(zip(sizes, [b.clique for b in blocks], js.degrees)):
-        copies = size // c
-        for lam, mult in ((-1, copies * (c - 1)), (c - 1, copies - 1)):
+    for i, (b, degree) in enumerate(zip(blocks, js.degrees)):
+        for lam, mult in b.local_eigenvalues():
             if mult:
                 value = float(_block_value(scaled, degree, lam) / d)
                 parts.setdefault(value, []).append((i, lam, mult))

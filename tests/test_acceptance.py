@@ -254,7 +254,7 @@ def test_acceptance_7_property_battery():
                 a, b, gm, e = p.as_floats()
                 u = universal_matrix(target, p)
                 scale = inf_scale(u)
-                vals = dense_eigen(u).expanded()
+                vals = dense_eigen(u)
                 check(
                     f"trace[{spec.family.value}{spec.n},{comp}]",
                     abs(vals.sum() - (2 * b * target.edge_count() + (gm + e) * target.n))
@@ -284,7 +284,7 @@ def test_acceptance_7_property_battery():
         for target in (g, complement_graph(g), delete_identity(g)):
             if target.n == 0:
                 continue
-            vals = dense_eigen(universal_matrix(target, SIGNLESS)).expanded()
+            vals = dense_eigen(universal_matrix(target, SIGNLESS))
             check(f"signless[{spec.family.value}{spec.n}]", vals.min() >= -1e-9)
 
         check(

@@ -336,6 +336,19 @@ def test_charpoly_needs_exactly_one_mode(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("extra", [(), ("--preset", "laplacian"), ("--complement",)])
+def test_charpoly_quotient_refuses_at(capsys, extra):
+    # --at is the point of --normalized; the quotient's polynomial has none
+    code, out, err = run(
+        capsys, "charpoly", "--group", "dn", "--n", "3", "--quotient", "--at", "1", *extra
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: ") and "--at" in err and err.count("\n") == 1
+    code, out, _ = run(capsys, "charpoly", "--group", "dn", "--n", "3", "--quotient", *extra)
+    assert code == 0 and json.loads(out)["kind"] == "quotient-charpoly"
+
+
 def test_charpoly_float_params_rejected(capsys):
     code, _, err = run(
         capsys,

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 import tracemalloc
-from math import sqrt
+from math import gcd, sqrt
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ import pytest
 from powspec.closedforms import (
     cyclic_prime_power_spectrum,
     cyclic_two_prime_case2_charpoly,
-    cyclic_two_prime_complement_adjacency,
     cyclic_two_prime_complement_eta0,
     cyclic_two_prime_quotient,
     dicyclic_repeated_eigenvalue,
@@ -26,6 +25,7 @@ from powspec.groups import (
 )
 from powspec.joinstruct import Variant, build_join
 from powspec.spectra import (
+    Basis,
     Eigenspace,
     Spectrum,
     UndefinedUniversalMatrixError,
@@ -211,8 +211,38 @@ def test_case2_charpoly_requires_eta_zero():
 # ---------------------------------------------------------------------------
 
 
+def complement_adjacency_by_formula(p, q):
+    """The adjacency spectrum of the complement of the power graph of Z_pq
+    written out: 0 with multiplicity pq - 2 and the pair
+    +-sqrt((p-1)(q-1)) of the complete bipartite part between the gcd-q and
+    gcd-p blocks, with dense eigenvectors."""
+    n = p * q
+    by_gcd = {}
+    for x in range(n):
+        by_gcd.setdefault(gcd(x, n) if x else n, []).append(x)
+    zero, gens, q_block, p_block = by_gcd[n], by_gcd[1], by_gcd[q], by_gcd[p]
+
+    def vector(*parts):
+        x = np.zeros(n)
+        for support, value in parts:
+            x[support] = value
+        return x
+
+    diffs = [vector(([b[0]], 1.0), ([s], -1.0)) for b in (gens, q_block, p_block) for s in b[1:]]
+    isolated = [vector((zero, sqrt(q - 1))), vector((gens, 1.0 / sqrt(p - 1)))]
+    rad = sqrt((p - 1) * (q - 1))
+    spaces = [
+        (rad, [vector((q_block, sqrt((q - 1) / (p - 1))), (p_block, 1.0))]),
+        (0.0, diffs + isolated),
+        (-rad, [vector((q_block, sqrt((q - 1) / (p - 1))), (p_block, -1.0))]),
+    ]
+    return Spectrum(
+        tuple(Eigenspace(v, len(b), "formula", Basis.of_rows(b)) for v, b in spaces), n
+    )
+
+
 def test_complement_adjacency_23():
-    cf = cyclic_two_prime_complement_adjacency(2, 3)
+    cf = cyclic_two_prime_complement_eta0(2, 3, ADJACENCY)
     assert multiset_gap(
         cf.expanded(), np.array([-sqrt(2), 0, 0, 0, 0, sqrt(2)])
     ) < 1e-14
@@ -222,7 +252,7 @@ def test_complement_adjacency_23():
 
 
 def test_complement_adjacency_35_matches_oracle():
-    cf = cyclic_two_prime_complement_adjacency(3, 5)
+    cf = cyclic_two_prime_complement_eta0(3, 5, ADJACENCY)
     g = complement_graph(power_graph_oracle(GroupSpec(Z, 15)))
     u = universal_matrix(g, ADJACENCY)
     assert multiset_gap(cf.expanded(), dense_eigen(u)) < 1e-10
@@ -231,7 +261,7 @@ def test_complement_adjacency_35_matches_oracle():
 
 def test_complement_adjacency_sign_symmetric():
     for p, q in [(2, 3), (3, 5), (2, 7)]:
-        vals = cyclic_two_prime_complement_adjacency(p, q).expanded()
+        vals = cyclic_two_prime_complement_eta0(p, q, ADJACENCY).expanded()
         nonzero = vals[np.abs(vals) > 1e-12]
         assert np.allclose(np.sort(nonzero), np.sort(-nonzero))
 
@@ -246,9 +276,19 @@ def test_complement_eta0_laplacian_23():
 
 
 def test_complement_eta0_reduces_to_adjacency():
-    a = cyclic_two_prime_complement_adjacency(3, 5).expanded()
-    b = cyclic_two_prime_complement_eta0(3, 5, ADJACENCY).expanded()
-    assert multiset_gap(a, b) < 1e-12
+    # the specialisation against the adjacency spectrum written out: the
+    # same values, bit for bit, the same multiplicities, and eigenvectors
+    # of both that pass against the oracle
+    for p, q in [(2, 3), (3, 5), (2, 7), (5, 7)]:
+        cf = cyclic_two_prime_complement_eta0(p, q, ADJACENCY)
+        formula = complement_adjacency_by_formula(p, q)
+        shape = [(float(e.value), e.multiplicity) for e in cf.eigenspaces]
+        assert shape == [(float(e.value), e.multiplicity) for e in formula.eigenspaces]
+        assert shape[1] == (0.0, p * q - 2)
+        g = complement_graph(power_graph_oracle(GroupSpec(Z, p * q)))
+        u = universal_matrix(g, ADJACENCY)
+        assert residuals_pass(u, cf, tol=1e-10)
+        assert residuals_pass(u, formula, tol=1e-10)
 
 
 def test_complement_eta0_multiplicity_sum():
@@ -318,7 +358,7 @@ def dense_count(n, params, value, proper=False, complemented=False) -> int:
         g = complement_graph(g)
     u = universal_matrix(g, params)
     scale = max(1.0, float(np.abs(u).sum(axis=1).max()))
-    vals = dense_eigen(u).expanded()
+    vals = dense_eigen(u)
     return int(np.sum(np.abs(vals - float(value)) <= 1e-8 * scale))
 
 

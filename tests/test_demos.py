@@ -1,6 +1,8 @@
-"""Every demo script runs to completion against the current package."""
+"""Every demo script runs to completion against the current package, and
+none of the checks it prints reads False."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +29,7 @@ def test_demo_runs(demo):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout
+    # a check prints as "agrees with ...: True", "matches dense: True" or
+    # "(pass=True)"; one that reads False fails the demo
+    failed = [line for line in done.stdout.splitlines() if re.search(r"\bFalse\b", line)]
+    assert not failed, failed

@@ -11,7 +11,6 @@ from powspec.numtheory import (
     is_prime,
     prime_power,
     primes_below,
-    proper_divisors,
     totient,
 )
 
@@ -63,14 +62,6 @@ def test_divisors_examples():
     assert divisors(1) == [1]
     assert len(divisors(36)) == 9
     assert divisors(36) == brute_divisors(36)
-
-
-def test_proper_divisors():
-    assert proper_divisors(15) == [1, 3, 5]
-    assert proper_divisors(4) == [1, 2]
-    assert proper_divisors(13) == [1]
-    with pytest.raises(ValueError):
-        proper_divisors(1)
 
 
 def test_divisor_count_matches_exponent_product():

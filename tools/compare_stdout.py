@@ -17,7 +17,13 @@ The list:
   parameters in CSV, each also with ``--vectors --oracle-check`` where
   n <= 30;
 * Z_720720 at the Laplacian preset and at (1, -1, 2, 3);
-* ``verify --seed 3`` on Z_12, D_6 and Q_4.
+* ``verify --seed 3`` on Z_12, D_6 and Q_4;
+* ``charpoly --quotient`` at rational parameters and ``charpoly
+  --normalized --at=5/4`` on the same groups, both variants, plain and
+  complement (exit 1 where the normalized Laplacian is undefined);
+* ``graph`` on Z_12, D_6 and Q_4, both variants, plain and complement;
+* one invalid ``--group``, ``--variant`` and ``--preset`` each, which pin
+  the exit code of a refused choice.
 """
 
 from __future__ import annotations
@@ -72,8 +78,23 @@ def commands() -> list[list[str]]:
                             out.append(cmd + complement + params + ["--vectors", "--oracle-check"])
     for params in (["--preset", "laplacian"], ["--params=1,-1,2,3"]):
         out.append(["spectrum", "--group", "zn", "--n", "720720", *params])
+    for family, ns in SWEEP.items():
+        for n in ns:
+            for variant in ("power", "proper"):
+                for complement in ([], ["--complement"]):
+                    cmd = ["charpoly", "--group", family, "--n", str(n), "--variant", variant]
+                    out.append(cmd + complement + ["--quotient", "--params=7/2,-5/3,8/5,-9/7"])
+                    out.append(cmd + complement + ["--normalized", "--at=5/4"])
     for family, n in (("zn", 12), ("dn", 6), ("qn", 4)):
         out.append(["verify", "--group", family, "--n", str(n), "--seed", "3"])
+        for variant in ("power", "proper"):
+            for complement in ([], ["--complement"]):
+                out.append(["graph", "--group", family, "--n", str(n), "--variant", variant, *complement])
+    out += [
+        ["spectrum", "--group", "sn", "--n", "6"],
+        ["spectrum", "--group", "zn", "--n", "6", "--variant", "improper"],
+        ["spectrum", "--group", "zn", "--n", "6", "--preset", "distance"],
+    ]
     return out
 
 
