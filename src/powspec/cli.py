@@ -79,9 +79,17 @@ class _UsageError(Exception):
     pass
 
 
+class _Exit(Exception):
+    """argparse ended the parse, as after printing help: args[0] is its status."""
+
+
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would exit(2); we own the exit codes
+    # argparse would end the process; ``main`` returns every exit code
+    def error(self, message):
         raise _UsageError(message)
+
+    def exit(self, status=0, message=None):  # only ``error`` passes a message
+        raise _Exit(status)
 
 
 # ---------------------------------------------------------------------------
@@ -102,23 +110,12 @@ def _array_text(inv: list, table: list, indent: int) -> str:
     return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{'  ' * indent}]"
 
 
-def _set_entries(plus: list, minus: list) -> list:
-    """(position, text) of the nonzero entries of the set difference
-    1_P - 1_M, ascending: "1" and "-1", or the count where a vertex
-    repeats."""
-    entry = dict.fromkeys(plus + minus, 0)
-    for k in plus:
-        entry[k] += 1
-    for k in minus:
-        entry[k] -= 1
-    return sorted((k, str(v)) for k, v in entry.items() if v)
-
-
 def _write_basis(basis: Basis, indent: int, out: list) -> None:
     """Appends a basis to ``out`` as the array of its dense vectors would
-    print.  A set difference is the row of all "0" with its nonzero
-    entries spliced in at their offsets.  A lift prints from its t
-    formatted coefficients, one per block, read through its block map."""
+    print, walking its segments in order.  A set difference is the row of
+    all "0" with its "1" and "-1" entries spliced in at their offsets.  A
+    lift prints from its t formatted coefficients, one per block, read
+    through its block map."""
     if not len(basis):
         out.append("[]")
         return
@@ -126,44 +123,40 @@ def _write_basis(basis: Basis, indent: int, out: list) -> None:
     head, sep = f"[\n{inner}", f",\n{inner}"
     zeros = head + sep.join("0" * basis.dimension) + f"\n{'  ' * (indent + 1)}]"
     first, width = len(head), len(sep) + 1  # the offset of entry k is first + k * width
-
-    def splice(entries):
-        at = 0
-        for k, token in entries:  # ascending positions
-            offset = first + k * width
-            out.extend((zeros[at:offset], token))
-            at = offset + 1
-        out.append(zeros[at:])
-
-    plus, minus = basis.plus.tolist(), basis.minus.tolist()
-    sets, lifts = iter(basis.set_size.tolist()), iter(basis.coeffs.tolist())
-    block_of = basis.block_of.tolist() if len(basis.coeffs) else None
     row_start = f"\n{'  ' * (indent + 1)}"
-    at = 0
+    lead = row_start
     out.append("[")
-    for n, kind in enumerate(basis.kind.tolist()):
-        out.append("," + row_start if n else row_start)
-        if kind == Basis.SET:
-            size = next(sets)
-            i, j = plus[at], minus[at]
-            if size == 1 and i != j:  # e_i - e_j, the common case, spliced inline
-                a, b = first + i * width, first + j * width
-                if a < b:
-                    out.extend((zeros[:a], "1", zeros[a + 1 : b], "-1", zeros[b + 1 :]))
+    for kind, (a, b) in basis.segments:
+        if kind == Basis.LIFT:
+            block_of = b.tolist()
+            for coeffs in a.tolist():
+                out.extend((lead, _array_text(block_of, list(map(_fmt_float, coeffs)), indent + 1)))
+                lead = "," + row_start
+        elif a.shape[1] == 1:  # e_i - e_j, the common case
+            for i, j in zip(a.ravel().tolist(), b.ravel().tolist()):
+                x, y = first + i * width, first + j * width
+                if x < y:
+                    out.extend((lead, zeros[:x], "1", zeros[x + 1 : y], "-1", zeros[y + 1 :]))
                 else:
-                    out.extend((zeros[:b], "-1", zeros[b + 1 : a], "1", zeros[a + 1 :]))
-            else:
-                splice(_set_entries(plus[at : at + size], minus[at : at + size]))
-            at += size
+                    out.extend((lead, zeros[:y], "-1", zeros[y + 1 : x], "1", zeros[x + 1 :]))
+                lead = "," + row_start
         else:
-            out.append(_array_text(block_of, list(map(_fmt_float, next(lifts))), indent + 1))
+            for plus, minus in zip(a.tolist(), b.tolist()):
+                out.append(lead)
+                at = 0
+                for k, token in sorted([(k, "1") for k in plus] + [(k, "-1") for k in minus]):
+                    offset = first + k * width
+                    out.extend((zeros[at:offset], token))
+                    at = offset + 1
+                out.append(zeros[at:])
+                lead = "," + row_start
     out.append(f"\n{'  ' * indent}]")
 
 
 # the text of a leaf by its type; ``encode_basestring_ascii`` is what
 # ``json.dumps`` calls for a string
 _LEAVES = {
-    float: lambda x: format(x, ".17g"),
+    float: _fmt_float,
     int: str,
     str: encode_basestring_ascii,
     bool: {True: "true", False: "false"}.__getitem__,
@@ -208,7 +201,7 @@ def _check_finite(values, bases=()) -> None:
     would not be JSON, and a check against an infinite tolerance would
     pass on nothing."""
     arrays = [np.asarray(values, dtype=float)]
-    arrays += [b.coeffs.ravel() for b in bases]
+    arrays += [c.ravel() for b in bases for kind, (c, _) in b.segments if kind == Basis.LIFT]
     if not np.isfinite(np.concatenate(arrays)).all():
         raise OverflowError("a report holds a NaN or infinite value")
 
@@ -493,9 +486,11 @@ def _exact_text(values) -> list:
 
 
 def cmd_charpoly(args) -> int:
+    if args.normalized and args.normalized_at is None:
+        raise _UsageError("--normalized needs --at VALUE")
     spec = _build_spec(args)
     variant = Variant(args.variant)
-    if args.quotient == (args.normalized is not None):
+    if args.quotient == args.normalized:
         raise _UsageError("choose exactly one of --quotient or --normalized --at X")
     if args.quotient:
         if args.normalized_at is not None:
@@ -593,7 +588,7 @@ def build_parser() -> _Parser:
     cp.add_argument("--complement", action="store_true")
     _add_params(cp)
     cp.add_argument("--quotient", action="store_true")
-    cp.add_argument("--normalized", dest="normalized", action="store_true", default=None)
+    cp.add_argument("--normalized", action="store_true")
     cp.add_argument("--at", dest="normalized_at", default=None)
     cp.set_defaults(func=cmd_charpoly)
 
@@ -629,12 +624,12 @@ def main(argv=None) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else list(argv)))
-        if getattr(args, "normalized", None) and args.normalized_at is None:
-            raise _UsageError("--normalized needs --at VALUE")
         # numpy's warnings stay off stderr: a NaN or infinite value that
         # reaches a report exits 1 by ``_check_finite`` or ``OverflowError``
         with np.errstate(all="ignore"):
             return args.func(args)
+    except _Exit as exc:
+        return exc.args[0]
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -9,9 +9,10 @@ its hypotheses instead of extrapolating.  A spectrum comes back as a
 ``Spectrum`` of ``Eigenspace`` values whose provenance names the closed
 form; int and Fraction parameters keep the values exact where the formula
 is rational.  Eigenvectors come as the structural route's compact
-``Basis``: in-block differences as set differences e_i - e_j, indicator,
-bipartite and lifted vectors as dense rows, each a lift over one block per
-vertex, so nothing of size N is made per difference.
+``Basis``, made of its two kinds of segment: in-block differences as sets
+of size 1 (e_i - e_j), indicator, bipartite and lifted vectors as dense
+rows, each a lift over one block per vertex, so nothing of size N is made
+per difference.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ __all__ = [
 def _merged(total: int, provenance: str, entries) -> Spectrum:
     """The spectrum of (value, multiplicity, segments) entries in dimension
     ``total``: exactly-equal values merge, their basis segments joined in
-    entry order into one ``Basis.of_segments``, and zero multiplicities
-    drop.  A values-only form passes ``None`` for segments."""
+    entry order into one ``Basis``, and zero multiplicities drop.  A
+    values-only form passes ``None`` for segments."""
     merged: dict[float, list] = {}
     for value, multiplicity, segments in entries:
         if multiplicity == 0:
@@ -51,7 +52,7 @@ def _merged(total: int, provenance: str, entries) -> Spectrum:
             value,
             multiplicity,
             provenance,
-            None if segments is None else Basis.of_segments(total, segments),
+            None if segments is None else Basis(total, segments),
         )
         for value, multiplicity, segments in merged.values()
     ]

@@ -140,71 +140,58 @@ def universal_matrix(g: LabeledGraph, p: UniversalParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# the fields of a basis without sets or without lifts, and the kind codes
-_NO_SETS = (np.zeros(0, dtype=np.int64),) * 3
-_NO_LIFTS = (np.zeros((0, 0)), None)
-_KINDS = np.arange(2, dtype=np.int8)
-
-
 class Basis:
-    """The eigenvectors of one eigenspace, in compact form.
+    """The eigenvectors of one eigenspace, in compact form: ``segments``,
+    an ordered list of (kind, data) runs of vectors, as the structural route
+    and the closed forms make them.
 
-    ``kind[k]`` names the kind of vector k, and each kind keeps its vectors,
-    in basis order, in fields of its own:
+    * ``(SET, (plus, minus))``: two int arrays of one shape (m, s), s >= 1.
+      Vector r is the set difference 1_P - 1_M of the lists P = plus[r] and
+      M = minus[r], whose 2s members are distinct vertices.  e_i - e_j is
+      the case s = 1.
+    * ``(LIFT, (coeffs, block_of))``: a float (m, b) array and an int array
+      of shape (dimension,), the block of each vertex.  Vector r is
+      block-constant, its entry at vertex v coeffs[r, block_of[v]].  A dense
+      row is the lift over one block per vertex, ``block_of`` = 0..N-1
+      (``of_rows``).
 
-    * ``SET``: the set difference 1_P - 1_M of two vertex lists P and M of
-      one length s, counted with multiplicity (a vertex in both cancels).
-      ``set_size`` holds s per vector, and the int arrays ``plus`` and
-      ``minus`` the members of every P and every M, one list after the
-      other.  e_i - e_j is the case s = 1.
-    * ``LIFT``: a block-constant vector, the next row of the float array
-      ``coeffs`` read through the int array ``block_of``: its entry at
-      vertex v is coeffs[k, block_of[v]].  A dense row is the lift over one
-      block per vertex, ``block_of`` = 0..N-1 (``of_rows``).
-
-    The structural route keeps its in-clique differences, and those of
+    The structural route makes its in-clique differences, and those of
     single-vertex cliques, as sets of size 1, the differences of wider
     clique indicators (Q_n's coset cliques) as sets of the clique size and
     its lifted quotient vectors as t block coefficients; the closed forms
-    keep their in-block differences as sets and the rest as dense rows.  A
+    make their in-block differences as sets and the rest as dense rows.  A
     ``Basis`` still reads as a sequence of dense vectors of length
     ``dimension``: ``len``, indexing, iteration and ``np.array``."""
 
     SET, LIFT = 0, 1
 
-    def __init__(self, dimension: int, sets=None, lifts=None, kind=None):
-        """``sets`` is (plus, minus, set_size) and ``lifts`` is (coeffs,
-        block_of); without ``kind`` the sets come first, then the lifts.
-        Raises ``ValueError`` when a field has the wrong shape or ``kind``
-        counts a kind other than its rows."""
+    def __init__(self, dimension: int, segments=()):
+        """Empty segments drop.  Raises ``ValueError`` for a segment of
+        another kind, of the wrong shape, with a member or block index out
+        of range, or with a vertex listed twice in one set difference."""
         self.dimension = dimension
-        self.plus, self.minus, self.set_size = _NO_SETS if sets is None else sets
-        self.coeffs, self.block_of = _NO_LIFTS if lifts is None else lifts
-        counts = [len(self.set_size), len(self.coeffs)]
-        if kind is not None:
-            flags = np.bincount(kind, minlength=2).tolist() if len(kind) else [0, 0]
-            if flags != counts:
-                raise ValueError(f"kind flags count {flags} vectors per kind, the fields hold {counts}")
-        self.kind = np.repeat(_KINDS, counts) if kind is None else kind
-        if sets is not None and (
-            self.plus.shape != self.minus.shape
-            or len(self.plus) != int(self.set_size.sum())
-            or (counts[0] and int(self.set_size.min()) < 1)
-        ):
-            raise ValueError("set members and set sizes disagree")
-        if counts[0] and not 0 <= min(self.plus.min(), self.minus.min()) <= max(
-            self.plus.max(), self.minus.max()
-        ) < dimension:
-            raise ValueError(f"a set member lies outside the vertices 0..{dimension - 1}")
-        if lifts is not None and (
-            self.coeffs.ndim != 2
-            or np.shape(self.block_of) != (dimension,)
-            or (  # a basis in dimension 0 has an empty block map
-                counts[1] and dimension
-                and not 0 <= self.block_of.min() <= self.block_of.max() < self.coeffs.shape[1]
-            )
-        ):
-            raise ValueError("lift coefficients need one block index per vertex, in range")
+        kept = []
+        for kind, (a, b) in segments:
+            if kind == self.SET:
+                if a.ndim != 2 or a.shape != b.shape or a.shape[1] < 1:
+                    raise ValueError("set members need two (m, s) arrays of one shape, s >= 1")
+                members = np.sort(np.concatenate([a, b], axis=1), axis=1)
+                if len(a) and not (
+                    0 <= members[:, 0].min() and members[:, -1].max() < dimension
+                ):
+                    raise ValueError(f"a set member lies outside the vertices 0..{dimension - 1}")
+                if (members[:, 1:] == members[:, :-1]).any():
+                    raise ValueError("a vertex is listed twice in one set difference")
+            elif kind == self.LIFT:
+                if a.ndim != 2 or np.shape(b) != (dimension,) or (
+                    len(a) and dimension and not 0 <= b.min() <= b.max() < a.shape[1]
+                ):
+                    raise ValueError("lift coefficients need one block index per vertex, in range")
+            else:
+                raise ValueError(f"a basis segment of kind {kind!r}, neither SET nor LIFT")
+            if len(a):
+                kept.append((kind, (a, b)))
+        self.segments = kept
 
     @classmethod
     def of_rows(cls, rows) -> "Basis":
@@ -212,38 +199,10 @@ class Basis:
         rows = np.array(rows, dtype=float) if len(rows) else np.zeros((0, 0))
         if rows.ndim != 2:
             raise ValueError("basis rows must be vectors of one length")
-        return cls(rows.shape[1], lifts=(rows, np.arange(rows.shape[1])))
-
-    @classmethod
-    def of_segments(cls, dimension: int, segments) -> "Basis":
-        """Vectors from (kind, data) segments, in order: for ``SET`` a pair
-        (plus, minus) of (m, s) int arrays, row r the lists P and M of
-        vector r; for ``LIFT`` a pair (coeffs, block_of), every lift
-        segment of a basis with the same ``block_of``."""
-        def stack(arrays):
-            return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-        sets = [data for kind, data in segments if kind == cls.SET]
-        lifts = [data for kind, data in segments if kind == cls.LIFT]
-        if sets:
-            sets = (
-                stack([p.ravel() for p, _ in sets]),
-                stack([q.ravel() for _, q in sets]),
-                stack([np.full(len(p), p.shape[1], dtype=np.int64) for p, _ in sets]),
-            )
-        if lifts:
-            block_of = lifts[0][1]
-            if any(b is not block_of and not np.array_equal(b, block_of) for _, b in lifts):
-                raise ValueError("the lifts of one basis read one block map")
-            lifts = (stack([c for c, _ in lifts]), block_of)
-        kind = None
-        if len(segments) > 1:
-            counts = [len(data[0]) for _, data in segments]
-            kind = np.repeat(np.array([kind for kind, _ in segments], dtype=np.int8), counts)
-        return cls(dimension, sets or None, lifts or None, kind)
+        return cls(rows.shape[1], [(cls.LIFT, (rows, np.arange(rows.shape[1])))])
 
     def __len__(self) -> int:
-        return len(self.kind)
+        return sum(len(a) for _, (a, _) in self.segments)
 
     def __getitem__(self, k) -> np.ndarray:
         return self.__array__()[k]
@@ -253,16 +212,23 @@ class Basis:
 
     def lifted(self) -> np.ndarray:
         """The lifts as dense rows."""
-        return self.coeffs[:, self.block_of] if len(self.coeffs) else np.zeros((0, self.dimension))
+        rows = [c[:, block_of] for kind, (c, block_of) in self.segments if kind == self.LIFT]
+        return np.concatenate(rows) if rows else np.zeros((0, self.dimension))
 
     def __array__(self, dtype=None, copy=None):
         """The dense vectors stacked as rows: O(m N), for readers of the
-        dense form; the checks and the emitter read the compact fields."""
+        dense form; the checks and the emitter read the segments."""
         out = np.zeros((len(self), self.dimension))
-        out[self.kind == self.LIFT] = self.lifted()
-        rows = np.repeat(np.flatnonzero(self.kind == self.SET), self.set_size)
-        np.add.at(out, (rows, self.plus), 1.0)
-        np.add.at(out, (rows, self.minus), -1.0)  # a vertex in P and M cancels
+        at = 0
+        for kind, (a, b) in self.segments:
+            rows = out[at : at + len(a)]
+            if kind == self.LIFT:
+                rows[:] = a[:, b]
+            else:
+                vec = np.arange(len(a))[:, None]
+                rows[vec, a] = 1.0
+                rows[vec, b] = -1.0
+            at += len(a)
         return out if dtype is None else out.astype(dtype)
 
 
@@ -535,7 +501,7 @@ def hjoin_spectrum(js: JoinStructure, p: UniversalParams, want_vectors: bool = F
         basis = None
         if want_vectors:
             group = order[starts[g] : starts[g + 1]].tolist()
-            basis = Basis.of_segments(total, [seg for c in group for seg in segments(sources[c])])
+            basis = Basis(total, [seg for c in group for seg in segments(sources[c])])
         spaces.append(Eigenspace(space_values[g], total_mult[g], names[provenance[g]], basis))
     return Spectrum(tuple(spaces), total)
 
@@ -571,75 +537,64 @@ def _full_rank(vecs, multiplicity: int) -> bool:
     return bool(np.min(pivots) > RANK_PIVOT_MIN)
 
 
-def _set_residuals(u: np.ndarray, sets: Basis, values: np.ndarray) -> tuple:
-    """(||U x - lambda x||_inf, ||x||_inf) of each set difference x of
-    ``sets`` (a ``Basis`` of sets only) with its value lambda.  U x is
-    gathered from columns: the sum of U[:, p] over P, left to right, minus
-    that over M.  For a finite U and sets of size 1 that is U x bit for
-    bit, since every other term of U x is an exact zero; wider sets differ
-    from a dot product in rounding only.  lambda x is then taken off on
-    the coordinates x touches: -lambda on P and +lambda on M where no
-    member repeats, and lambda times x's summed entries where one does.
-    Sets go by size, their columns in blocks of 128 KB."""
-    dim, sizes = sets.dimension, sets.set_size
-    count = len(sizes)
-    res, norms = np.empty(count), np.ones(count)
-    starts = np.cumsum(sizes) - sizes
-    wide = len(sets.plus) > count
-    for size in sorted(set(sizes.tolist())) if wide else [1] * bool(count):
-        which = np.flatnonzero(sizes == size) if wide else np.arange(count)
-        # column j of the (vectors x size) lists of P and of M
-        plus = [sets.plus[starts[which] + j] for j in range(size)]
-        minus = [sets.minus[starts[which] + j] for j in range(size)]
-        members = np.sort(np.column_stack(plus + minus), axis=1)
-        repeats = (members[:, 1:] == members[:, :-1]).any(axis=1)
-        step = max(1, 16384 // max(1, dim * size))
-        for lo in range(0, len(which), step):
-            hi = lo + step
-            r, q = u[:, plus[0][lo:hi]], u[:, minus[0][lo:hi]]
-            for j in range(1, size):
-                r += u[:, plus[j][lo:hi]]
-                q += u[:, minus[j][lo:hi]]
-            r -= q
-            lam, col = values[which[lo:hi]], np.arange(r.shape[1])
-            if repeats[lo:hi].any():
-                x = np.zeros_like(r)
-                for j in range(size):
-                    np.add.at(x, (plus[j][lo:hi], col), 1.0)
-                    np.add.at(x, (minus[j][lo:hi], col), -1.0)
-                touched, vec = np.nonzero(x)
-                r[touched, vec] -= x[touched, vec] * lam[vec]
-                norms[which[lo:hi]] = np.max(np.abs(x), axis=0)
-            else:
-                for j in range(size):
-                    r[plus[j][lo:hi], col] -= lam
-                    r[minus[j][lo:hi], col] += lam
-            res[which[lo:hi]] = np.max(np.abs(r), axis=0)
-    return res, norms
+def _set_residuals(
+    u: np.ndarray, plus: np.ndarray, minus: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """||U x - lambda x||_inf of each set difference x = 1_P - 1_M, row r
+    of the (m, s) arrays ``plus`` and ``minus`` with value ``values[r]``.
+    U x is gathered from columns: the sum of U[:, p] over P, left to right,
+    minus that over M.  For a finite U and sets of size 1 that is U x bit
+    for bit, since every other term of U x is an exact zero; wider sets
+    differ from a dot product in rounding only.  lambda x is then taken off
+    on the coordinates x touches: -lambda on P and +lambda on M, its
+    members being distinct.  The columns go in blocks of 128 KB."""
+    size = plus.shape[1]
+    res = np.empty(len(plus))
+    step = max(1, 16384 // max(1, len(u) * size))
+    for lo in range(0, len(plus), step):
+        p, m = plus[lo : lo + step], minus[lo : lo + step]
+        r, q = u[:, p[:, 0]], u[:, m[:, 0]]
+        for j in range(1, size):
+            r += u[:, p[:, j]]
+            q += u[:, m[:, j]]
+        r -= q
+        lam, col = values[lo : lo + step], np.arange(r.shape[1])
+        for j in range(size):
+            r[p[:, j], col] -= lam
+            r[m[:, j], col] += lam
+        res[lo : lo + step] = np.max(np.abs(r), axis=0)
+    return res
 
 
-def _lone_coordinates(sets: Basis, owner: np.ndarray) -> np.ndarray:
-    """For each set difference of ``sets`` (a ``Basis`` of sets only),
-    whether one of its members is a coordinate that no other member of a
-    vector of the same owner touches."""
-    sizes = sets.set_size
-    if not len(sizes):
+def _lone_coordinates(sets: list, dimension: int) -> np.ndarray:
+    """For each vector of the set segments ``sets``, (owner, plus, minus)
+    triples in order, whether one of its members is a coordinate that no
+    other member of a vector of the same owner touches."""
+    if not sets:
         return np.zeros(0, dtype=bool)
-    base = np.repeat(owner, sizes) * sets.dimension
-    keys = np.concatenate([base + sets.plus, base + sets.minus])
-    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    single = (counts[inverse] == 1).reshape(2, -1).any(axis=0)
-    return np.logical_or.reduceat(single, np.cumsum(sizes) - sizes)
+    keys = [k * dimension + np.concatenate([p, m], axis=1) for k, p, m in sets]
+    _, inverse, counts = np.unique(
+        np.concatenate([key.ravel() for key in keys]), return_inverse=True, return_counts=True
+    )
+    single = counts[inverse] == 1
+    ends = np.cumsum([key.size for key in keys]).tolist()
+    return np.concatenate([
+        single[end - key.size : end].reshape(key.shape).any(axis=1) for key, end in zip(keys, ends)
+    ])
 
 
 def _block_balanced(basis: Basis) -> bool:
     """Whether every set difference of ``basis`` has as many members of P
-    as of M in each block of its lifts: then it sums to zero on every
-    block, and so is exactly orthogonal to every block-constant vector."""
-    t = basis.coeffs.shape[1]
-    vec = np.repeat(np.arange(len(basis.set_size)), basis.set_size) * t
-    side = [np.sort(vec + basis.block_of[members]) for members in (basis.plus, basis.minus)]
-    return bool(np.array_equal(*side))
+    as of M in each block of every lift segment's block map: then it sums
+    to zero on every block, and so is exactly orthogonal to every
+    block-constant vector."""
+    sets = [data for kind, data in basis.segments if kind == Basis.SET]
+    maps = {id(b): b for kind, (_, b) in basis.segments if kind == Basis.LIFT}
+    return all(
+        np.array_equal(np.sort(block_of[plus], axis=1), np.sort(block_of[minus], axis=1))
+        for block_of in maps.values()
+        for plus, minus in sets
+    )
 
 
 def _independent(basis: Basis, multiplicity: int, lone: np.ndarray) -> bool:
@@ -661,8 +616,8 @@ def _independent(basis: Basis, multiplicity: int, lone: np.ndarray) -> bool:
         return True
     if not lone.all():
         return _full_rank(basis, multiplicity)
-    lifts = len(basis.coeffs)
-    if lifts and len(basis.set_size) and not _block_balanced(basis):
+    lifts = multiplicity - len(lone)
+    if lifts and len(lone) and not _block_balanced(basis):
         return _full_rank(basis, multiplicity)
     return lifts < 2 or _full_rank(basis.lifted(), lifts)
 
@@ -673,13 +628,14 @@ def verify_eigenpairs(u: np.ndarray, s: Spectrum, tol: float = 1e-8) -> Verifica
     fails, a U with a NaN or infinite entry fails, and so does an
     eigenspace whose basis has rank below its multiplicity.
 
-    The work follows the compact bases: the set differences of all
-    eigenspaces go through ``_set_residuals`` at O(N s) each, and each
-    lift (a dense row among them), expanded to its N entries, takes one
-    product U x.  The rank test of an eigenspace is ``_independent``: O(m) for m
-    sets that each have a coordinate of their own, a Cholesky factor of
-    the Gram matrix of its lifts alone where its sets are also exactly
-    orthogonal to them, and of all its vectors only where neither holds."""
+    The work follows the basis segments: the set segments of all
+    eigenspaces are gathered by set size, each size going through
+    ``_set_residuals`` at O(N s) per vector, and each lift (a dense row
+    among them), expanded to its N entries, takes one product U x.  The
+    rank test of an eigenspace is ``_independent``: O(m) for m sets that
+    each have a coordinate of their own, a Cholesky factor of the Gram
+    matrix of its lifts alone where its sets are also exactly orthogonal to
+    them, and of all its vectors only where neither holds."""
     u = np.asarray(u, dtype=float)
     if u.shape != (s.dimension, s.dimension):
         raise ValueError(
@@ -691,17 +647,21 @@ def verify_eigenpairs(u: np.ndarray, s: Spectrum, tol: float = 1e-8) -> Verifica
     if any(e.basis is None for e in spaces):
         raise ValueError("spectrum carries no eigenvector bases")
     values = [float(e.value) for e in spaces]
-    counts = [len(e.basis.set_size) for e in spaces]
-    sets = Basis(
-        s.dimension,
-        tuple(np.concatenate([getattr(e.basis, f) for e in spaces] + [np.zeros(0, np.int64)])
-              for f in ("plus", "minus", "set_size")),
-    )
-    owner = np.repeat(np.arange(len(spaces)), counts)
-    residual, size = _set_residuals(u, sets, np.repeat(values, counts))
-    lone = _lone_coordinates(sets, owner)
+    # the set segments of every eigenspace, in order, with the index of their eigenspace
+    sets = [
+        (k, *data) for k, e in enumerate(spaces) for kind, data in e.basis.segments if kind == Basis.SET
+    ]
+    lone = _lone_coordinates(sets, s.dimension)
+    residual, size, owner = [np.zeros(0)], [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
+    for width in sorted({p.shape[1] for _, p, _ in sets}):
+        same = [(k, p, m) for k, p, m in sets if p.shape[1] == width]
+        of = np.concatenate([np.full(len(p), k) for k, p, _ in same])
+        plus = np.concatenate([p for _, p, _ in same])
+        minus = np.concatenate([m for _, _, m in same])
+        residual.append(_set_residuals(u, plus, minus, np.array(values)[of]))
+        size.append(np.ones(len(of)))  # distinct members: every entry is 0 or +-1
+        owner.append(of)
     # then the lifts of every eigenspace, one product U x each
-    residual, size, owner = [residual], [size], [owner]
     for k, (e, value) in enumerate(zip(spaces, values)):
         dense = e.basis.lifted()
         if len(dense):
@@ -723,9 +683,10 @@ def verify_eigenpairs(u: np.ndarray, s: Spectrum, tol: float = 1e-8) -> Verifica
     rows = []
     worst = 0.0
     start = 0
-    for e, value, count, r, b in zip(spaces, values, counts, res.tolist(), bound.tolist()):
+    for e, value, r, b in zip(spaces, values, res.tolist(), bound.tolist()):
         rows.append((value, e.multiplicity, r, b))
         worst = max(worst, r)
+        count = sum(len(data[0]) for kind, data in e.basis.segments if kind == Basis.SET)
         # skipped once failed: a zero vector would divide by 0
         if passed and not _independent(e.basis, e.multiplicity, lone[start : start + count]):
             passed = False

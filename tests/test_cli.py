@@ -334,6 +334,27 @@ def test_charpoly_normalized_proper_z60(capsys):
 def test_charpoly_needs_exactly_one_mode(capsys):
     code, _, err = run(capsys, "charpoly", "--group", "zn", "--n", "4")
     assert code == 1
+    code, _, err = run(
+        capsys, "charpoly", "--group", "zn", "--n", "4", "--quotient", "--normalized", "--at", "1"
+    )
+    assert code == 1 and err.startswith("usage error: choose exactly one")
+    # --normalized without its point, refused before the group is built
+    code, out, err = run(capsys, "charpoly", "--group", "zn", "--n", "0", "--normalized")
+    assert (code, out, err) == (1, "", "usage error: --normalized needs --at VALUE\n")
+
+
+@pytest.mark.parametrize("command", [None, "spectrum", "verify", "charpoly", "graph"])
+def test_help_returns_0_from_main(capsys, command):
+    # argparse prints the help and exits; main returns that status instead
+    prefix = [] if command is None else [command]
+    for flag in ("-h", "--help"):
+        code, out, err = run(capsys, *prefix, flag)
+        assert (code, err) == (0, "")
+        assert out.startswith(" ".join(["usage: powspec", *prefix, "[-h]"]))
+        if command is None:
+            assert out == powspec.cli.build_parser().format_help()
+        else:
+            assert "--group {zn,dn,qn}" in out and "--variant {power,proper}" in out
 
 
 @pytest.mark.parametrize("extra", [(), ("--preset", "laplacian"), ("--complement",)])
@@ -647,20 +668,19 @@ def table_emit(arr, indent):
 
 
 def dense_form(basis):
-    """The stacked dense vectors of a basis, built here from its fields."""
+    """The stacked dense vectors of a basis, built here from its segments."""
     out = np.zeros((len(basis), basis.dimension))
-    sets, lifts, at = iter(basis.set_size.tolist()), 0, 0
-    for row, kind in enumerate(basis.kind.tolist()):
-        if kind == Basis.SET:
-            size = next(sets)
-            for i in basis.plus[at : at + size].tolist():
-                out[row, i] += 1.0
-            for j in basis.minus[at : at + size].tolist():
-                out[row, j] -= 1.0
-            at += size
-        elif kind == Basis.LIFT:
-            out[row] = [basis.coeffs[lifts, l] for l in basis.block_of.tolist()]
-            lifts += 1
+    row = 0
+    for kind, (a, b) in basis.segments:
+        for r in range(len(a)):
+            if kind == Basis.SET:
+                for i in a[r].tolist():
+                    out[row, i] += 1.0
+                for j in b[r].tolist():
+                    out[row, j] -= 1.0
+            elif kind == Basis.LIFT:
+                out[row] = [a[r, l] for l in b.tolist()]
+            row += 1
     return out
 
 
@@ -700,29 +720,31 @@ def test_basis_emitter_matches_the_table_path_on_special_values(trial):
         np.concatenate([nans.view(np.float64), [-0.0, 5e-324, -np.inf]])
     )
     dim = int(rng.integers(1, 14))
-    # a basis reads one block map: its lifts are dense rows, over one block
-    # per vertex, in the first three trials and block lifts in the others
+    # lifts are dense rows, over one block per vertex, in the first three
+    # trials, and in the others block lifts over either of two block maps
     dense_rows = trial < 3
-    blocks = dim if dense_rows else int(rng.integers(1, 4))
-    block_of = np.arange(dim) if dense_rows else rng.integers(0, blocks, size=dim)
+    maps = [np.arange(dim)] if dense_rows else [
+        rng.integers(0, int(rng.integers(1, 4)), size=dim) for _ in range(2)
+    ]
     segments = []
     for _ in range(int(rng.integers(1, 7))):
         count = int(rng.integers(1, 4))
-        if rng.random() < 0.3:  # sets of 1 to 3 vertices, repeats and overlaps included
-            size = int(rng.integers(1, 4))
-            plus, minus = (rng.integers(0, dim, size=(count, size)) for _ in range(2))
-            segments.append((Basis.SET, (plus, minus)))
+        if dim > 1 and rng.random() < 0.3:  # sets of 1 to 3 distinct vertices each side
+            size = int(rng.integers(1, min(3, dim // 2) + 1))
+            members = np.array([rng.permutation(dim)[: 2 * size] for _ in range(count)])
+            segments.append((Basis.SET, (members[:, :size], members[:, size:])))
         elif dense_rows:
             rows = np.zeros((count, dim))
             for row in rows:  # sparse rows, half-full rows and full rows
                 hit = rng.random(dim) < rng.choice([0.1, 0.5, 1.0])
                 row[hit] = rng.choice(special, size=int(hit.sum()))
-            segments.append((Basis.LIFT, (rows, block_of)))
+            segments.append((Basis.LIFT, (rows, maps[0])))
         else:  # lifts whose blocks take special values
-            coeffs = rng.choice(special, size=(count, blocks))
+            block_of = maps[int(rng.integers(0, 2))]
+            coeffs = rng.choice(special, size=(count, int(block_of.max()) + 1))
             coeffs[rng.random(coeffs.shape) < 0.3] = 0.0
             segments.append((Basis.LIFT, (coeffs, block_of)))
-    basis = Basis.of_segments(dim, segments)
+    basis = Basis(dim, segments)
     assert np.array(basis).tobytes() == dense_form(basis).tobytes()
     for indent in (0, 3):
         assert _emit_json(basis, indent) == table_emit(dense_form(basis), indent)

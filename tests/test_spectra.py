@@ -1063,16 +1063,17 @@ def reference_residual_rows(u, s, tol):
     for e in s.eigenspaces:
         b, value = e.basis, float(e.value)
         res = bound = 0.0
-        sets, at = iter(b.set_size.tolist()), 0
-        for kind, x in zip(b.kind.tolist(), b):
+        # the members of each vector's sets, None for a lift
+        members = [
+            pair for kind, (a, c) in b.segments
+            for pair in (zip(a, c) if kind == Basis.SET else [None] * len(a))
+        ]
+        for pair, x in zip(members, b):
             r = float(np.max(np.abs(u @ x - value * x)))
-            if kind == Basis.SET:
-                k = next(sets)
-                if k > 1:
-                    gathered = gathered_residual(u, b.plus[at : at + k], b.minus[at : at + k], value)
-                    assert abs(gathered - r) <= slack
-                    r = gathered
-                at += k
+            if pair is not None and len(pair[0]) > 1:
+                gathered = gathered_residual(u, *pair, value)
+                assert abs(gathered - r) <= slack
+                r = gathered
             res = max(res, r)
             bound = max(bound, tol * scale * float(np.max(np.abs(x))))
         rows.append((value, e.multiplicity, res, bound))
@@ -1144,91 +1145,105 @@ def test_basis_reads_as_dense_vectors():
     dense = np.array([[0.5, -0.0, 2.0, 1.0]])
     b = Basis(
         4,
-        (np.array([2, 1]), np.array([0, 1]), np.array([1, 1])),
-        (dense, np.arange(4)),  # a dense row: a lift over one block per vertex
-        kind=np.array([Basis.SET, Basis.LIFT, Basis.SET]),
+        [
+            (Basis.SET, (np.array([[2]]), np.array([[0]]))),
+            (Basis.LIFT, (dense, np.arange(4))),  # a dense row: a lift over one block per vertex
+            (Basis.SET, (np.array([[1]]), np.array([[3]]))),
+        ],
     )
-    expect = [[-1.0, 0.0, 1.0, 0.0], [0.5, -0.0, 2.0, 1.0], [0.0, 0.0, 0.0, 0.0]]
+    expect = [[-1.0, 0.0, 1.0, 0.0], [0.5, -0.0, 2.0, 1.0], [0.0, 1.0, 0.0, -1.0]]
     assert len(b) == 3 and bool(b)
     assert np.array(b).tobytes() == np.array(expect).tobytes()
     assert [x.tolist() for x in b] == expect
     assert b[-1].tolist() == expect[2] and b[1].tobytes() == dense[0].tobytes()
     assert np.column_stack(b).shape == (4, 3)
-    # wider sets count with multiplicity, and a lift reads its block map
-    wide = Basis.of_segments(
+    # wider sets, and lifts that each read their own block map
+    wide = Basis(
         5,
         [
             (Basis.LIFT, (np.array([[2.5, -0.0]]), np.array([1, 0, 0, 1, 1]))),
-            (Basis.SET, (np.array([[0, 1], [3, 3]]), np.array([[2, 4], [3, 0]]))),
+            (Basis.SET, (np.array([[0, 1], [3, 4]]), np.array([[2, 4], [1, 0]]))),
+            (Basis.LIFT, (np.array([[1.0, 2.0, 3.0]]), np.array([2, 2, 1, 0, 1]))),
         ],
     )
-    expect = [[-0.0, 2.5, 2.5, -0.0, -0.0], [1.0, 1.0, -1.0, 0.0, -1.0], [-1.0, 0.0, 0.0, 1.0, 0.0]]
-    assert wide.kind.tolist() == [Basis.LIFT, Basis.SET, Basis.SET]
+    expect = [
+        [-0.0, 2.5, 2.5, -0.0, -0.0],
+        [1.0, 1.0, -1.0, 0.0, -1.0],
+        [-1.0, -1.0, 0.0, 1.0, 1.0],
+        [3.0, 3.0, 2.0, 1.0, 2.0],
+    ]
+    assert [kind for kind, _ in wide.segments] == [Basis.LIFT, Basis.SET, Basis.LIFT]
     assert np.array(wide).tobytes() == np.array(expect).tobytes()
+    assert wide.lifted().tobytes() == np.array([expect[0], expect[3]]).tobytes()
+    # empty segments drop
+    no_rows = Basis(3, [
+        (Basis.SET, (np.zeros((0, 1), np.int64),) * 2),
+        (Basis.LIFT, (np.ones((0, 2)), np.array([0, 1, 1]))),
+    ])
+    assert no_rows.segments == [] and len(no_rows) == 0 and np.array(no_rows).shape == (0, 3)
     # a sequence of vectors becomes dense rows, lifts over one block per vertex
     rows = Basis.of_rows((np.ones(3), np.zeros(3)))
-    assert rows.dimension == 3 and rows.block_of.tolist() == [0, 1, 2]
-    assert not len(rows.set_size) and np.array(rows).tolist() == [[1.0] * 3, [0.0] * 3]
+    [(kind, (coeffs, block_of))] = rows.segments
+    assert rows.dimension == 3 and kind == Basis.LIFT and block_of.tolist() == [0, 1, 2]
+    assert np.array(rows).tolist() == [[1.0] * 3, [0.0] * 3]
     assert len(Basis.of_rows(())) == 0
     empty_rows = Basis.of_rows(np.zeros((2, 0)))  # two vectors in dimension 0
     assert len(empty_rows) == 2 and np.array(empty_rows).shape == (2, 0)
     with pytest.raises(ValueError):
-        Basis(3, lifts=(np.ones((1, 4)), np.arange(4)))
+        Basis(3, [(Basis.LIFT, (np.ones((1, 4)), np.arange(4)))])
     with pytest.raises(ValueError):
-        Basis(3, (np.array([0, 1]), np.array([1]), np.array([1])))
+        Basis(3, [(Basis.SET, (np.array([[0, 1]]), np.array([[2]])))])
     with pytest.raises(ValueError):
-        Basis(3, (np.array([0]), np.array([1]), np.array([2])))
+        Basis(3, [(Basis.SET, (np.array([0]), np.array([1])))])
     with pytest.raises(ValueError):
-        Basis(3, lifts=(np.ones((1, 2)), np.array([0, 1])))
+        Basis(3, [(Basis.SET, (np.zeros((1, 0), np.int64),) * 2)])
+    with pytest.raises(ValueError):
+        Basis(3, [(Basis.LIFT, (np.ones((1, 2)), np.array([0, 1])))])
     for outside in (-1, 3):  # numpy would wrap -1, and the emitter splice at a bad offset
         with pytest.raises(ValueError):
-            Basis(3, (np.array([0]), np.array([outside]), np.array([1])))
+            Basis(3, [(Basis.SET, (np.array([[0]]), np.array([[outside]])))])
         with pytest.raises(ValueError):
-            Basis(3, lifts=(np.ones((1, 3)), np.array([0, outside, 1])))
+            Basis(3, [(Basis.LIFT, (np.ones((1, 3)), np.array([0, outside, 1])))])
 
 
-def one_of_each(dimension=3):
-    """The fields of a basis with one set and one lift."""
-    return dict(
-        sets=(np.array([0]), np.array([1]), np.array([1])),
-        lifts=(np.ones((1, 2)), np.array([0, 1, 1])),
-    )
-
-
-@pytest.mark.parametrize("kind", [Basis.SET, Basis.LIFT, 2])
-def test_basis_refuses_kind_flags_that_disagree_with_its_rows(kind):
-    """``kind`` 2 names no kind of vector (it was the dense rows' flag)."""
-    fields = one_of_each()
-    assert len(Basis(3, **fields)) == 2
-    flags = [Basis.SET, Basis.LIFT]
-    wrongs = [flags + [kind], [kind] * 2]
-    if kind in flags:
-        wrongs.append([f for f in flags if f != kind])
-    else:  # one flag per row, with the stray flag in place of either kind
-        wrongs += [[kind, Basis.LIFT], [Basis.SET, kind]]
-    for wrong in wrongs:
-        with pytest.raises(ValueError):
-            Basis(3, **fields, kind=np.array(wrong, dtype=np.int8))
-    # one kind's rows alone (no rows for the stray flag), with flags that count two of them
-    alone = {name: fields[name] for name in ("sets", "lifts")[kind : kind + 1]}
+def test_basis_refuses_a_segment_of_kind_2():
+    """2 names no kind of vector (it was the dense rows' flag)."""
+    one_set = (np.array([[0]]), np.array([[1]]))
+    assert len(Basis(3, [(Basis.SET, one_set)])) == 1
     with pytest.raises(ValueError):
-        Basis(3, **alone, kind=np.array([kind, kind], dtype=np.int8))
-    if kind in flags:
-        with pytest.raises(ValueError):
-            Basis(3, **alone, kind=np.zeros(0, dtype=np.int8))
-    if kind == Basis.LIFT:  # the reproducer: one dense row, two flags
-        with pytest.raises(ValueError):
-            Basis(3, lifts=(np.ones((1, 3)), np.arange(3)), kind=np.array([Basis.LIFT] * 2, dtype=np.int8))
+        Basis(3, [(Basis.SET, one_set), (2, one_set)])
+    with pytest.raises(ValueError):  # an empty segment of no kind is refused too
+        Basis(3, [(2, (np.zeros((0, 1), np.int64),) * 2)])
+
+
+@pytest.mark.parametrize(
+    "plus, minus",
+    [
+        ([[0, 0]], [[1, 2]]),  # twice in P
+        ([[0, 1]], [[2, 2]]),  # twice in M
+        ([[0, 1]], [[2, 1]]),  # in P and in M
+        ([[3]], [[3]]),  # e_i - e_i
+    ],
+)
+def test_basis_refuses_a_vertex_listed_twice_in_one_vector(plus, minus):
+    segment = (np.array(plus), np.array(minus))
+    size = segment[0].shape[1]
+    fine = (np.arange(size)[None], np.arange(size, 2 * size)[None])
+    assert len(Basis(4, [(Basis.SET, fine)])) == 1
+    with pytest.raises(ValueError):
+        Basis(4, [(Basis.SET, segment)])
+    with pytest.raises(ValueError):  # in a later row of a segment
+        Basis(4, [(Basis.SET, tuple(np.vstack([f, m]) for f, m in zip(fine, segment)))])
 
 
 def sets_of(basis):
-    """The set differences of ``basis`` alone, as a basis."""
-    return Basis(basis.dimension, (basis.plus, basis.minus, basis.set_size))
+    """The (plus, minus) arrays of the set segments of ``basis``."""
+    return [data for kind, data in basis.segments if kind == Basis.SET]
 
 
 def lone_of(basis):
     """``_lone_coordinates`` of the sets of one basis."""
-    return _lone_coordinates(sets_of(basis), np.zeros(len(basis.set_size), dtype=np.int64))
+    return _lone_coordinates([(0, *data) for data in sets_of(basis)], basis.dimension)
 
 
 def structural_cases(family, top):
@@ -1268,7 +1283,9 @@ def gathered_residual(u, plus, minus, value):
 
 def lift_coeffs(s):
     """The block coefficients of every lift of ``s``, stacked."""
-    return np.concatenate([e.basis.coeffs for e in s.eigenspaces if len(e.basis.coeffs)])
+    return np.concatenate([
+        c for e in s.eigenspaces for kind, (c, _) in e.basis.segments if kind == Basis.LIFT
+    ])
 
 
 def block_map(js):
@@ -1340,16 +1357,21 @@ def test_pair_residuals_and_rank_verdicts_match_the_dense_forms(family, top):
             b, vecs = e.basis, np.array(e.basis)
             value = float(e.value)
             per_vector = np.array([np.max(np.abs(u @ x - value * x)) for x in vecs])
-            got, norms = _set_residuals(u, sets_of(b), np.full(len(b.set_size), value))
-            is_set = b.kind == Basis.SET
-            at = np.cumsum(b.set_size) - b.set_size
+            sets = sets_of(b)
+            got = np.concatenate(
+                [_set_residuals(u, plus, minus, np.full(len(plus), value)) for plus, minus in sets]
+                + [np.zeros(0)]
+            )
             formula = np.array([
-                gathered_residual(u, b.plus[a : a + k], b.minus[a : a + k], value)
-                for a, k in zip(at.tolist(), b.set_size.tolist())
+                gathered_residual(u, p, m, value)
+                for plus, minus in sets
+                for p, m in zip(plus, minus)
             ])
             assert got.tobytes() == formula.tobytes()
-            assert norms.tolist() == [1.0] * len(norms)
-            pairs = b.set_size == 1
+            is_set = np.concatenate(
+                [np.full(len(a), kind == Basis.SET) for kind, (a, _) in b.segments]
+            )
+            pairs = np.array([plus.shape[1] == 1 for plus, _ in sets for _ in plus], dtype=bool)
             assert got[pairs].tobytes() == per_vector[is_set][pairs].tobytes()
             assert np.all(np.abs(got - per_vector[is_set]) <= slack)
             expect = per_vector.copy()
@@ -1357,10 +1379,11 @@ def test_pair_residuals_and_rank_verdicts_match_the_dense_forms(family, top):
             assert _independent(b, e.multiplicity, lone_of(b)) == _full_rank(vecs, e.multiplicity)
             size = float(np.max(np.abs(vecs)))
             rows.append((value, e.multiplicity, float(expect.max()), 1e-8 * scale * size))
-            sets_seen += len(b.set_size)
+            sets_seen += len(pairs)
             wide_seen += int(np.count_nonzero(~pairs))
-            if len(b.set_size):  # the sets of this space beside every lift
-                mixed = Basis(b.dimension, (b.plus, b.minus, b.set_size), lifts=lifts)
+            if sets:  # the sets of this space beside every lift
+                segments = [(Basis.SET, data) for data in sets] + [(Basis.LIFT, lifts)]
+                mixed = Basis(b.dimension, segments)
                 assert _independent(mixed, len(mixed), lone_of(mixed)) == _full_rank(
                     np.array(mixed), len(mixed)
                 )
@@ -1404,9 +1427,7 @@ def test_mixed_spaces_split_only_where_exactly_orthogonal(monkeypatch):
         ),
     }
     for name, (plus, minus, c, verdict, factored) in cases.items():
-        b = Basis.of_segments(
-            js.order, [(Basis.SET, (plus, minus)), (Basis.LIFT, (c, block_of))]
-        )
+        b = Basis(js.order, [(Basis.SET, (plus, minus)), (Basis.LIFT, (c, block_of))])
         calls.clear()
         assert _independent(b, len(b), lone_of(b)) is verdict, name
         assert calls == [factored], name
@@ -1432,7 +1453,7 @@ def with_sets(s, k, plus, minus):
     spaces = list(s.eigenspaces)
     e = spaces[k]
     plus, minus = (np.array(a, dtype=np.int64).reshape(len(a), -1) for a in (plus, minus))
-    basis = Basis.of_segments(s.dimension, [(Basis.SET, (plus, minus))])
+    basis = Basis(s.dimension, [(Basis.SET, (plus, minus))])
     spaces[k] = Eigenspace(e.value, e.multiplicity, e.provenance, basis)
     return Spectrum(tuple(spaces), s.dimension)
 
@@ -1444,12 +1465,13 @@ def with_pairs(s, k, pairs):
 def test_pair_bases_fail_zero_repeated_missing_and_cyclic_vectors():
     u, s, k, c = reflection_space()
     assert verify_eigenpairs(u, s, tol=1e-12).passed
-    b = s.eigenspaces[k].basis
-    assert b.set_size.tolist() == [1] * (len(c) - 1)
-    pairs = np.column_stack([b.plus, b.minus]).tolist()
+    [(kind, (plus, minus))] = s.eigenspaces[k].basis.segments
+    assert kind == Basis.SET and plus.shape == (len(c) - 1, 1)
+    pairs = np.column_stack([plus, minus]).tolist()
     assert pairs == [[c[0], c[r]] for r in range(1, len(c))]
+    with pytest.raises(ValueError):  # the zero vector e_i - e_i is no set difference
+        with_pairs(s, k, [[c[0], c[0]]] + pairs[1:])
     mutants = {
-        "zero": [[c[0], c[0]]] + pairs[1:],
         "repeated": [pairs[0]] + pairs[:-1],
         "missing": pairs[:-1],
         "cycle": [[c[0], c[1]], [c[1], c[2]], [c[2], c[0]]] + pairs[2:-1],
@@ -1480,13 +1502,15 @@ def coset_clique_space(n=15):
 def test_set_bases_fail_zero_repeated_missing_and_swapped_clique_vectors():
     u, s, k, c = coset_clique_space()
     assert verify_eigenpairs(u, s, tol=1e-12).passed
-    b = s.eigenspaces[k].basis
-    assert b.set_size.tolist() == [2] * (len(c) - 1)
-    plus, minus = b.plus.reshape(-1, 2).tolist(), b.minus.reshape(-1, 2).tolist()
+    [(kind, (plus, minus))] = s.eigenspaces[k].basis.segments
+    assert kind == Basis.SET and plus.shape == (len(c) - 1, 2)
+    plus, minus = plus.tolist(), minus.tolist()
     assert plus == [c[0]] * (len(c) - 1) and minus == c[1:]
+    # one clique minus itself, in order and listed apart
+    for zero in ([c[1]] + plus[1:], [c[1][::-1]] + plus[1:]):
+        with pytest.raises(ValueError):
+            with_sets(s, k, zero, minus)
     mutants = {
-        "zero": ([c[1]] + plus[1:], minus),
-        "zero, listed apart": ([c[1][::-1]] + plus[1:], minus),
         "repeated": (plus, [minus[0]] + minus[:-1]),
         "missing": (plus[:-1], minus[:-1]),
         "swapped clique": (plus, [[c[1][0], c[2][1]], [c[2][0], c[1][1]]] + minus[2:]),
@@ -1532,7 +1556,7 @@ def test_seed_905_merged_space_keeps_its_verdict():
     u = universal_matrix(complement_graph(power_graph_oracle(spec)), p)
     merged = [e for e in s.eigenspaces if e.provenance == "BlockDiff+Quotient"]
     # twelve in-clique pairs and one lift: a mixed space
-    shape = [(e.multiplicity, len(e.basis.set_size), len(e.basis.coeffs)) for e in merged]
+    shape = [(e.multiplicity, len(lone_of(e.basis)), len(e.basis.lifted())) for e in merged]
     assert shape == [(13, 12, 1)]
     report = verify_eigenpairs(u, s)
     assert not report.passed

@@ -23,7 +23,12 @@ The list:
   complement (exit 1 where the normalized Laplacian is undefined);
 * ``graph`` on Z_12, D_6 and Q_4, both variants, plain and complement;
 * one invalid ``--group``, ``--variant`` and ``--preset`` each, which pin
-  the exit code of a refused choice.
+  the exit code of a refused choice;
+* ``-h`` at the top level and for each subcommand, which pin the help text
+  and its exit code 0.
+
+A command that ends in ``SystemExit``, as ``-h`` does under a ``main`` that
+lets argparse exit, counts with the exit's code.
 """
 
 from __future__ import annotations
@@ -95,6 +100,7 @@ def commands() -> list[list[str]]:
         ["spectrum", "--group", "zn", "--n", "6", "--variant", "improper"],
         ["spectrum", "--group", "zn", "--n", "6", "--preset", "distance"],
     ]
+    out += [[*command, "-h"] for command in ([], ["spectrum"], ["verify"], ["charpoly"], ["graph"])]
     return out
 
 
@@ -107,7 +113,10 @@ def run_all(root: str, cmds: list[list[str]]) -> list[list]:
     for argv in cmds:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(argv)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
         results.append([code, hashlib.sha256(out.getvalue().encode()).hexdigest()])
     return results
 
