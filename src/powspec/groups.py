@@ -11,6 +11,15 @@ m + k: b*a^k in D_n, a^k*b in Q_n.  The group law ``mul`` works on
 positions, on plain ints or on numpy index arrays alike, and
 ``element_label`` names a position for messages.
 
+In Z_n the law is (i + j) mod n.  In D_n and Q_n it is gathers into
+index tables built from the presentation (``_law_tables``), with no
+division: every element is b^s*a^e, and i*j = (i*b^s)*a^e for
+j = b^s*a^e, so the tables give j's s and e, then i*b^s, then the
+position of b^s*a^(e mod m).  They hold six int64 words per element, 35
+MB at D_360360.  They are built on the first product in a ``GroupSpec``
+and kept as long as that object: one request's build, certificate and
+oracle share them, and an equal spec made later builds its own.
+
 The power graph is built directly from generated cyclic subgroups:
 u ~ v iff one lies in the subgroup generated by the other.  The oracle
 steps the powers x, x^2, x^3, ... of all elements together under the
@@ -27,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -72,6 +82,12 @@ class GroupSpec:
             return 2 * self.n
         return 4 * self.n
 
+    @cached_property
+    def _tables(self):
+        """The index tables of ``mul`` in D_n and Q_n, built on first use and
+        kept with this object; None in Z_n, whose law needs none."""
+        return None if self.family is GroupFamily.CYCLIC else _law_tables(self)
+
 
 @dataclass(eq=False)
 class LabeledGraph:
@@ -110,24 +126,59 @@ def _coset_modulus(spec: GroupSpec) -> int:
     return 2 * spec.n if spec.family is GroupFamily.DICYCLIC else spec.n
 
 
+def _law_tables(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The tables of the D_n or Q_n law, from the presentation: a^m = e,
+    b^2 = a^z (z = 0 in D_n, z = n in Q_n) and a^k*b = b*a^(-k).
+
+    Every element is b^s*a^e for one s < 2 and e < m, and its code is
+    s*|G| + e.  For j = b^s*a^e, ``row[j]`` is s*|G| and ``exponent[j]``
+    is e; ``times_b[s*|G| + i]`` is the code of i*b^s; ``place[c]`` is the
+    position of b^s*a^(e mod m) for the code c = s*|G| + e, e < |G|.  So
+    i*j = place[times_b[row[j] + i] + exponent[j]]: adding e to a code
+    multiplies by a^e on the right, and place reduces the exponent.  The
+    four hold |G|, |G|, 2|G| and 2|G| int64 entries."""
+    m = _coset_modulus(spec)
+    size = 2 * m
+    # the tables are written in place: at |G| ~ 10^6 first touching fresh
+    # pages costs more than the arithmetic
+    row = np.repeat(np.array([0, size]), m)
+    exponent = np.empty(size, dtype=np.int64)
+    k, coset = exponent[:m], exponent[m:]
+    k[:] = np.arange(m)
+    neg = np.concatenate(([0], k[:0:-1]))  # -k mod m, its own inverse
+    # b*a^k sits at m + k in D_n; in Q_n it is a^(-k)*b, at m + (-k mod m)
+    coset[:] = k if spec.family is GroupFamily.DIHEDRAL else neg
+    place = np.empty(2 * size, dtype=np.int64)
+    place[:m] = place[m:size] = k
+    place[size : size + m] = place[size + m :] = m + coset
+    # (b^s*a^e)*b = b^(s+1)*a^(-e) and b^2 = a^z: the code of i*b is
+    # |G| + (-e mod m) for i = a^e, and (z - e) mod m for i = b*a^e
+    z = spec.n if spec.family is GroupFamily.DICYCLIC else 0
+    times_b = np.empty(2 * size, dtype=np.int64)
+    np.add(row, exponent, out=times_b[:size])
+    np.add(neg, size, out=times_b[size : size + m])
+    tail = times_b[size + m :]
+    np.take(neg, coset, out=tail)
+    tail += z
+    tail %= m
+    return row, exponent, times_b, place
+
+
 def mul(spec: GroupSpec, i, j):
     """Product of the elements at positions i and j, as a position; i and j
-    may be ints or numpy integer arrays.
+    may be ints, giving an int, or numpy integer arrays that broadcast.
 
     Dihedral: position t*n + k is b^t*a^k; a^k*b = b*a^(-k).
     Dicyclic: position t*2n + k is a^k*b^t; b*a^k = a^(-k)*b and b^2 = a^n.
+    Both read the spec's index tables (``_law_tables``), which only
+    positions 0..|G|-1 index correctly: a negative one wraps without an
+    error, as numpy's gathers do.
     """
-    n = spec.n
     if spec.family is GroupFamily.CYCLIC:
-        return (i + j) % n
-    m = _coset_modulus(spec)
-    ti, ki = divmod(i, m)
-    tj, kj = divmod(j, m)
-    if spec.family is GroupFamily.DIHEDRAL:
-        k = ki - 2 * tj * ki + kj
-    else:
-        k = ki + kj - 2 * ti * kj + n * ti * tj
-    return (ti ^ tj) * m + k % m
+        return (i + j) % spec.n
+    row, exponent, times_b, place = spec._tables
+    out = place[times_b[row[j] + i] + exponent[j]]
+    return out if isinstance(out, np.ndarray) else int(out)
 
 
 def cyclic_subgroup(spec: GroupSpec, x: int) -> set:

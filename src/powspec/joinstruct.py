@@ -47,9 +47,10 @@ those rows.  Z_n lists its N elements once, as <a>; D_n and Q_n list about
 orders of the listed g come from the group law: a power of two by
 squaring g as often as 2 divides |G|, any other order by dividing the
 primes of |G| out of |G|.  That takes about N log N time and a few arrays
-of N entries for a group of order N, where comparing with the
-definitional N x N oracle of ``groups`` took N^2, and it shares no
-divisor or template code with the builder.  A failed proof raises
+of N entries for a group of order N, plus the six words per element of
+the D_n and Q_n law's index tables (``groups.mul``), where comparing
+with the definitional N x N oracle of ``groups`` took N^2, and it shares
+no divisor or template code with the builder.  A failed proof raises
 ``StructureValidationError`` naming the first mismatching pair of
 elements by ``element_label``, the pair the comparison with the oracle
 would name: a refused structure is a defect, not a route.
@@ -486,7 +487,8 @@ def validate_structure(js: JoinStructure) -> None:
     and per clique, and every count must be all of the pairs or none, as
     the join says.  The rows hold N entries for Z_n and about 1.5N for D_n
     and Q_n, so that costs about N log N time and a few arrays of N
-    entries, and uses only ``mul`` and ``factorize``.
+    entries, with six more words per element for the index tables of the
+    D_n and Q_n law, and uses only ``mul`` and ``factorize``.
 
     The block members must hold every vertex position exactly once, in
     whole cliques, and the template must be a symmetric t x t array for t

@@ -1,5 +1,8 @@
 """Group laws on element positions and the definitional power-graph oracle."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from powspec.groups import (
     mul,
     power_graph_oracle,
 )
+from powspec.joinstruct import build_join
 from powspec.numtheory import prime_power
 
 Z = GroupFamily.CYCLIC
@@ -112,6 +116,70 @@ def test_index_law_relations_on_whole_arrays(n):
         x, y = np.meshgrid(g, g)
         for z in (a, b, a_inv, spec.order - 1):
             assert np.array_equal(times(times(x, y), z), times(x, times(y, z)))
+
+
+def presentation_mul(spec, i, j):
+    """The law written out from the layout: position t*m + k is b^t*a^k in
+    D_n (a^k*b = b*a^(-k)) and a^k*b^t in Q_n (b*a^k = a^(-k)*b, b^2 = a^n),
+    with m the order of a."""
+    n = spec.n
+    m = 2 * n if spec.family is Q else n
+    ti, ki = divmod(i, m)
+    tj, kj = divmod(j, m)
+    if spec.family is D:  # b^ti a^ki b^tj a^kj = b^(ti+tj) a^(+-ki + kj)
+        k = ki - 2 * tj * ki + kj
+    else:  # a^ki b^ti a^kj b^tj = a^(ki +- kj + n ti tj) b^(ti+tj)
+        k = ki + kj - 2 * ti * kj + n * ti * tj
+    return (ti ^ tj) * m + k % m
+
+
+@pytest.mark.parametrize("family", [D, Q], ids=["dn", "qn"])
+def test_array_law_is_the_presentation_law(family):
+    # i*j, not j*i: swapping the factors of the array law keeps every power
+    # graph, every certificate verdict and the whole-array relations above,
+    # so only the law itself tells them apart
+    for n in range(2 if family is Q else 1, 31):
+        spec = GroupSpec(family, n)
+        g = np.arange(spec.order)
+        x, y = np.meshgrid(g, g, indexing="ij")
+        want = presentation_mul(spec, x, y)
+        assert np.array_equal(mul(spec, x, y), want), n
+        # a (k, w) block times a (k, 1) column, as the certificate's listing
+        # multiplies, and a 2-d block times a 1-d row, as the oracle steps
+        assert np.array_equal(mul(spec, x, y[:, :1]), want[:, :1].repeat(spec.order, axis=1)), n
+        assert np.array_equal(mul(spec, x, g), want), n
+        assert np.array_equal(mul(spec, g, x), want.T), n
+        for i, j in ((1, spec.order - 1), (spec.order - 1, 1), (0, 0)):
+            got = mul(spec, i, j)
+            assert type(got) is int and got == presentation_mul(spec, i, j), (n, i, j)
+    # a*b and b*a: b*a^2 and b*a in D_3, a*b and a^5*b in Q_3
+    spec, b = GroupSpec(family, 3), 3 if family is D else 6
+    assert (mul(spec, 1, b), mul(spec, b, 1)) == ((5, 4) if family is D else (7, 11))
+
+
+def test_law_tables_live_and_die_with_their_spec():
+    for family, n in ((D, 15), (Q, 12), (D, 1), (Q, 2)):
+        first, second = GroupSpec(family, n), GroupSpec(family, n)
+        assert first == second and hash(first) == hash(second)
+        g = np.arange(first.order)
+        assert np.array_equal(mul(first, g, g[::-1]), mul(second, g, g[::-1]))
+        tables = first._tables
+        assert all(a is not b for a, b in zip(tables, second._tables))
+        # at most six int64 words per element
+        assert all(t.dtype == np.int64 for t in tables)
+        assert sum(t.nbytes for t in tables) <= 6 * 8 * first.order
+        # the build's certificate and the oracle read the same tables
+        assert build_join(first, "power").spec is first and first._tables is tables
+        power_graph_oracle(first)
+        assert first._tables is tables
+        gone = weakref.ref(tables[0])
+        del first, tables
+        gc.collect()
+        assert gone() is None  # no memo outlives the spec
+    spec = GroupSpec(Z, 12)
+    power_graph_oracle(spec)
+    build_join(spec, "power")
+    assert "_tables" not in vars(spec) and spec._tables is None
 
 
 def test_cyclic_subgroup_examples():

@@ -16,7 +16,9 @@ The list:
   complement, at every preset, at float parameters and at rational
   parameters in CSV, each also with ``--vectors --oracle-check`` where
   n <= 30;
-* Z_720720 at the Laplacian preset and at (1, -1, 2, 3);
+* Z_720720, and D_360360 and Q_180180, where the index tables of the
+  D_n and Q_n law are largest, at the Laplacian preset and at
+  (1, -1, 2, 3);
 * ``verify --seed 3`` on Z_12, D_6 and Q_4;
 * ``charpoly --quotient`` at rational parameters and ``charpoly
   --normalized --at=5/4`` on the same groups, both variants, plain and
@@ -81,8 +83,9 @@ def commands() -> list[list[str]]:
                         out.append(cmd + complement + params)
                         if n <= 30:
                             out.append(cmd + complement + params + ["--vectors", "--oracle-check"])
-    for params in (["--preset", "laplacian"], ["--params=1,-1,2,3"]):
-        out.append(["spectrum", "--group", "zn", "--n", "720720", *params])
+    for family, n in (("zn", 720720), ("dn", 360360), ("qn", 180180)):
+        for params in (["--preset", "laplacian"], ["--params=1,-1,2,3"]):
+            out.append(["spectrum", "--group", family, "--n", str(n), *params])
     for family, ns in SWEEP.items():
         for n in ns:
             for variant in ("power", "proper"):
