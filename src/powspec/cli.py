@@ -339,14 +339,10 @@ def _check_rows(args, g, js, complement, params, structural, identity=None):
     return rows
 
 
-def _exit_code(command: str, rows) -> int:
+def _exit_code(rows) -> int:
     """The exit code of ``spectrum`` and ``verify`` from their check rows:
-    2 when a row failed, 0 otherwise."""
-    # The one exemption: a failed residual row of spectrum prints "passed":
-    # false and exits 0.  Eigenspaces that average distinct eigenvalues fail
-    # it on crosscheck-small requests (ROADMAP item 1); item 15 ends it.
-    decisive = [row for row in rows if (command, row.name) != ("spectrum", "residual")]
-    return 0 if all(row.passed for row in decisive) else 2
+    2 when any row failed, the residual row included, 0 otherwise."""
+    return 0 if all(row.passed for row in rows) else 2
 
 
 def cmd_spectrum(args) -> int:
@@ -416,7 +412,7 @@ def cmd_spectrum(args) -> int:
         line = f"cross-check mismatch: {what} gap {row.value:.3e} > {row.bound:.3e}"
         if not row.passed:
             print(line, file=sys.stderr)
-    return _exit_code(args.command, rows)
+    return _exit_code(rows)
 
 
 def cmd_verify(args) -> int:
@@ -458,7 +454,7 @@ def cmd_verify(args) -> int:
                 print(f"  {'ok  ' if row.passed else 'FAIL'} {text}")
             rows += battery
 
-    code = _exit_code(args.command, rows)
+    code = _exit_code(rows)
     print(f"result: {'PASS' if code == 0 else 'FAIL'}")
     print(f"# verify ran in {time.perf_counter() - t0:.3f} s", file=sys.stderr)
     return code

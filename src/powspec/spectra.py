@@ -62,8 +62,6 @@ __all__ = [
     "sample_params",
 ]
 
-GROUPING_RTOL = 1e-7  # two eigenvalues merge within 1e-7 * max(1, scale)
-
 PRESETS = {
     "adjacency": (1, 0, 0, 0),
     "laplacian": (-1, 1, 0, 0),
@@ -271,21 +269,12 @@ def multiset_gap(a, b) -> float:
     return float(np.max(np.abs(va - vb)))
 
 
-def _group_starts(values: np.ndarray) -> list:
-    """The first index of every group of the ascending float array
-    ``values``, then its length: a group ends at a gap between consecutive
-    values above GROUPING_RTOL * max(1, max |v|).  Both eigenspace builders
-    group by this one rule."""
-    gtol = GROUPING_RTOL * max(1.0, float(np.abs(values).max(initial=0.0)))
-    return [0, *(np.flatnonzero(np.diff(values) > gtol) + 1).tolist(), len(values)]
-
-
 def dense_eigen(m: np.ndarray) -> np.ndarray:
     """The eigenvalues of a symmetric matrix by LAPACK (``eigvalsh``), one
-    per multiplicity, ascending: each is the mean of its group under the
-    merge tolerance (``_group_starts``).  The brute-force oracle: its
-    readers compare values, and eigenvectors come from the structural route
-    and the closed forms."""
+    per multiplicity, ascending, as LAPACK returns them.  The brute-force
+    oracle: its readers compare multisets or sums of values, so it groups
+    nothing, and eigenvectors come from the structural route and the closed
+    forms."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("square matrix required")
@@ -297,10 +286,6 @@ def dense_eigen(m: np.ndarray) -> np.ndarray:
     ):
         raise ValueError("dense_eigen requires an exactly symmetric matrix")
     vals = np.linalg.eigvalsh(m) if len(m) else np.zeros(0)  # ascending
-    starts = _group_starts(vals)
-    for lo, hi in zip(starts, starts[1:]):
-        if hi - lo > 1:
-            vals[lo:hi] = np.mean(vals[lo:hi])
     return vals + 0.0  # no -0.0
 
 
@@ -423,12 +408,16 @@ def hjoin_spectrum(js: JoinStructure, p: UniversalParams, want_vectors: bool = F
     eigenpairs of the symmetric quotient matrix, each lifted to a
     block-constant vector scaled by sqrt(n_last / n_block).  The candidate
     values, equal block values as one, are sorted once as parallel arrays
-    and cut into eigenspaces by the merge tolerance (``_group_starts``),
-    each the multiplicity-weighted mean of its candidates (v * m / m for
-    one).  For rational ``p`` the block values and the quotient diagonal are
-    integer numerators over the common denominator of ``p``, each made a
-    float by one int/int division: ``float`` of the exact value, bit for
-    bit, without a ``Fraction``.
+    and cut into eigenspaces where the enclosures of two neighbours do not
+    overlap: a and b merge when b - a <= r_a + r_b.  A quotient value's
+    radius is 4 t eps ||K||_inf, the backward error of ``eigh`` on the
+    quotient K carried over by Weyl's inequality; a block value's is its
+    float rounding, 4 eps (|alpha| max clique + |beta| max degree +
+    |gamma|).  Each space is the multiplicity-weighted mean of its
+    candidates (v * m / m for one).  For rational ``p`` the block values
+    and the quotient diagonal are integer numerators over the common
+    denominator of ``p``, each made a float by one int/int division:
+    ``float`` of the exact value, bit for bit, without a ``Fraction``.
 
     Under ``want_vectors`` each eigenspace carries a compact ``Basis``,
     its vectors in the order their candidate values sort: the in-clique
@@ -449,15 +438,21 @@ def hjoin_spectrum(js: JoinStructure, p: UniversalParams, want_vectors: bool = F
             if mult:
                 value = float(_block_value(scaled, degree, lam) / d)
                 parts.setdefault(value, []).append((i, lam, mult))
-    qvals, qvecs = np.linalg.eigh(_symmetric(js, p))
+    sym = _symmetric(js, p)
+    qvals, qvecs = np.linalg.eigh(sym)
+    alpha, beta, gamma, _ = (abs(v) for v in p.as_floats())
+    eps = np.finfo(float).eps
+    block_radius = 4 * eps * (alpha * max(b.clique for b in blocks) + beta * max(js.degrees) + gamma)
+    quotient_radius = 4 * len(qvals) * eps * float(np.abs(sym).sum(axis=1).max())
 
     # the candidates: block values, then quotient values k = index - len(parts)
     values = np.concatenate([list(parts), qvals])
     mults = np.array([sum(m for *_, m in ps) for ps in parts.values()] + [1] * len(qvals))
+    radii = np.repeat([block_radius, quotient_radius], [len(parts), len(qvals)])
     order = np.argsort(values, kind="stable")
-    values, mults = values[order], mults[order]
-    starts = _group_starts(values)
-    lo = starts[:-1]
+    values, mults, radii = values[order], mults[order], radii[order]
+    lo = [0, *(np.flatnonzero(np.diff(values) > radii[:-1] + radii[1:]) + 1).tolist()]
+    starts = lo + [len(values)]
     total_mult = np.add.reduceat(mults, lo).tolist()
     with np.errstate(over="ignore", invalid="ignore"):  # as silent as Python floats
         weighted = values * mults

@@ -962,11 +962,8 @@ def test_argv_fuzz_exits_cleanly(capsys):
     NaN or Infinity, or CSV rows of finite values.  Pytest records a
     warning rather than let it reach stderr, so the draws record them
     here; outside pytest numpy's RuntimeWarning would print two lines
-    before the one-line error.  Not asserted yet: that no exit 0 carries
-    "passed": false.  Until eigenspaces never average distinct eigenvalues
-    (ROADMAP item 1), draws with a tiny --tol can fail their residual
-    check and still exit 0: 4 of these 2000 do, each at --tol 1e-30 or
-    5e-324."""
+    before the one-line error.  No exit 0 carries "passed": false: a failed
+    check row, the residual row included, exits 2."""
     rng = random.Random("cli:argv-fuzz")
     codes = {0: 0, 1: 0, 2: 0}
     for _ in range(2000):
@@ -982,6 +979,7 @@ def test_argv_fuzz_exits_cleanly(capsys):
         assert code in codes, argv
         assert "Traceback" not in err, argv
         codes[code] += 1
+        assert code != 0 or '"passed": false' not in out, argv
         if code != 0 or argv[0] in ("verify", "graph"):
             continue
         if "csv" in argv:

@@ -2,8 +2,9 @@
 pinned verbatim: every row, bound and exit code, on instances that reach
 each closed form and on the failing paths.
 
-The texts were captured before the two commands shared one battery; the
-printed gaps and residuals are rounding-level numbers of NumPy 2.4 with
+The texts were captured before the two commands shared one battery, and
+their gaps again once ``dense_eigen`` returned LAPACK's values unaveraged;
+the printed gaps and residuals are rounding-level numbers of NumPy 2.4 with
 its bundled OpenBLAS, so another LAPACK build may move their last digits.
 """
 
@@ -15,9 +16,9 @@ VERIFY = {
     "--group zn --n 12 --seed 3 --count 1": (0, """\
 verify group=zn n=12 variant=power order=12 route=structural seed=3
 quadruple 0: alpha=0.485535 beta=1.80765 gamma=0.492972 eta=-2.43523
-  ok   route-agreement[plain]: gap 2.487e-14
+  ok   route-agreement[plain]: gap 2.842e-14
   ok   residual[plain]: max residual 1.066e-14
-  ok   trace[plain]: gap 1.137e-13
+  ok   trace[plain]: gap 5.684e-14
   ok   frobenius[plain]: gap 2.274e-12
   ok   route-agreement[complement]: gap 7.994e-15
   ok   residual[complement]: max residual 1.066e-14
@@ -33,7 +34,7 @@ quadruple 0: alpha=0.485535 beta=1.80765 gamma=0.492972 eta=-2.43523
   ok   residual[plain]: max residual 1.088e-14
   ok   trace[plain]: gap 1.421e-14
   ok   frobenius[plain]: gap 2.274e-13
-  ok   route-agreement[complement]: gap 1.421e-14
+  ok   route-agreement[complement]: gap 1.776e-14
   ok   residual[complement]: max residual 1.998e-14
   ok   trace[complement]: gap 5.684e-14
   ok   frobenius[complement]: gap 2.728e-12
@@ -46,10 +47,10 @@ quadruple 0: alpha=0.485535 beta=1.80765 gamma=0.492972 eta=-2.43523
   ok   route-agreement[plain]: gap 2.132e-14
   ok   residual[plain]: max residual 1.066e-14
   ok   trace[plain]: gap 1.421e-14
-  ok   frobenius[plain]: gap 0.000e+00
-  ok   route-agreement[complement]: gap 7.105e-15
+  ok   frobenius[plain]: gap 2.274e-13
+  ok   route-agreement[complement]: gap 1.599e-14
   ok   residual[complement]: max residual 1.421e-14
-  ok   trace[complement]: gap 1.421e-14
+  ok   trace[complement]: gap 0.000e+00
   ok   frobenius[complement]: gap 6.821e-13
   ok   complement-identity: exact=True
 result: PASS
@@ -60,11 +61,11 @@ quadruple 0: alpha=-1.65751 beta=-2.13504 gamma=2.6919 eta=-1.12901
   FAIL route-agreement[plain]: gap 1.776e-14
   FAIL residual[plain]: max residual 7.105e-15
   ok   trace[plain]: gap 5.684e-14
-  ok   frobenius[plain]: gap 1.819e-12
+  ok   frobenius[plain]: gap 9.095e-13
   FAIL route-agreement[complement]: gap 1.066e-14
   FAIL residual[complement]: max residual 5.329e-15
   ok   trace[complement]: gap 1.066e-14
-  ok   frobenius[complement]: gap 5.684e-14
+  ok   frobenius[complement]: gap 0.000e+00
   ok   complement-identity: exact=True
 result: FAIL
 """),
@@ -79,7 +80,7 @@ SPECTRUM = [
     (
         f"--group zn --n 8 {O} {P}",
         0, ["residual", "dense-route", "prime-power"],
-        "8.8817841970012523e-16", "6.5476190476190473e-08", "true",
+        "1.3322676295501878e-15", "6.5476190476190473e-08", "true",
         [],
     ),
     (
@@ -115,15 +116,15 @@ SPECTRUM = [
     (
         f"--group dn --n 27 --variant proper --complement {O} {P}",
         0, ["residual", "dense-route", "dihedral-proper"],
-        "1.0658141036401503e-14", "5.6904761904761905e-07", "true",
+        "1.7763568394002505e-14", "5.6904761904761905e-07", "true",
         [],
     ),
     (
         f"--group zn --n 8 {O} {P} --tol 1e-300",
         2, ["residual", "dense-route", "prime-power"],
-        "8.8817841970012523e-16", "6.5476190476190473e-300", "false",
+        "1.3322676295501878e-15", "6.5476190476190473e-300", "false",
         [
-            "cross-check mismatch: structural vs dense gap 8.882e-16 > 6.548e-300",
+            "cross-check mismatch: structural vs dense gap 1.332e-15 > 6.548e-300",
             "cross-check mismatch: prime-power gap 2.220e-16 > 6.548e-300",
         ],
     ),
@@ -132,7 +133,7 @@ SPECTRUM = [
         2, ["residual", "dense-route", "dicyclic-repeated-eigenvalue", "quaternion8-complement"],
         "3.5527136788005009e-15", "6.2857142857142871e-300", "false",
         [
-            "cross-check mismatch: structural vs dense gap 1.776e-15 > 6.286e-300",
+            "cross-check mismatch: structural vs dense gap 2.220e-15 > 6.286e-300",
             "cross-check mismatch: dicyclic-repeated-eigenvalue gap 4.441e-16 > 6.286e-300",
             "cross-check mismatch: quaternion8-complement gap 8.882e-16 > 6.286e-300",
         ],
@@ -140,8 +141,8 @@ SPECTRUM = [
     (
         "--group zn --n 12 --preset laplacian --oracle-check --tol 1e-300",
         2, ["residual", "dense-route"],
-        "7.1054273576010019e-15", "2.2e-299", "false",
-        ["cross-check mismatch: structural vs dense gap 7.105e-15 > 2.200e-299"],
+        "8.8817841970012523e-15", "2.2e-299", "false",
+        ["cross-check mismatch: structural vs dense gap 8.882e-15 > 2.200e-299"],
     ),
 ]
 
@@ -179,12 +180,8 @@ def test_spectrum_verification_block_verbatim(
     assert [line for line in err.splitlines() if not line.startswith("#")] == mismatch
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a failed residual row of spectrum exits 0 until eigenvalues are "
-    "never merged by tolerance (ROADMAP items 1 and 15)",
-)
 def test_spectrum_failed_residual_exits_2(capsys):
+    # the residual row decides the exit code like every other row
     code, out, _ = run(
         capsys, "spectrum", "--group", "zn", "--n", "12", "--vectors", "--tol", "1e-30",
         "--params=7/2,-5/3,8/5,-9/7",

@@ -468,29 +468,37 @@ def test_universal_matrix_bit_identical_to_loop_formula():
 def _hjoin_values_by_loop_formula(js, p):
     """(value, multiplicity, provenance) of the eigenspaces of
     ``hjoin_spectrum``, from block values that are ``float`` of the exact
-    expression and the loop formula's quotient, grouped as it groups them:
-    the reference."""
+    expression and the loop formula's quotient K, grouped as it groups
+    them: sorted neighbours merge when their enclosures overlap, of radius
+    4 t eps ||K||_inf for a quotient value and 4 eps (|alpha| max clique +
+    |beta| max degree + |gamma|) for a block value.  The reference."""
+    eps = np.finfo(float).eps
+    degrees = [_degree_by_loop(js, i) for i in range(len(js.blocks))]
     block_values = {}
     for i, b in enumerate(js.blocks):
         for lam, mult in b.local_eigenvalues():
             if mult:
-                value = float(p.alpha * lam + p.beta * _degree_by_loop(js, i) + p.gamma)
+                value = float(p.alpha * lam + p.beta * degrees[i] + p.gamma)
                 block_values.setdefault(value, []).append(mult)
-    candidates = [(v, sum(m), "BlockDiff") for v, m in block_values.items()]
-    qvals = np.linalg.eigh(_quotient_by_loop_formula(js, p)[0])[0]
-    candidates += [(float(v), 1, "Quotient") for v in qvals]
-    gtol = powspec.spectra.GROUPING_RTOL * max(1.0, max(abs(v) for v, _, _ in candidates))
+    alpha, beta, gamma = (abs(float(v)) for v in (p.alpha, p.beta, p.gamma))
+    clique = max(b.clique for b in js.blocks)
+    radius = 4 * eps * (alpha * clique + beta * max(degrees) + gamma)
+    candidates = [(v, sum(m), "BlockDiff", radius) for v, m in block_values.items()]
+    sym = _quotient_by_loop_formula(js, p)[0]
+    radius = 4 * len(sym) * eps * max(sum(abs(x) for x in row) for row in sym.tolist())
+    candidates += [(float(v), 1, "Quotient", radius) for v in np.linalg.eigh(sym)[0]]
     candidates.sort(key=lambda c: c[0])
     groups = []
     for cand in candidates:
-        if not groups or cand[0] - groups[-1][-1][0] > gtol:
+        last = groups[-1][-1] if groups else None
+        if last is None or cand[0] - last[0] > cand[3] + last[3]:
             groups.append([])
         groups[-1].append(cand)
     spaces = []
     for group in groups:
-        mult = sum(m for _, m, _ in group)
-        value = sum(v * m for v, m, _ in group) / mult + 0.0
-        spaces.append((value, mult, "+".join(sorted({prov for _, _, prov in group}))))
+        mult = sum(m for _, m, _, _ in group)
+        value = sum(v * m for v, m, _, _ in group) / mult + 0.0
+        spaces.append((value, mult, "+".join(sorted({prov for _, _, prov, _ in group}))))
     return sorted(spaces, key=lambda e: -e[0])
 
 
@@ -1128,14 +1136,11 @@ def test_expanded_equals_the_list_of_every_value():
             listed = [e.value for e in s.eigenspaces for _ in range(e.multiplicity)]
             expect = np.sort(np.array(listed, dtype=float))
             assert s.expanded().tobytes() == expect.tobytes()
-            # the dense values: every eigvalsh value, as the mean of its group
+            # the dense values: eigvalsh's own, none averaged
             k = quotient_matrix(js, p).sym
-            raw = np.linalg.eigvalsh(k)
-            gtol = 1e-7 * max(1.0, float(np.abs(raw).max()))
-            cuts = [0, *(np.flatnonzero(np.diff(raw) > gtol) + 1).tolist(), len(raw)]
-            means = [float(np.mean(raw[lo:hi])) + 0.0 for lo, hi in zip(cuts, cuts[1:])]
-            expect = np.repeat(np.array(means), np.diff(cuts))
-            assert dense_eigen(k).tobytes() == expect.tobytes()
+            assert dense_eigen(k).tobytes() == (np.linalg.eigvalsh(k) + 0.0).tobytes()
+    # two values 1e-9 apart stay two
+    assert dense_eigen(np.diag([2.0, 1.0 + 1e-9, 1.0])).tolist() == [1.0, 1.0 + 1e-9, 2.0]
     exact = Spectrum((Eigenspace(Fraction(1, 3), 2, "x"), Eigenspace(-7, 1, "x")), 3)
     assert exact.expanded().tolist() == [-7.0, 1 / 3, 1 / 3]
     assert Spectrum((), 0).expanded().shape == (0,)
@@ -1546,20 +1551,149 @@ def test_pair_path_without_lone_coordinates_falls_back_to_cholesky(monkeypatch):
 
 
 def test_seed_905_merged_space_keeps_its_verdict():
-    # Q_42 complement at (1/5, 8, 1/3, 5/6) merges BlockDiff 888.33333333 (x12)
-    # with a Quotient value 5e-5 away (ROADMAP item 1); the merged space
-    # fails its residual check, as before the compact bases
+    # Q_42 complement at (1/5, 8, 1/3, 5/6): BlockDiff 888.33333333 (x12) and
+    # a Quotient value 5e-5 away are two eigenspaces, and all 24 pass; the
+    # 13-fold space a global merge tolerance made of them fails its
+    # residual check, as before the compact bases
     spec = GroupSpec(Q, 42)
     js = build_join(spec, Variant.POWER)
     p = UniversalParams(Fraction(1, 5), Fraction(8), Fraction(1, 3), Fraction(5, 6))
     s = hjoin_spectrum(js, complement_params(p, js.order), want_vectors=True)
     u = universal_matrix(complement_graph(power_graph_oracle(spec)), p)
-    merged = [e for e in s.eigenspaces if e.provenance == "BlockDiff+Quotient"]
+    assert len(s.eigenspaces) == 24
+    assert verify_eigenpairs(u, s).passed
+    near = [e for e in s.eigenspaces if abs(e.value - 888.3333) < 1e-3]
+    assert [(e.multiplicity, e.provenance) for e in near] == [(12, "BlockDiff"), (1, "Quotient")]
+    block, quotient = near
+    # merged as a tolerance merged them: the weighted mean over the ascending
+    # candidates, their vectors in that order
+    e = Eigenspace(
+        (quotient.value + block.value * 12) / 13 + 0.0,
+        13,
+        "BlockDiff+Quotient",
+        Basis(js.order, [*quotient.basis.segments, *block.basis.segments]),
+    )
+    merged = Spectrum(tuple(e if x is block else x for x in s.eigenspaces if x is not quotient), js.order)
     # twelve in-clique pairs and one lift: a mixed space
-    shape = [(e.multiplicity, len(lone_of(e.basis)), len(e.basis.lifted())) for e in merged]
-    assert shape == [(13, 12, 1)]
-    report = verify_eigenpairs(u, s)
+    assert (e.multiplicity, len(lone_of(e.basis)), len(e.basis.lifted())) == (13, 12, 1)
+    report = verify_eigenpairs(u, merged)
     assert not report.passed
     assert report.max_residual == 0.0002821692542056553
-    e = merged[0]
     assert _independent(e.basis, 13, lone_of(e.basis)) == _full_rank(tuple(e.basis), 13)
+
+
+# ---------------------------------------------------------------------------
+# merge decisions against exact rank
+# ---------------------------------------------------------------------------
+
+
+RANK_PRIMES = (2147483647, 2147483629)
+
+
+def _rank_mod(m, p):
+    """The rank modulo the prime p < 2**31 of an integer matrix (int64 or
+    Python ints), by Gaussian elimination on int64 residues."""
+    a = np.array(m % p, dtype=np.int64)
+    rank = 0
+    for c in range(a.shape[1]):
+        rows = np.flatnonzero(a[rank:, c])
+        if not len(rows):
+            continue
+        r = rank + rows[0]
+        a[[rank, r]] = a[[r, rank]]
+        a[rank, c:] = a[rank, c:] * pow(int(a[rank, c]), -1, p) % p
+        below = a[rank + 1 :, c:]  # columns left of c are zero there
+        below -= below[:, :1] * a[rank, c:]
+        below %= p
+        rank += 1
+        if rank == len(a):
+            break
+    return rank
+
+
+def _merge_decisions(js, p):
+    """(merged, nullity) for every block value of ``hjoin_spectrum(js, p)``
+    within 1e-6 * max(1, max |value|) of a quotient value: whether its
+    eigenspace also holds quotient values, and t - rank of d*v*I - A modulo
+    two primes, with (A, d) the quotient's ``integer_form``: the number of
+    quotient eigenvalues equal to v, exactly unless both primes divide a
+    minor.  The eigenspace's multiplicity is also checked against it."""
+    q = quotient_matrix(js, p)
+    a, d = q.integer_form
+    t = len(a)
+    spaces = hjoin_spectrum(js, p).eigenspaces
+    qvals = np.linalg.eigvalsh(q.sym)
+    exact, mults = {}, {}
+    for b, degree in zip(js.blocks, js.degrees):
+        for lam, mult in b.local_eigenvalues():
+            if mult:
+                v = Fraction(p.alpha) * lam + Fraction(p.beta) * degree + Fraction(p.gamma)
+                exact[float(v)] = v
+                mults[float(v)] = mults.get(float(v), 0) + mult
+    scale = max(1.0, *map(abs, exact), *np.abs(qvals).tolist())
+    out = []
+    for value, v in exact.items():
+        if np.abs(qvals - value).min() > 1e-6 * scale:
+            continue
+        x = v * d  # an eigenvalue of B at v means the integer d*v is one of A
+        nullity = 0
+        if x.denominator == 1:
+            shifted = np.diag(np.full(t, int(x), dtype=a.dtype)) - a
+            nullity = t
+            for prime in RANK_PRIMES:  # a rank mod p is at most the rank over Q
+                nullity = min(nullity, t - _rank_mod(shifted, prime))
+                if not nullity:
+                    break
+        owner = min(
+            (e for e in spaces if "BlockDiff" in e.provenance), key=lambda e: abs(e.value - value)
+        )
+        merged = "Quotient" in owner.provenance
+        assert owner.multiplicity == mults[value] + (nullity if merged else 0), (value, owner)
+        out.append((merged, nullity))
+    return out
+
+
+def _assert_decisions(cases):
+    decisions = [d for js, p in cases for d in _merge_decisions(js, p)]
+    for merged, nullity in decisions:
+        assert merged == (nullity > 0), decisions
+    return decisions
+
+
+def test_merge_decisions_agree_with_exact_rank_at_scale():
+    decisions = _assert_decisions([(build_join(GroupSpec(Z, 972), Variant.POWER), LAPLACIAN)])
+    assert (False, 0) in decisions  # 730 stays apart from 729.99998
+    cases = []
+    for spec in (GroupSpec(Z, 720720), GroupSpec(D, 360360), GroupSpec(Q, 180180)):
+        js = build_join(spec, Variant.POWER)
+        cases += [(js, LAPLACIAN), (js, UniversalParams(1, -1, 2, 3))]
+    decisions = _assert_decisions(cases)
+    merged = sum(m for m, _ in decisions)
+    assert merged and len(decisions) - merged >= 5, decisions
+
+
+def test_merge_decisions_agree_with_exact_rank_seeded_sweep():
+    rng = np.random.default_rng(32)
+    presets = [LAPLACIAN, SIGNLESS, ADJACENCY]
+
+    def small():
+        return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 4)))
+
+    cases = []
+    for family, top in ((Z, 400), (D, 200), (Q, 100)):
+        for n in range(2, top + 1):
+            alpha = small() or Fraction(1)
+            # alpha = -beta and the presets make exact coincidences; beta
+            # 1e-8 * |alpha| away from -alpha makes near ones
+            draw = rng.random()
+            beta = -alpha if draw < 0.3 else -alpha * (1 - Fraction(1, 10**8)) if draw < 0.6 else small()
+            p = UniversalParams(alpha, beta, small(), small())
+            if rng.random() < 0.3:
+                p = presets[int(rng.integers(len(presets)))]
+            variant = Variant.PROPER if rng.random() < 0.3 else Variant.POWER
+            js = build_join(GroupSpec(family, n), variant)
+            cases.append((js, complement_params(p, js.order) if rng.random() < 0.3 else p))
+    decisions = _assert_decisions(cases)
+    merged = sum(m for m, _ in decisions)
+    assert merged >= 50 and len(decisions) - merged >= 50, (merged, len(decisions))
+
