@@ -50,9 +50,8 @@ names = ", ".join(element_label(spec, i) for i in block.members)
 print(f"block 3 holds the vertex positions {block.members.tolist()}: {names}")
 
 laplacian = UniversalParams.preset("laplacian")
-qm = quotient_matrix(js, laplacian)
 print("\nLaplacian quotient matrix (symmetric form):")
-print(np.array_str(qm.sym, precision=3))
+print(np.array_str(quotient_matrix(js, laplacian), precision=3))
 
 spectrum = hjoin_spectrum(js, laplacian, want_vectors=True)
 print("\nLaplacian spectrum by the structural route:")

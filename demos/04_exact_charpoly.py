@@ -31,20 +31,19 @@ from powspec import (
 # --- exact coefficients -------------------------------------------------------
 
 js = build_join(GroupSpec(GroupFamily.DIHEDRAL, 15), Variant.POWER)
-q = quotient_matrix(js, UniversalParams.preset("laplacian"))
-coeffs = charpoly_exact(q)
+laplacian = UniversalParams.preset("laplacian")
+coeffs = charpoly_exact(js, laplacian)
 print("Laplacian quotient charpoly of the power graph of D_15 (monic, descending):")
 print(" ", [str(c) for c in coeffs])
 print("  constant term zero, so 0 is an eigenvalue (as every Laplacian demands)")
 
 roots = charpoly_roots(coeffs)
 print("  roots:", [round(r, 9) + 0.0 for r in roots])
-print("  match dense eigensolver:", multiset_gap(np.array(roots), dense_eigen(q.sym)) < 1e-10)
+print("  match dense eigensolver:", multiset_gap(np.array(roots), dense_eigen(quotient_matrix(js, laplacian))) < 1e-10)
 
 # rational (non-preset) parameters stay exact
 params = UniversalParams(Fraction(3, 2), Fraction(-1, 3), Fraction(2), Fraction(5, 7))
-q = quotient_matrix(build_join(GroupSpec(GroupFamily.CYCLIC, 30), Variant.POWER), params)
-coeffs = charpoly_exact(q)
+coeffs = charpoly_exact(build_join(GroupSpec(GroupFamily.CYCLIC, 30), Variant.POWER), params)
 print("\nZ_30 quotient charpoly at (3/2, -1/3, 2, 5/7):")
 print("  degree", len(coeffs) - 1, "constant term", coeffs[-1])
 
@@ -56,11 +55,11 @@ print("  degree", len(coeffs) - 1, "constant term", coeffs[-1])
 params = UniversalParams(2, Fraction(-1, 2), Fraction(1, 3), 0)
 lam = Fraction(7, 5)
 lhs = cyclic_two_prime_case2_charpoly(2, 3, params, lam)
-q = quotient_matrix(build_join(GroupSpec(GroupFamily.CYCLIC, 6), Variant.POWER), params)
+js = build_join(GroupSpec(GroupFamily.CYCLIC, 6), Variant.POWER)
 p_at = Fraction(0)
-for c in charpoly_exact(q):
+for c in charpoly_exact(js, params):
     p_at = p_at * lam + c
-rhs = (-1) ** q.dimension * p_at
+rhs = (-1) ** len(js.blocks) * p_at
 print("\nproduct-sum formula vs exact charpoly at lambda = 7/5:")
 print(f"  {lhs} == {rhs}: {lhs == rhs}")
 

@@ -50,7 +50,6 @@ from .spectra import (
     PRESETS,
     Basis,
     Eigenspace,
-    QuotientMatrix,
     Spectrum,
     UndefinedUniversalMatrixError,
     UniversalParams,
@@ -60,6 +59,7 @@ from .spectra import (
     complement_params,
     dense_eigen,
     hjoin_spectrum,
+    integer_form,
     multiset_gap,
     normalized_laplacian_charpoly_at,
     quotient_matrix,

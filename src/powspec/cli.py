@@ -282,7 +282,7 @@ def _closed_form_checks(js, complement, params, computed):
         pq = [p for p, _ in facs] if [e for _, e in facs] == [1, 1] else None  # n = pq
         if pq and not complement:
             cf = cyclic_two_prime_quotient(*pq, params)
-            qvals = dense_eigen(quotient_matrix(js, params).sym)
+            qvals = dense_eigen(quotient_matrix(js, params))
             checks.append(("two-prime-quotient", multiset_gap(cf, qvals)))
         if pq and complement and params.eta == 0:
             cf = cyclic_two_prime_complement_eta0(*pq, params)
@@ -424,14 +424,11 @@ def cmd_verify(args) -> int:
     variant = Variant(args.variant)
     g = variant_graph(power_graph_oracle(spec), variant)
     js = build_join(spec, variant)
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("POWSPEC_SEED", "0"))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
 
     print(
         f"verify group={spec.family.value} n={spec.n} variant={variant.value} "
-        f"order={g.n} route=structural seed={seed}"
+        f"order={g.n} route=structural seed={args.seed}"
     )
     rows = []
     for k in range(args.count):
@@ -511,7 +508,7 @@ def cmd_charpoly(args) -> int:
     }
     if args.quotient:
         p_eff = complement_params(params, js.order) if args.complement else params
-        coeffs = charpoly_exact(quotient_matrix(js, p_eff))
+        coeffs = charpoly_exact(js, p_eff)
         report["preset"] = preset_name
         report["kind"] = "quotient-charpoly"
         report["degree"] = len(coeffs) - 1
@@ -575,7 +572,7 @@ def build_parser() -> _Parser:
     vf = subs.add_parser("verify", help="invariant battery over random parameters")
     _add_group(vf)
     vf.add_argument("--tol", type=float, default=1e-8)
-    vf.add_argument("--seed", type=int, default=None)
+    vf.add_argument("--seed", type=int, default=0)
     vf.add_argument("--count", type=int, default=5)
     vf.set_defaults(func=cmd_verify)
 

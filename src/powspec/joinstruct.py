@@ -189,7 +189,7 @@ def _gcds(m: int) -> np.ndarray:
     return out
 
 
-def build_join(spec: GroupSpec, variant: Variant, validate: bool = True) -> JoinStructure:
+def build_join(spec: GroupSpec, variant: Variant) -> JoinStructure:
     """Blocks and template for the (proper) power graph of ``spec``, from
     the cyclic-subgroup rule of the module docstring.
 
@@ -230,8 +230,7 @@ def build_join(spec: GroupSpec, variant: Variant, validate: bool = True) -> Join
         members = [group - 1 for group in members]
 
     js = JoinStructure(spec, variant, adj, tuple(map(JoinBlock, labels, members, cliques)))
-    if validate:
-        validate_structure(js)
+    validate_structure(js)
     return js
 
 

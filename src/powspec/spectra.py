@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import comb, gcd, isfinite, isqrt, lcm, prod, sqrt
 from typing import NamedTuple
 
@@ -47,11 +46,11 @@ __all__ = [
     "Basis",
     "Eigenspace",
     "Spectrum",
-    "QuotientMatrix",
     "VerificationReport",
     "universal_matrix",
     "complement_params",
     "quotient_matrix",
+    "integer_form",
     "dense_eigen",
     "hjoin_spectrum",
     "verify_eigenpairs",
@@ -294,47 +293,6 @@ def dense_eigen(m: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class QuotientMatrix:
-    """Quotient of U over the block partition of ``js`` at parameters ``p``.
-
-    ``sym`` is the symmetric form (off-diagonal theta_ij * sqrt(n_i*n_j)).
-    The integer-weighted form B = S^-1 K S with S = diag(sqrt n_i)
-    (off-diagonal theta_ij * n_j) has one exact form, ``integer_form``:
-    (A, d) with A = d*B an integer array over the least denominator d,
-    int64 where it fits and Python ints otherwise; None for float
-    parameters.  Each is made on its first read.
-    """
-
-    def __init__(self, js: JoinStructure, p: UniversalParams):
-        self.js, self.p = js, p
-
-    @property
-    def dimension(self) -> int:
-        return len(self.js.blocks)
-
-    @cached_property
-    def sym(self) -> np.ndarray:
-        return _symmetric(self.js, self.p)
-
-    @cached_property
-    def integer_form(self) -> tuple[np.ndarray, int] | None:
-        js, p = self.js, self.p
-        if not p.is_rational:
-            return None
-        d, q = _over_common_denominator(p)
-        kappa = _kappa(js, q)
-        edge, plain = q.alpha + q.eta, q.eta
-        # |kappa_i| plus |theta| times the order bounds every absolute row
-        # sum of A: below _INT64_RADIUS, int64 holds A and its row sums
-        widest = max(map(abs, kappa), default=0) + max(abs(edge), abs(plain)) * js.order
-        dtype = np.int64 if widest < _INT64_RADIUS else object
-        a = np.where(js.adj, np.array(edge, dtype), np.array(plain, dtype))
-        a = a * np.array(js.sizes, dtype)
-        np.fill_diagonal(a, kappa)
-        g = gcd(d, int(np.gcd.reduce(a, axis=None)))
-        return (a // g, d // g) if g > 1 else (a, d)
-
-
 # int64 holds every entry and row sum of an integer matrix whose absolute
 # row sums stay below this
 _INT64_RADIUS = 2**62
@@ -364,9 +322,11 @@ def _kappa(js: JoinStructure, p: UniversalParams) -> list:
     ]
 
 
-def _symmetric(js: JoinStructure, p: UniversalParams) -> np.ndarray:
-    """The symmetric quotient: kappa_i on the diagonal, theta_ij *
-    sqrt(n_i*n_j) off it.  For rational ``p`` each kappa_i is an integer
+def quotient_matrix(js: JoinStructure, p: UniversalParams) -> np.ndarray:
+    """The symmetric quotient K of U over the block partition of ``js``:
+    kappa_i = alpha*r_i + beta*deg_i + gamma + eta*n_i on the diagonal,
+    theta_ij * sqrt(n_i*n_j) off it, with theta_ij = alpha+eta on template
+    edges and eta elsewhere.  For rational ``p`` each kappa_i is an integer
     numerator over the common denominator of ``p``, made a float by one
     int/int division: ``float`` of the exact value, bit for bit, without a
     ``Fraction``."""
@@ -377,12 +337,25 @@ def _symmetric(js: JoinStructure, p: UniversalParams) -> np.ndarray:
     return sym
 
 
-def quotient_matrix(js: JoinStructure, p: UniversalParams) -> QuotientMatrix:
-    """kappa_i = alpha*r_i + beta*deg_i + gamma + eta*n_i on the diagonal;
-    theta_ij = alpha+eta on template edges, eta elsewhere.
-
-    Builds nothing: each form is made when read."""
-    return QuotientMatrix(js, p)
+def integer_form(js: JoinStructure, p: UniversalParams) -> tuple[np.ndarray, int] | None:
+    """The quotient's similar form B = S^-1 K S, S = diag(sqrt n_i)
+    (off-diagonal theta_ij * n_j), exactly: (A, d) with A = d*B an integer
+    array over the least denominator d, int64 where it fits and Python ints
+    otherwise; None for float parameters."""
+    if not p.is_rational:
+        return None
+    d, q = _over_common_denominator(p)
+    kappa = _kappa(js, q)
+    edge, plain = q.alpha + q.eta, q.eta
+    # |kappa_i| plus |theta| times the order bounds every absolute row
+    # sum of A: below _INT64_RADIUS, int64 holds A and its row sums
+    widest = max(map(abs, kappa), default=0) + max(abs(edge), abs(plain)) * js.order
+    dtype = np.int64 if widest < _INT64_RADIUS else object
+    a = np.where(js.adj, np.array(edge, dtype), np.array(plain, dtype))
+    a = a * np.array(js.sizes, dtype)
+    np.fill_diagonal(a, kappa)
+    g = gcd(d, int(np.gcd.reduce(a, axis=None)))
+    return (a // g, d // g) if g > 1 else (a, d)
 
 
 def _block_value(p: UniversalParams, degree: int, lam):
@@ -413,11 +386,12 @@ def hjoin_spectrum(js: JoinStructure, p: UniversalParams, want_vectors: bool = F
     radius is 4 t eps ||K||_inf, the backward error of ``eigh`` on the
     quotient K carried over by Weyl's inequality; a block value's is its
     float rounding, 4 eps (|alpha| max clique + |beta| max degree +
-    |gamma|).  Each space is the multiplicity-weighted mean of its
-    candidates (v * m / m for one).  For rational ``p`` the block values
-    and the quotient diagonal are integer numerators over the common
-    denominator of ``p``, each made a float by one int/int division:
-    ``float`` of the exact value, bit for bit, without a ``Fraction``.
+    |gamma|).  A space of one candidate takes its value, a merged space
+    the multiplicity-weighted mean of its candidates.  For rational ``p``
+    the block values and the quotient diagonal are integer numerators over
+    the common denominator of ``p``, each made a float by one int/int
+    division: ``float`` of the exact value, bit for bit, without a
+    ``Fraction``.
 
     Under ``want_vectors`` each eigenspace carries a compact ``Basis``,
     its vectors in the order their candidate values sort: the in-clique
@@ -438,7 +412,7 @@ def hjoin_spectrum(js: JoinStructure, p: UniversalParams, want_vectors: bool = F
             if mult:
                 value = float(_block_value(scaled, degree, lam) / d)
                 parts.setdefault(value, []).append((i, lam, mult))
-    sym = _symmetric(js, p)
+    sym = quotient_matrix(js, p)
     qvals, qvecs = np.linalg.eigh(sym)
     alpha, beta, gamma, _ = (abs(v) for v in p.as_floats())
     eps = np.finfo(float).eps
@@ -454,10 +428,9 @@ def hjoin_spectrum(js: JoinStructure, p: UniversalParams, want_vectors: bool = F
     lo = [0, *(np.flatnonzero(np.diff(values) > radii[:-1] + radii[1:]) + 1).tolist()]
     starts = lo + [len(values)]
     total_mult = np.add.reduceat(mults, lo).tolist()
-    with np.errstate(over="ignore", invalid="ignore"):  # as silent as Python floats
-        weighted = values * mults
-        single = (weighted / mults + 0.0).tolist()
-    weighted = weighted.tolist()
+    with np.errstate(over="ignore"):  # as silent as Python floats
+        weighted = (values * mults).tolist()
+    single = (values + 0.0).tolist()
     space_values = [
         single[a] if b - a == 1 else sum(weighted[a:b]) / m + 0.0
         for a, b, m in zip(lo, starts[1:], total_mult)
@@ -715,7 +688,7 @@ def _charpoly_primes(t: int, bound: int) -> list[int]:
     return primes
 
 
-def charpoly_exact(q: QuotientMatrix) -> list[Fraction]:
+def charpoly_exact(js: JoinStructure, p: UniversalParams) -> list[Fraction]:
     """Monic characteristic polynomial det(lambda*I - B) of the similar form,
     in exact arithmetic.  Coefficients descend from lambda^t; identical to
     the polynomial of the symmetric form by similarity.
@@ -739,10 +712,11 @@ def charpoly_exact(q: QuotientMatrix) -> list[Fraction]:
     while t*p*2p < 2**53, which fixes the size of p from t.  On a 2-core
     x86 host with one BLAS thread this takes about 1.9 ms at t = 24 and
     0.09 s at t = 60, for parameters of one-digit numerators."""
-    if q.integer_form is None:
+    form = integer_form(js, p)
+    if form is None:
         raise TypeError("charpoly_exact needs rational parameters (int or Fraction)")
-    a, d = q.integer_form
-    t = q.dimension
+    a, d = form
+    t = len(a)
     radius = int(np.abs(a).sum(axis=1).max(initial=0))
     bound = max(comb(t, k) * radius**k for k in range(t + 1))
     primes = _charpoly_primes(t, bound)
@@ -873,7 +847,7 @@ def normalized_laplacian_charpoly_at(js: JoinStructure, lam, complement: bool = 
         if deg == 0:
             raise ValueError("graph has an isolated vertex; det(D) = 0")
         denom *= deg**b.size
-    det_b = charpoly_exact(quotient_matrix(js, p))[-1]
+    det_b = charpoly_exact(js, p)[-1]
     value = Fraction(num * det_b.numerator, d**count * denom * det_b.denominator)
     return value if exact else float(value)
 

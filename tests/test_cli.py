@@ -235,11 +235,14 @@ def test_verify_deterministic(capsys):
     assert out1 == out2
 
 
-def test_verify_env_seed(capsys, monkeypatch):
-    monkeypatch.setenv("POWSPEC_SEED", "9")
-    code, out, _ = run(capsys, "verify", "--group", "zn", "--n", "8", "--count", "1")
+def test_verify_seed_is_argv_alone(capsys, monkeypatch):
+    # --seed defaults to 0 whatever the environment holds
+    argv = ["verify", "--group", "zn", "--n", "8", "--count", "1"]
+    code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert "seed=9" in out
+    assert "seed=0" in out
+    monkeypatch.setenv("POWSPEC_SEED", "9")
+    assert run(capsys, *argv)[:2] == (code, out)
 
 
 def test_charpoly_quotient_d15(capsys):
@@ -277,7 +280,7 @@ def test_charpoly_quotient_roots_match(capsys):
     from powspec.spectra import UniversalParams, dense_eigen, multiset_gap, quotient_matrix
 
     js = build_join(GroupSpec(GroupFamily.CYCLIC, 6), Variant.POWER)
-    k = quotient_matrix(js, UniversalParams.preset("adjacency")).sym
+    k = quotient_matrix(js, UniversalParams.preset("adjacency"))
     assert multiset_gap(np.array(roots), dense_eigen(k)) < 1e-8
 
 
@@ -501,10 +504,10 @@ def test_charpoly_quotient_needs_no_float_quotient(capsys):
     )
     assert (code, err) == (0, "")
     js = build_join(GroupSpec(GroupFamily.CYCLIC, 6), Variant.POWER)
-    qm = quotient_matrix(js, UniversalParams(Fraction("1e308"), Fraction("1e308"), 0, 0))
-    assert json.loads(out)["coefficients"] == [str(c) for c in charpoly_exact(qm)]
+    p = UniversalParams(Fraction("1e308"), Fraction("1e308"), 0, 0)
+    assert json.loads(out)["coefficients"] == [str(c) for c in charpoly_exact(js, p)]
     with np.errstate(over="ignore"), pytest.raises(OverflowError):
-        qm.sym
+        quotient_matrix(js, p)
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit before Python 3.10.7")
@@ -527,7 +530,7 @@ def test_charpoly_prints_coefficients_beyond_the_int_str_limit(capsys):
         sys.set_int_max_str_digits(0)
         js = build_join(GroupSpec(GroupFamily.DICYCLIC, 12), Variant.POWER)
         p = UniversalParams(2, Fraction("1e-400"), Fraction("1e300"), -2)
-        expect = charpoly_exact(quotient_matrix(js, complement_params(p, js.order)))
+        expect = charpoly_exact(js, complement_params(p, js.order))
         assert coeffs == [str(c) for c in expect]
     finally:
         sys.set_int_max_str_digits(before)
@@ -538,7 +541,7 @@ def test_charpoly_prints_coefficients_without_the_int_str_limit_functions(capsys
     # Python 3.10.0 to 3.10.6 have neither function, and no limit to lift
     js = build_join(GroupSpec(GroupFamily.CYCLIC, 360), Variant.POWER)
     p = UniversalParams(Fraction(7, 2), Fraction(-5, 3), Fraction(8, 5), Fraction(-9, 7))
-    expect = [str(c) for c in charpoly_exact(quotient_matrix(js, p))]
+    expect = [str(c) for c in charpoly_exact(js, p)]
     for name in ("get_int_max_str_digits", "set_int_max_str_digits"):
         monkeypatch.delattr(sys, name, raising=False)
     code, out, err = run(capsys, "charpoly", "--group", "zn", "--n", "360", "--quotient", "--params=7/2,-5/3,8/5,-9/7")

@@ -48,7 +48,7 @@ quadruple 0: alpha=0.485535 beta=1.80765 gamma=0.492972 eta=-2.43523
   ok   residual[plain]: max residual 1.066e-14
   ok   trace[plain]: gap 1.421e-14
   ok   frobenius[plain]: gap 2.274e-13
-  ok   route-agreement[complement]: gap 1.599e-14
+  ok   route-agreement[complement]: gap 1.421e-14
   ok   residual[complement]: max residual 1.421e-14
   ok   trace[complement]: gap 0.000e+00
   ok   frobenius[complement]: gap 6.821e-13

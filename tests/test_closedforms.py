@@ -32,6 +32,7 @@ from powspec.spectra import (
     UniversalParams,
     charpoly_exact,
     dense_eigen,
+    integer_form,
     multiset_gap,
     quotient_matrix,
     sample_params,
@@ -90,7 +91,6 @@ def test_prime_power_exact_formula_matches_engine():
         n = p**r
         cf = cyclic_prime_power_spectrum(p, r, params)
         js = build_join(GroupSpec(Z, n), Variant.POWER)
-        qm = quotient_matrix(js, params)
         block = next(b for b in js.blocks if b.label == 1)
         i = js.blocks.index(block)
         part1 = params.alpha * (-1) + params.beta * js.degrees[i] + params.gamma
@@ -101,7 +101,7 @@ def test_prime_power_exact_formula_matches_engine():
         # block-constant all-ones direction: check through the exact
         # similar form B = A / d
         top = next(v for v in values if v != part1) if len(values) == 2 else part1
-        a, d = qm.integer_form
+        a, d = integer_form(js, params)
         image = [Fraction(int(x), d) for x in a.sum(axis=1).tolist()]
         assert all(x == top for x in image)  # B * 1 = top * 1 exactly
 
@@ -149,7 +149,7 @@ def test_two_prime_case1_matches_engine_quotient(p, q, eta):
         params = UniversalParams(-eta, beta, gamma, eta)
         cf = cyclic_two_prime_quotient(p, q, params)
         js = build_join(GroupSpec(Z, p * q), Variant.POWER)
-        k = quotient_matrix(js, params).sym
+        k = quotient_matrix(js, params)
         assert multiset_gap(cf.expanded(), dense_eigen(k)) < 1e-10
 
 
@@ -171,33 +171,31 @@ def test_two_prime_cases_2_and_4_match_engine(params):
     for p, q in [(2, 3), (3, 5)]:
         cf = cyclic_two_prime_quotient(p, q, params)
         js = build_join(GroupSpec(Z, p * q), Variant.POWER)
-        k = quotient_matrix(js, params).sym
+        k = quotient_matrix(js, params)
         assert multiset_gap(cf.expanded(), dense_eigen(k)) < 1e-10
 
 
-def quotient_det_minus(q, lam) -> Fraction:
+def quotient_det_minus(js, params, lam) -> Fraction:
     """det(B - lam*I) of the quotient's similar form B: (-1)^t p(lam), with p
     the monic characteristic polynomial from ``charpoly_exact``."""
     value = Fraction(0)
-    for c in charpoly_exact(q):
+    for c in charpoly_exact(js, params):
         value = value * lam + c
-    return (-1) ** q.dimension * value
+    return (-1) ** len(js.blocks) * value
 
 
 def test_case2_charpoly_exact_agreement():
     params = UniversalParams(2, Fraction(-1, 2), Fraction(1, 3), 0)
     js = build_join(GroupSpec(Z, 6), Variant.POWER)
-    q = quotient_matrix(js, params)
     for lam in [Fraction(0), Fraction(1), Fraction(-3, 7), Fraction(22, 5)]:
         formula = cyclic_two_prime_case2_charpoly(2, 3, params, lam)
-        assert formula == quotient_det_minus(q, lam)
+        assert formula == quotient_det_minus(js, params, lam)
 
 
 def test_case2_charpoly_at_zero_is_determinant():
     params = UniversalParams(-1, 1, 0, 0)
     js = build_join(GroupSpec(Z, 6), Variant.POWER)
-    q = quotient_matrix(js, params)
-    det_b = (-1) ** q.dimension * charpoly_exact(q)[-1]
+    det_b = (-1) ** len(js.blocks) * charpoly_exact(js, params)[-1]
     assert cyclic_two_prime_case2_charpoly(2, 3, params, 0) == det_b
 
 

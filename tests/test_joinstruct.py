@@ -306,7 +306,7 @@ def test_members_are_vertex_positions_of_cyclic_subgroups():
         for variant in (Variant.POWER, Variant.PROPER):
             if variant is Variant.PROPER and spec.order < 2:
                 continue
-            js = build_join(spec, variant, validate=False)
+            js = build_join(spec, variant)
             shift = 1 if variant is Variant.PROPER else 0
             every = np.sort(np.concatenate([b.members for b in js.blocks]))
             assert np.array_equal(every, np.arange(spec.order - shift)), (spec, variant)
@@ -436,7 +436,7 @@ def test_degrees_are_oracle_row_sums():
         for variant in (Variant.POWER, Variant.PROPER):
             if variant is Variant.PROPER and spec.order < 2:
                 continue
-            js = build_join(spec, variant, validate=False)
+            js = build_join(spec, variant)
             assert_derived_fields(js)
             want = np.empty(js.order, dtype=np.int64)
             for b, degree in zip(js.blocks, js.degrees):
@@ -450,7 +450,7 @@ def test_degrees_are_oracle_row_sums():
 
 
 def test_structure_clears_loops_and_is_read_only():
-    js = build_join(GroupSpec(Z, 12), Variant.POWER, validate=False)
+    js = build_join(GroupSpec(Z, 12), Variant.POWER)
     adj = np.ones((len(js.blocks),) * 2, dtype=bool)
     looped = replace(js, adj=adj)
     assert not np.diag(looped.adj).any() and adj.all()  # cleared on a copy
@@ -462,13 +462,13 @@ def test_structure_clears_loops_and_is_read_only():
 
 
 def test_validate_structure_direct_call():
-    js = build_join(GroupSpec(Z, 12), Variant.POWER, validate=False)
-    validate_structure(js)  # no error
+    js = build_join(GroupSpec(Z, 12), Variant.POWER)
+    validate_structure(js)  # no error, on a second call too
 
 
 def flipped(spec, variant, a, b):
-    """Unvalidated structure of ``spec`` with the a-b template edge flipped."""
-    js = build_join(spec, variant, validate=False)
+    """The structure of ``spec`` with the a-b template edge flipped."""
+    js = build_join(spec, variant)
     labels = [blk.label for blk in js.blocks]
     i, j = labels.index(a), labels.index(b)
     adj = js.adj.copy()
@@ -517,7 +517,7 @@ def test_certificate_accepts_every_small_structure():
         for variant in (Variant.POWER, Variant.PROPER):
             if variant is Variant.PROPER and spec.order < 2:
                 continue
-            validate_structure(build_join(spec, variant, validate=False))
+            build_join(spec, variant)  # validates
             accepted += 1
     assert accepted == 1397
 
@@ -581,7 +581,7 @@ def test_certificate_matches_oracle_on_seeded_mutants(kind):
         for variant in (Variant.POWER, Variant.PROPER):
             if variant is Variant.PROPER and spec.order < 2:
                 continue
-            js = build_join(spec, variant, validate=False)
+            js = build_join(spec, variant)
             for _ in range(6):
                 mutated = MUTANTS[kind](js, rng)
                 if mutated is not None and rng.random() < 0.3:
@@ -621,7 +621,7 @@ def test_certificate_refuses_broken_cliques_and_templates():
 
 def test_certificate_needs_no_template_code(monkeypatch):
     structures = [
-        build_join(spec, variant, validate=False)
+        build_join(spec, variant)
         for spec in (GroupSpec(Z, 360), GroupSpec(D, 60), GroupSpec(Q, 30))
         for variant in (Variant.POWER, Variant.PROPER)
     ]
@@ -639,7 +639,7 @@ def test_certificate_needs_no_template_code(monkeypatch):
 def test_certificate_beyond_the_oracle():
     # order 55440: the oracle would take 6 GB; the certificate still names a pair
     spec = GroupSpec(Z, 55440)
-    validate_structure(build_join(spec, Variant.POWER, validate=False))
+    build_join(spec, Variant.POWER)  # validates
     with pytest.raises(StructureValidationError) as exc:
         validate_structure(flipped(spec, Variant.PROPER, 2, 4))
     assert str(exc.value) == (
@@ -700,12 +700,12 @@ def test_orders_refusal_names_the_same_element_under_a_broken_law(monkeypatch, s
     # positions added modulo another modulus: a law with identity 0 whose
     # orders need not divide |G|; elements it sends to e by squaring are
     # settled before the per-prime loop, which must still name the same x
+    js = build_join(spec, Variant.POWER)
     monkeypatch.setattr("powspec.joinstruct.mul", lambda spec, i, j: (i + j) % modulus)
     for seed in range(5):
         x = np.random.default_rng(seed).permutation(spec.order)
         got = orders_or_refusal(_orders, spec, x)
         assert isinstance(got, str) and got == orders_or_refusal(orders_by_primes, spec, x), x
-    js = build_join(spec, Variant.POWER, validate=False)
     reps = np.concatenate([b.members.reshape(-1, b.clique)[:, 0] for b in js.blocks])
     with pytest.raises(StructureValidationError) as exc:
         validate_structure(js)
@@ -729,8 +729,8 @@ def test_listing_refuses_a_row_that_repeats_under_a_broken_law(monkeypatch, spec
     size = spec.order
     landing = np.arange(size)
     landing[-1] = 1
+    js = build_join(spec, Variant.POWER)
     monkeypatch.setattr("powspec.joinstruct.mul", lambda spec, i, j: landing[(i + j) % size])
-    js = build_join(spec, Variant.POWER, validate=False)
     reps = np.concatenate([b.members.reshape(-1, b.clique)[:, 0] for b in js.blocks])
     assert isinstance(orders_or_refusal(_orders, spec, reps), list)
     with pytest.raises(StructureValidationError) as exc:
@@ -782,8 +782,7 @@ def test_certificate_matches_oracle_read_in_small_slices(monkeypatch):
         js = random_structure(spec, variant, rng)
         assert certificate_refusal(js) == oracle_refusal(js), (spec, variant)
     for spec in (GroupSpec(Z, 60), GroupSpec(D, 15), GroupSpec(Q, 12)):
-        js = build_join(spec, Variant.PROPER, validate=False)
-        validate_structure(js)
+        js = build_join(spec, Variant.PROPER)  # validated in slices of 5
         for _ in range(10):
             mutated = swap_members(js, rng)
             assert certificate_refusal(mutated) == oracle_refusal(mutated), spec
@@ -824,8 +823,9 @@ def test_validation_accepts_a_loop_on_one_clique():
     ids=["Z720720", "D360360", "Q180180"],
 )
 def test_certificate_memory_is_bounded(spec, limit_mb):
-    # the traced peak of the certificate alone, beyond the structure it checks
-    js = build_join(spec, Variant.POWER, validate=False)
+    # the traced peak of the certificate alone, beyond the structure it
+    # checks; a fresh spec, so the law tables of D_n and Q_n count in it
+    js = replace(build_join(spec, Variant.POWER), spec=GroupSpec(spec.family, spec.n))
     tracemalloc.start()
     try:
         validate_structure(js)

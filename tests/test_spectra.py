@@ -28,6 +28,7 @@ from powspec.spectra import (
     complement_params,
     dense_eigen,
     hjoin_spectrum,
+    integer_form,
     multiset_gap,
     normalized_laplacian_charpoly_at,
     quotient_matrix,
@@ -98,7 +99,7 @@ def test_quotient_case1_coupling_structure():
     p, q = 3, 5
     js = build_join(GroupSpec(Z, p * q), Variant.POWER)
     params = UniversalParams(-2, 1, 0, 2)
-    k = quotient_matrix(js, params).sym
+    k = quotient_matrix(js, params)
     labels = [b.label for b in js.blocks]
     i, j = labels.index(p), labels.index(q)
     off = k - np.diag(np.diag(k))
@@ -109,7 +110,7 @@ def test_quotient_case1_coupling_structure():
 
 def test_quotient_d15_laplacian_diagonal():
     js = build_join(GroupSpec(D, 15), Variant.POWER)
-    k = quotient_matrix(js, LAPLACIAN).sym
+    k = quotient_matrix(js, LAPLACIAN)
     assert sorted(np.diag(k).tolist()) == [1, 7, 9, 9, 29]
 
 
@@ -118,7 +119,7 @@ def test_quotient_z2_by_hand():
     # coupling alpha + eta
     js = build_join(GroupSpec(Z, 2), Variant.POWER)
     p = UniversalParams(2, 3, 5, 7)
-    k = quotient_matrix(js, p).sym
+    k = quotient_matrix(js, p)
     assert np.array_equal(k, [[3 + 5 + 7, 2 + 7], [2 + 7, 3 + 5 + 7]])
 
 
@@ -160,7 +161,7 @@ def test_dense_eigen_identity_and_swap():
 
 def test_dense_eigen_d15_quotient():
     js = build_join(GroupSpec(D, 15), Variant.POWER)
-    k = quotient_matrix(js, LAPLACIAN).sym
+    k = quotient_matrix(js, LAPLACIAN)
     s = dense_eigen(k)
     assert multiset_gap(s, np.array([0.0, 1.0, 9.0, 15.0, 30.0])) < 1e-10
 
@@ -204,7 +205,7 @@ def test_hjoin_quotient_values_are_lapack_eigenvalues(spec, variant):
     assert len(js.blocks) <= 12
     rng = np.random.default_rng(41)
     for p in [LAPLACIAN, SEIDEL] + [sample_params(rng) for _ in range(3)]:
-        lapack = set(np.linalg.eigh(quotient_matrix(js, p).sym)[0].tolist())
+        lapack = set(np.linalg.eigh(quotient_matrix(js, p))[0].tolist())
         single = [
             e.value
             for e in hjoin_spectrum(js, p).eigenspaces
@@ -471,7 +472,9 @@ def _hjoin_values_by_loop_formula(js, p):
     expression and the loop formula's quotient K, grouped as it groups
     them: sorted neighbours merge when their enclosures overlap, of radius
     4 t eps ||K||_inf for a quotient value and 4 eps (|alpha| max clique +
-    |beta| max degree + |gamma|) for a block value.  The reference."""
+    |beta| max degree + |gamma|) for a block value.  A group of one keeps
+    its value, a wider one takes the multiplicity-weighted mean.  The
+    reference."""
     eps = np.finfo(float).eps
     degrees = [_degree_by_loop(js, i) for i in range(len(js.blocks))]
     block_values = {}
@@ -497,7 +500,10 @@ def _hjoin_values_by_loop_formula(js, p):
     spaces = []
     for group in groups:
         mult = sum(m for _, m, _, _ in group)
-        value = sum(v * m for v, m, _, _ in group) / mult + 0.0
+        if len(group) == 1:
+            value = group[0][0] + 0.0
+        else:
+            value = sum(v * m for v, m, _, _ in group) / mult + 0.0
         spaces.append((value, mult, "+".join(sorted({prov for _, _, prov, _ in group}))))
     return sorted(spaces, key=lambda e: -e[0])
 
@@ -545,18 +551,17 @@ def test_quotient_matrix_bit_identical_to_loop_formula(monkeypatch):
             js = build_join(spec, variant)
             for p in params:
                 for q in (p, complement_params(p, js.order)):
-                    qm = quotient_matrix(js, q)
                     sym, similar = _quotient_by_loop_formula(js, q)
-                    assert qm.sym.tobytes() == sym.tobytes()
+                    assert quotient_matrix(js, q).tobytes() == sym.tobytes()
                     if q.is_rational:  # A / d entry by entry, d the least denominator
-                        a, d = qm.integer_form
+                        a, d = integer_form(js, q)
                         entries = [int(x) for x in a.ravel().tolist()]
                         assert [Fraction(x, d) for x in entries] == [
                             Fraction(x) for row in similar for x in row
                         ]
                         assert gcd(d, *entries) == 1
                     else:
-                        assert qm.integer_form is None
+                        assert integer_form(js, q) is None
                     assert _hjoin_triples(js, q) == _hjoin_values_by_loop_formula(js, q)
     # hjoin_spectrum alone on the large-order groups, t up to 60
     joins = [build_join(spec, variant) for spec, variant in LARGE_ORDER_JOINS]
@@ -575,36 +580,82 @@ def test_quotient_matrix_bit_identical_to_loop_formula(monkeypatch):
     )
 
 
+def test_block_values_are_the_floats_of_their_exact_values():
+    # a space of one block candidate prints that candidate's value, never
+    # v * m / m, which can round 1 ulp away for m > 1
+    rng = np.random.default_rng(34)
+    specs = [GroupSpec(Z, n) for n in (12, 30, 36, 60, 90, 120)]
+    specs += [GroupSpec(D, n) for n in (6, 12, 15, 30)]
+    specs += [GroupSpec(Q, n) for n in (3, 6, 8, 15)]
+    checked = 0
+    for spec in specs:
+        for variant in Variant:
+            js = build_join(spec, variant)
+            for _ in range(8):
+                p = sample_params(rng, integer=True)
+                q = UniversalParams(*(
+                    Fraction(v, int(rng.integers(2, 10))) for v in (p.alpha, p.beta, p.gamma, p.eta)
+                ))
+                exact = {}
+                for b, degree in zip(js.blocks, js.degrees):
+                    for lam, mult in b.local_eigenvalues():
+                        if mult:
+                            v = q.alpha * lam + q.beta * degree + q.gamma
+                            exact[float(v)] = exact.get(float(v), 0) + mult
+                for e in hjoin_spectrum(js, q).eigenspaces:
+                    if e.provenance == "BlockDiff":
+                        assert exact.get(e.value) == e.multiplicity, (spec, variant, q, e.value)
+                        checked += 1
+    assert checked > 500
+
+
+def test_hjoin_spectrum_builds_its_quotient_through_quotient_matrix(monkeypatch):
+    calls = []
+    real = powspec.spectra.quotient_matrix
+
+    def spy(js, p):
+        calls.append((js, p))
+        return real(js, p)
+
+    monkeypatch.setattr(powspec.spectra, "quotient_matrix", spy)
+    js = build_join(GroupSpec(D, 15), Variant.POWER)
+    for want_vectors in (False, True):
+        calls.clear()
+        hjoin_spectrum(js, LAPLACIAN, want_vectors=want_vectors)
+        assert calls == [(js, LAPLACIAN)]
+
+
 # ---------------------------------------------------------------------------
 # exact characteristic polynomials
 # ---------------------------------------------------------------------------
 
 
-def _loop_similar(qm):
-    """The similar form B of ``qm`` from the loop formula, as nested lists
-    of int or Fraction entries: the references' own quotient."""
-    return _quotient_by_loop_formula(qm.js, qm.p)[1]
+def _loop_similar(js, p):
+    """The similar form B of the quotient of ``js`` at ``p`` from the loop
+    formula, as nested lists of int or Fraction entries: the references'
+    own quotient."""
+    return _quotient_by_loop_formula(js, p)[1]
 
 
 def test_charpoly_one_by_one():
     # Z_1: one block of one vertex, kappa = gamma + eta
-    qm = quotient_matrix(build_join(GroupSpec(Z, 1), Variant.POWER), UniversalParams(1, 0, 7, 0))
-    assert qm.integer_form[0].tolist() == [[7]]
-    assert charpoly_exact(qm) == [1, -7]
+    js, p = build_join(GroupSpec(Z, 1), Variant.POWER), UniversalParams(1, 0, 7, 0)
+    assert integer_form(js, p)[0].tolist() == [[7]]
+    assert charpoly_exact(js, p) == [1, -7]
 
 
 def test_charpoly_two_by_two_symmetric():
     # Z_2 = K_2: two blocks of one vertex, kappa = beta + gamma + eta and
     # theta = alpha + eta
     a, b = 3, 5
-    qm = quotient_matrix(build_join(GroupSpec(Z, 2), Variant.POWER), UniversalParams(b, 0, a, 0))
-    assert qm.integer_form[0].tolist() == [[a, b], [b, a]]
-    assert charpoly_exact(qm) == [1, -2 * a, a * a - b * b]
+    js, p = build_join(GroupSpec(Z, 2), Variant.POWER), UniversalParams(b, 0, a, 0)
+    assert integer_form(js, p)[0].tolist() == [[a, b], [b, a]]
+    assert charpoly_exact(js, p) == [1, -2 * a, a * a - b * b]
 
 
 def test_charpoly_d15_constant_term_zero():
     js = build_join(GroupSpec(D, 15), Variant.POWER)
-    coeffs = charpoly_exact(quotient_matrix(js, LAPLACIAN))
+    coeffs = charpoly_exact(js, LAPLACIAN)
     assert coeffs[-1] == 0
     roots = charpoly_roots(coeffs)
     assert np.allclose(roots, [0, 1, 9, 15, 30], atol=1e-10)
@@ -612,9 +663,8 @@ def test_charpoly_d15_constant_term_zero():
 
 def test_charpoly_rejects_float_params():
     js = build_join(GroupSpec(Z, 6), Variant.POWER)
-    q = quotient_matrix(js, UniversalParams(1.5, 0.0, 0.0, 0.0))
     with pytest.raises(TypeError):
-        charpoly_exact(q)
+        charpoly_exact(js, UniversalParams(1.5, 0.0, 0.0, 0.0))
 
 
 def test_charpoly_roots_match_dense():
@@ -622,19 +672,18 @@ def test_charpoly_roots_match_dense():
     for n in (6, 12, 30, 36):
         js = build_join(GroupSpec(Z, n), Variant.POWER)
         p = sample_params(rng, integer=True)
-        q = quotient_matrix(js, p)
-        roots = charpoly_roots(charpoly_exact(q))
-        scale = max(1.0, float(np.max(np.abs(q.sym))))
-        assert multiset_gap(np.array(roots), dense_eigen(q.sym)) <= 1e-8 * scale
+        k = quotient_matrix(js, p)
+        roots = charpoly_roots(charpoly_exact(js, p))
+        scale = max(1.0, float(np.max(np.abs(k))))
+        assert multiset_gap(np.array(roots), dense_eigen(k)) <= 1e-8 * scale
 
 
 def test_charpoly_similar_matches_symmetric():
     # det(lambda I - B) must agree with the symmetric form's eigenvalues
     js = build_join(GroupSpec(D, 12), Variant.POWER)
     p = UniversalParams(2, -1, 3, 1)
-    q = quotient_matrix(js, p)
-    roots = charpoly_roots(charpoly_exact(q))
-    assert multiset_gap(np.array(roots), dense_eigen(q.sym)) < 1e-8
+    roots = charpoly_roots(charpoly_exact(js, p))
+    assert multiset_gap(np.array(roots), dense_eigen(quotient_matrix(js, p))) < 1e-8
 
 
 def _charpoly_by_fraction_loop(similar) -> list[Fraction]:
@@ -704,11 +753,11 @@ NORMALIZED_SLOTS = [(Z, 60, Variant.PROPER), (D, 30, Variant.POWER), (Q, 15, Var
 NORMALIZED_SLOT_POINTS = [Fraction(-7, 4), Fraction(5, 4), Fraction(15, 4)]
 
 
-def exact_quotient_matrices():
+def exact_quotients():
     for family, n, variant, complement in EXACT_QUOTIENT_SLOTS:
         js = build_join(GroupSpec(family, n), variant)
         p = EXACT_QUOTIENT_PARAMS
-        yield quotient_matrix(js, complement_params(p, js.order) if complement else p)
+        yield js, complement_params(p, js.order) if complement else p
 
 
 def test_charpoly_exact_matches_fraction_loop():
@@ -718,22 +767,21 @@ def test_charpoly_exact_matches_fraction_loop():
         for variant in Variant:
             js = build_join(spec, variant)
             for q in (p, complement_params(p, js.order)):
-                qm = quotient_matrix(js, q)
-                coeffs = charpoly_exact(qm)
-                similar = _loop_similar(qm)
+                coeffs = charpoly_exact(js, q)
+                similar = _loop_similar(js, q)
                 assert coeffs == _charpoly_by_fraction_loop(similar)
                 assert coeffs == _charpoly_by_integer_faddeev(similar)
                 assert all(type(c) is Fraction for c in coeffs)
 
 
 def test_charpoly_exact_matches_integer_faddeev_on_the_benchmark_slots():
-    for qm in exact_quotient_matrices():
-        assert charpoly_exact(qm) == _charpoly_by_integer_faddeev(_loop_similar(qm))
+    for js, p in exact_quotients():
+        assert charpoly_exact(js, p) == _charpoly_by_integer_faddeev(_loop_similar(js, p))
     for family, n, variant in NORMALIZED_SLOTS:
         js = build_join(GroupSpec(family, n), variant)
         for x in NORMALIZED_SLOT_POINTS:
-            qm = quotient_matrix(js, UniversalParams(-1, 1 - x, 0, 0))
-            assert charpoly_exact(qm) == _charpoly_by_integer_faddeev(_loop_similar(qm))
+            p = UniversalParams(-1, 1 - x, 0, 0)
+            assert charpoly_exact(js, p) == _charpoly_by_integer_faddeev(_loop_similar(js, p))
 
 
 def test_charpoly_exact_with_entries_wider_than_int64():
@@ -747,11 +795,10 @@ def test_charpoly_exact_with_entries_wider_than_int64():
     for spec in (GroupSpec(Z, 120), GroupSpec(D, 30)):
         js = build_join(spec, Variant.POWER)
         for q in (p, complement_params(p, js.order)):
-            qm = quotient_matrix(js, q)
-            similar = _loop_similar(qm)
+            similar = _loop_similar(js, q)
             d = lcm(*(Fraction(x).denominator for row in similar for x in row))
             assert max(abs(x * d) for row in similar for x in row) > 2**63
-            assert charpoly_exact(qm) == _charpoly_by_integer_faddeev(similar)
+            assert charpoly_exact(js, q) == _charpoly_by_integer_faddeev(similar)
 
 
 def test_charpoly_exact_at_the_int64_boundary():
@@ -774,32 +821,31 @@ def test_charpoly_exact_at_the_int64_boundary():
         for complement in (False, True):
             def quotient(k):
                 p = scaled(k)
-                return quotient_matrix(js, complement_params(p, js.order) if complement else p)
+                return complement_params(p, js.order) if complement else p
 
-            unit = _loop_similar(quotient(1))
+            unit = _loop_similar(js, quotient(1))
             r0 = _gershgorin_radius(unit)
             widest = max(abs(x) for row in unit for x in row) * 210
             ks = [coprime(2**62 // r0, -1), coprime(2**62 // r0 + 1, 1), coprime(2**63 // widest + 1, 1)]
-            qms = [quotient(k) for k in ks]
-            similars = [_loop_similar(qm) for qm in qms]
+            qs = [quotient(k) for k in ks]
+            similars = [_loop_similar(js, q) for q in qs]
             radii = [_gershgorin_radius(similar) for similar in similars]
             assert 2**62 - r0 * 12 < radii[0] < 2**62 <= radii[1] < 2**62 + r0 * 12
             assert max(abs(x * 210) for row in similars[2] for x in row) >= 2**63
-            for qm, similar in zip(qms, similars):
-                assert qm.integer_form[1] == 210
-                assert charpoly_exact(qm) == _charpoly_by_integer_faddeev(similar)
+            for q, similar in zip(qs, similars):
+                assert integer_form(js, q)[1] == 210
+                assert charpoly_exact(js, q) == _charpoly_by_integer_faddeev(similar)
 
 
 def test_charpoly_exact_z5040_beyond_64_primes_of_20_bits():
-    js = build_join(GroupSpec(Z, 5040), Variant.POWER, validate=False)
-    qm = quotient_matrix(js, EXACT_QUOTIENT_PARAMS)
-    assert qm.dimension == 60
-    similar = _loop_similar(qm)
+    js = build_join(GroupSpec(Z, 5040), Variant.POWER)
+    assert len(js.blocks) == 60
+    similar = _loop_similar(js, EXACT_QUOTIENT_PARAMS)
     bound = _gershgorin_bound(similar)
     assert bound.bit_length() > 64 * 20  # beyond 64 primes of 20 bits
     primes = _charpoly_primes(60, bound)
     assert len(primes) == 58 and all(p.bit_length() == 23 for p in primes)
-    assert charpoly_exact(qm) == _charpoly_by_integer_faddeev(similar)
+    assert charpoly_exact(js, EXACT_QUOTIENT_PARAMS) == _charpoly_by_integer_faddeev(similar)
 
 
 @pytest.mark.parametrize("t", [1, 2, 15, 16, 17, 24, 48, 60, 240])
@@ -816,11 +862,11 @@ def test_charpoly_primes_cover_the_bound_and_one_fewer_does_not(t):
 
 
 def test_charpoly_coefficients_within_the_gershgorin_bound():
-    for qm in exact_quotient_matrices():
-        similar = _loop_similar(qm)
+    for js, p in exact_quotients():
+        similar = _loop_similar(js, p)
         d = lcm(*(Fraction(x).denominator for row in similar for x in row))
         bound = _gershgorin_bound(similar)
-        coeffs = charpoly_exact(qm)
+        coeffs = charpoly_exact(js, p)
         assert all(abs(c * d**k) <= bound for k, c in enumerate(coeffs))
 
 
@@ -894,8 +940,8 @@ def test_charpoly_roots_rejects_non_real_roots(coeffs):
 
 
 def test_charpoly_roots_equal_the_monic_chain_on_the_benchmark_slots():
-    for qm in exact_quotient_matrices():
-        coeffs = charpoly_exact(qm)
+    for js, p in exact_quotients():
+        coeffs = charpoly_exact(js, p)
         for lead in (1, -1):  # det(B - lambda*I) for odd t leads with -1
             f = [lead * c for c in coeffs]
             assert charpoly_roots(f) == _roots_by_monic_fraction_chain(f)
@@ -914,7 +960,7 @@ def test_charpoly_roots_hand_eigvalsh_the_monic_chain_matrices(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", record)
     polys = [[1, 0, -1, 0], [-1, 0, 5, 0, -4, 0], [2, 0, -4, 0, 2], [1, 0, 0, 0]]
-    polys += [charpoly_exact(qm) for qm in exact_quotient_matrices()]
+    polys += [charpoly_exact(js, p) for js, p in exact_quotients()]
     for f in polys:
         charpoly_roots(f)
         ours = seen[:]
@@ -927,13 +973,13 @@ def test_charpoly_roots_hand_eigvalsh_the_monic_chain_matrices(monkeypatch):
 def test_charpoly_roots_z2520_quotient():
     # t = 48, coefficients of about 500 bits: the case high-precision
     # polynomial root finding failed to converge on
-    js = build_join(GroupSpec(Z, 2520), Variant.POWER, validate=False)
-    q = quotient_matrix(js, UniversalParams(1, -1, 2, 3))
-    coeffs = charpoly_exact(q)
+    js, p = build_join(GroupSpec(Z, 2520), Variant.POWER), UniversalParams(1, -1, 2, 3)
+    k = quotient_matrix(js, p)
+    coeffs = charpoly_exact(js, p)
     roots = charpoly_roots(coeffs)
     assert roots == _roots_by_monic_fraction_chain(coeffs)
-    scale = max(1.0, float(np.max(np.abs(q.sym).sum(axis=1))))
-    assert multiset_gap(np.array(roots), np.linalg.eigvalsh(q.sym)) <= 1e-8 * scale
+    scale = max(1.0, float(np.max(np.abs(k).sum(axis=1))))
+    assert multiset_gap(np.array(roots), np.linalg.eigvalsh(k)) <= 1e-8 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -1137,7 +1183,7 @@ def test_expanded_equals_the_list_of_every_value():
             expect = np.sort(np.array(listed, dtype=float))
             assert s.expanded().tobytes() == expect.tobytes()
             # the dense values: eigvalsh's own, none averaged
-            k = quotient_matrix(js, p).sym
+            k = quotient_matrix(js, p)
             assert dense_eigen(k).tobytes() == (np.linalg.eigvalsh(k) + 0.0).tobytes()
     # two values 1e-9 apart stay two
     assert dense_eigen(np.diag([2.0, 1.0 + 1e-9, 1.0])).tolist() == [1.0, 1.0 + 1e-9, 2.0]
@@ -1333,7 +1379,7 @@ def legacy_rows(js, p):
                 block[np.arange(len(block))[:, None], cliques[1:]] = -1.0
             rows.append(block)
         candidates.append((value, np.concatenate(rows)))
-    qvals, qvecs = np.linalg.eigh(quotient_matrix(js, p).sym)
+    qvals, qvecs = np.linalg.eigh(quotient_matrix(js, p))
     sizes = js.sizes
     weights = np.array([sqrt(sizes[-1] / size) for size in sizes])
     lifted = np.take((qvecs * weights[:, None]).T, block_map(js), axis=1)
@@ -1618,11 +1664,10 @@ def _merge_decisions(js, p):
     two primes, with (A, d) the quotient's ``integer_form``: the number of
     quotient eigenvalues equal to v, exactly unless both primes divide a
     minor.  The eigenspace's multiplicity is also checked against it."""
-    q = quotient_matrix(js, p)
-    a, d = q.integer_form
+    a, d = integer_form(js, p)
     t = len(a)
     spaces = hjoin_spectrum(js, p).eigenspaces
-    qvals = np.linalg.eigvalsh(q.sym)
+    qvals = np.linalg.eigvalsh(quotient_matrix(js, p))
     exact, mults = {}, {}
     for b, degree in zip(js.blocks, js.degrees):
         for lam, mult in b.local_eigenvalues():
