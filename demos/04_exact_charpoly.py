@@ -3,10 +3,12 @@
 The symmetric quotient matrix carries square roots of block sizes, but it
 is similar to an integer-weighted form with the same characteristic
 polynomial, so rational parameters give exact rational coefficients.
-The exact remainder sequence of that polynomial and its derivative
-certifies that its roots are real and counts their multiplicities; the
-roots themselves, eigenvalues of tridiagonal matrices read off that
-sequence, cross-check the quotient's floating-point eigenvalues.
+The roots are the eigenvalues of a tridiagonal matrix read off the
+remainder sequence of that polynomial and its derivative, run at a
+working precision; exact sign changes of the polynomial around each one
+prove them real and simple.  Where they repeat, the exact sequence runs
+instead, certifies that they are real and counts their multiplicities.
+The roots cross-check the quotient's floating-point eigenvalues.
 """
 
 from fractions import Fraction

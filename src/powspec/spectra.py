@@ -769,33 +769,37 @@ def _primitive(f: list[int]) -> list[int]:
     return [c // g for c in f]
 
 
-def charpoly_roots(coeffs) -> list[float]:
-    """Real roots (with multiplicity) of a real-rooted polynomial from exact
-    coefficients (leading one nonzero), ascending.
+def _truncated(f: list[int], bits: int) -> list[int]:
+    """f shifted right until its largest coefficient has ``bits`` bits."""
+    shift = max(map(abs, f)).bit_length() - bits
+    return [c >> shift for c in f] if shift > 0 else f
 
-    The remainder sequence of f and f' with monic members,
-    f_{k-1} = (x - a_k) f_k - b_k f_{k+1}, ends in g = gcd(f, f').  f is
-    real-rooted exactly when every b_k > 0 and every step lowers the degree
-    by one; then f/g is the characteristic polynomial of the symmetric
-    tridiagonal matrix with diagonal a_k and off-diagonal sqrt(b_k), whose
-    eigenvalues (LAPACK ``eigvalsh``) are the distinct roots.  The roots of
-    g are the repeated roots of f, each one time fewer, so the same step on
-    g adds them.  A polynomial with a non-real root raises ``ValueError``.
 
-    The sequence runs on integer coefficient vectors: P and C, multiples of
-    f_{k-1} and f_k, give the pseudo-remainder C_0^2 P - (C_0 P_0 x +
-    C_0 P_1 - P_0 C_1) C = -C_0^2 P_0 b_k f_{k+1}, which is divided by its
-    content.  The multiples cancel from a_k = C_1/C_0 - P_1/P_0 and from
-    b_k, read off the leading coefficients, so these are the rationals of
-    the monic sequence; each becomes a float as one correctly rounded
-    quotient of integers, as ``float`` of the rational is."""
-    f = [Fraction(c) for c in coeffs]
-    d = lcm(*(c.denominator for c in f))
-    f = _primitive([c.numerator * (d // c.denominator) for c in f])
-    roots: list[float] = []
+def _jacobi_matrices(f: list[int], bits: int | None = None) -> list[np.ndarray] | None:
+    """The tridiagonal matrices of the remainder sequence of f and f' with
+    monic members, f_{k-1} = (x - a_k) f_k - b_k f_{k+1}: diagonal a_k and
+    off-diagonal sqrt(b_k), one matrix for f, then one for g = gcd(f, f'),
+    one for gcd(g, g') and so on.
+
+    P and C, multiples of f_{k-1} and f_k, give the pseudo-remainder
+    C_0^2 P - (C_0 P_0 x + C_0 P_1 - P_0 C_1) C = -C_0^2 P_0 b_k f_{k+1}.
+    The multiples cancel from a_k = C_1/C_0 - P_1/P_0 and from b_k, read
+    off the leading coefficients, so these are the rationals of the monic
+    sequence; each becomes a float as one correctly rounded quotient of
+    integers, as ``float`` of the rational is.  Each pseudo-remainder is
+    divided by its content, and a b_k <= 0 (b_k = 0: the degree fell by
+    more than one) means a non-real root and raises ``ValueError``.
+
+    Under ``bits`` each member is instead shifted right to keep that many
+    bits (``_truncated``).  A scale cancels from a_k and b_k, so they stay
+    near the exact ones while the integers stay that wide; the one matrix
+    of f comes back, or None where the rounding leaves a zero leading
+    coefficient, a b_k <= 0 or a sequence shorter than deg f."""
+    reduce = _primitive if bits is None else lambda g: _truncated(g, bits)
+    matrices = []
     while len(f) > 1:
         n = len(f) - 1
-        prev, cur = f, _primitive([c * (n - i) for i, c in enumerate(f[:-1])])
+        prev, cur = f, reduce([c * (n - i) for i, c in enumerate(f[:-1])])
         diag, off = [], []
         while True:
             p0, p1 = prev[0], prev[1]
@@ -807,14 +811,140 @@ def charpoly_roots(coeffs) -> list[float]:
             r = [u * p - v * c - w * e for p, c, e in zip(prev[2:], cur[2:] + [0], cur[1:])]
             if not any(r):
                 break
-            # b_k = -r_0 / (c0^2 p0); b_k = 0: the degree fell by more than one
-            if r[0] * p0 >= 0:
-                raise ValueError("polynomial has non-real roots")
+            reduced = reduce(r)
+            # b_k = -r_0 / (c0^2 p0); the reduced r_0 has the sign of r_0
+            # unless truncation made it zero
+            if reduced[0] * p0 >= 0:
+                if bits is None:
+                    raise ValueError("polynomial has non-real roots")
+                return None
             off.append(sqrt(-r[0] / (u * p0)))
-            prev, cur = cur, _primitive(r)
-        jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        roots.extend(np.linalg.eigvalsh(jacobi).tolist())
+            prev, cur = cur, reduced
+        if bits is not None and len(cur) > 1:
+            return None
+        matrices.append(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
         f = cur
+    return matrices
+
+
+# The largest prime below 2**15: residues and their products fit one 30-bit
+# digit of a Python int.
+_SQUAREFREE_PRIME = 32749
+
+
+def _repeated_mod_prime(f: list[int]) -> bool:
+    """Whether the remainder sequence of f and f' taken modulo the prime
+    p = ``_SQUAREFREE_PRIME`` ends in zero before it reaches a constant.
+    It does for every f with a repeated root whose sequence keeps its
+    leading coefficients nonzero modulo p, and for a squarefree f only
+    when p divides a whole remainder: a cheap guess that picks the
+    sequence to run first, never a proof."""
+    p, n = _SQUAREFREE_PRIME, len(f) - 1
+    prev, cur = [c % p for c in f], [c * (n - i) % p for i, c in enumerate(f[:-1])]
+    while len(cur) > 1 and cur[0]:
+        p0, p1, c0, c1 = prev[0], prev[1], cur[0], cur[1]
+        u, v, w = c0 * c0 % p, c0 * p0 % p, (c0 * p1 - p0 * c1) % p
+        r = [(u * a - v * b - w * e) % p for a, b, e in zip(prev[2:], cur[2:] + [0], cur[1:])]
+        if not any(r):
+            return True
+        prev, cur = cur, r
+    return False
+
+
+def _sign_at(f: list[int], x: float) -> int:
+    """The sign of f at the float x, exactly: x = m / 2^s, and integer
+    Horner gives f(x) * 2^(s deg f)."""
+    m, d = x.as_integer_ratio()
+    s = d.bit_length() - 1
+    value = 0
+    for k, c in enumerate(f):
+        value = value * m + (c << (s * k))
+    return (value > 0) - (value < 0)
+
+
+def _isolated(f: list[int], x: list[float], radius: float) -> bool:
+    """Whether the closed intervals [x_i - radius, x_i + radius], x
+    ascending with one entry per degree of f, are finite and pairwise
+    disjoint and f changes sign strictly across each one.  Then each holds
+    a root of f (intermediate values), and as there are deg f intervals,
+    exactly one: every root of f is real and simple and lies in the
+    interval of its x_i."""
+    lo = [v - radius for v in x]
+    hi = [v + radius for v in x]
+    return (
+        len(x) == len(f) - 1
+        and all(map(isfinite, lo + hi))
+        and all(a < b for a, b in zip(hi, lo[1:]))
+        and all(_sign_at(f, a) * _sign_at(f, b) < 0 for a, b in zip(lo, hi))
+    )
+
+
+def _primitive_form(coeffs) -> list[int]:
+    """The primitive integer multiple of a polynomial with exact
+    coefficients; a zero leading coefficient raises ``ValueError``.  Ints
+    and Fractions are read as they are, anything else through
+    ``Fraction``."""
+    f = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+    if not f or f[0] == 0:
+        raise ValueError("the leading coefficient must be nonzero")
+    d = lcm(*(c.denominator for c in f))
+    return _primitive([c.numerator * (d // c.denominator) for c in f])
+
+
+def _certified_roots(f: list[int]) -> tuple[list[float], float] | None:
+    """The roots of the primitive integer polynomial f from its remainder
+    sequence at working precision, ascending, and their radius, once
+    ``_isolated`` proves them; None where that sequence or the proof fails,
+    or where f likely has a repeated root.  Never raises."""
+    if _repeated_mod_prime(f):
+        return None
+    try:
+        fast = _jacobi_matrices(f, 2 * max(map(abs, f)).bit_length() + 64)
+    except OverflowError:  # an entry of J beyond the float range
+        return None
+    if not fast:
+        return None
+    (jacobi,) = fast
+    roots = np.linalg.eigvalsh(jacobi).tolist()
+    radius = 4 * len(roots) * np.finfo(float).eps * float(np.abs(jacobi).sum(axis=1).max())
+    return (roots, radius) if _isolated(f, roots, radius) else None
+
+
+def charpoly_roots(coeffs) -> list[float]:
+    """Real roots (with multiplicity) of a real-rooted polynomial from exact
+    coefficients, ascending.  A zero leading coefficient raises
+    ``ValueError``, as does a non-real root.
+
+    f is real-rooted exactly when every b_k of its remainder sequence with
+    f' is positive and every step lowers the degree by one, down to
+    g = gcd(f, f') (``_jacobi_matrices``).  Then f/g has the eigenvalues
+    of the tridiagonal matrix J of that sequence as its distinct roots,
+    and the roots of g, the repeated roots of f each one time fewer, come
+    from the same step on g.  The roots are the LAPACK eigenvalues
+    (``eigvalsh``) of these matrices.
+
+    Working precision first.  The sequence runs with every member shifted
+    to 2 bits(F) + 64 bits, F the primitive integer form of f, where the
+    exact members grow to thousands of bits.  Its matrix J gives
+    x_1 < ... < x_t, and the radius delta = 4 t eps ||J||_inf bounds the
+    backward error of ``eigvalsh``, as for ``hjoin_spectrum``'s quotient
+    values.  The x_i are proven roots when the intervals
+    [x_i - delta, x_i + delta] are pairwise disjoint and F changes sign
+    strictly across each one, F evaluated exactly at their float
+    endpoints, which are dyadic rationals: each interval then holds one of
+    the t roots, so every root is real and simple and lies in the
+    interval of its x_i.
+
+    The exact sequence, each member divided by its content, runs where
+    that proof fails or has nothing to prove: for repeated roots, for
+    roots closer than about 2 delta and for non-real ones.  A sequence
+    modulo a prime (``_repeated_mod_prime``) spots most repeated roots
+    first, so those skip the working-precision attempt."""
+    f = _primitive_form(coeffs)
+    certified = _certified_roots(f)
+    if certified:
+        return certified[0]
+    roots = [x for m in _jacobi_matrices(f) for x in np.linalg.eigvalsh(m).tolist()]
     return sorted(roots)
 
 

@@ -37,10 +37,15 @@ from powspec.spectra import (
     verify_eigenpairs,
 )
 from powspec.spectra import (
+    _certified_roots,
     _charpoly_primes,
     _full_rank,
     _independent,
+    _isolated,
+    _jacobi_matrices,
     _lone_coordinates,
+    _primitive_form,
+    _repeated_mod_prime,
     _set_residuals,
 )
 
@@ -909,15 +914,15 @@ def _roots_by_monic_fraction_chain(coeffs) -> list[float]:
     return sorted(roots)
 
 
-@pytest.mark.parametrize(
-    "roots",
-    [
-        [Fraction(1, 3)] * 4 + [Fraction(-2, 7)] * 2 + [Fraction(10)],
-        [Fraction(2)] * 2,
-        [Fraction(-5), Fraction(0), Fraction(0), Fraction(0), Fraction(7, 9)],
-        [],
-    ],
-)
+REPEATED_ROOTS = [
+    [Fraction(1, 3)] * 4 + [Fraction(-2, 7)] * 2 + [Fraction(10)],
+    [Fraction(2)] * 2,
+    [Fraction(-5), Fraction(0), Fraction(0), Fraction(0), Fraction(7, 9)],
+    [],
+]
+
+
+@pytest.mark.parametrize("roots", REPEATED_ROOTS)
 def test_charpoly_roots_repeated_rational_roots(roots):
     # a non-monic input, with a negative leading coefficient too
     for lead in (1, Fraction(-3, 4), -7, Fraction(5, 11)):
@@ -937,6 +942,110 @@ def test_charpoly_roots_rejects_non_real_roots(coeffs):
     for roots in (charpoly_roots, _roots_by_monic_fraction_chain):
         with pytest.raises(ValueError):
             roots(coeffs)
+    # the working-precision path gives no answer, and the exact one raises
+    f = _primitive_form(coeffs)
+    assert _certified_roots(f) is None
+    with pytest.raises(ValueError):
+        _jacobi_matrices(f)
+
+
+@pytest.mark.parametrize("coeffs", [[0, 1, 2], [0], [0, 0]])
+def test_charpoly_roots_rejects_a_zero_leading_coefficient(coeffs):
+    with pytest.raises(ValueError):
+        charpoly_roots(coeffs)
+
+
+@pytest.fixture
+def exact_chains(monkeypatch):
+    """The polynomials the exact remainder sequence runs on, in order."""
+    runs = []
+    real = powspec.spectra._jacobi_matrices
+
+    def spy(f, bits=None):
+        if bits is None:
+            runs.append(f)
+        return real(f, bits)
+
+    monkeypatch.setattr(powspec.spectra, "_jacobi_matrices", spy)
+    return runs
+
+
+def test_charpoly_roots_certify_the_benchmark_slots(exact_chains):
+    for js, p in exact_quotients():
+        charpoly_roots(charpoly_exact(js, p))
+    assert exact_chains == []
+
+
+@pytest.mark.parametrize("roots", REPEATED_ROOTS)
+def test_charpoly_roots_repeated_roots_take_the_exact_chain(roots, exact_chains):
+    # spotted modulo a prime, so the working-precision chain never runs
+    f = _primitive_form(_from_roots(roots))
+    assert _repeated_mod_prime(f) == (len(set(roots)) < len(roots))
+    charpoly_roots(f)
+    assert exact_chains
+
+
+def _rational_params(rng) -> UniversalParams:
+    """Seeded numerators in [-9, 9] over denominators in [1, 7], alpha nonzero."""
+    num = rng.integers(-9, 10, size=4)
+    num[0] = num[0] or 1
+    return UniversalParams(*(Fraction(int(a), int(b)) for a, b in zip(num, rng.integers(1, 8, size=4))))
+
+
+def test_charpoly_roots_certified_sweep_against_the_exact_chain(exact_chains):
+    # every certified root within its radius of the exact chain's root; the
+    # exact chain runs only where a root repeats (beta = 0, or the complete
+    # power graph of Z_(p^2), say)
+    rng = np.random.default_rng(35)
+    specs = [GroupSpec(Z, int(n)) for n in rng.choice(np.arange(2, 361), 8, replace=False)]
+    specs += [GroupSpec(D, int(n)) for n in rng.choice(np.arange(3, 181), 5, replace=False)]
+    specs += [GroupSpec(Q, int(n)) for n in rng.choice(np.arange(2, 61), 4, replace=False)]
+    specs += [GroupSpec(Z, 360), GroupSpec(D, 180), GroupSpec(Q, 60)]
+    repeated = []
+    for spec in specs:
+        for variant in Variant:
+            js = build_join(spec, variant)
+            p = _rational_params(rng)
+            for q in (p, complement_params(p, js.order)):
+                coeffs = charpoly_exact(js, q)
+                found = charpoly_roots(coeffs)
+                exact = _roots_by_monic_fraction_chain(coeffs)
+                f = _primitive_form(coeffs)
+                certified = _certified_roots(f)
+                if certified is None:
+                    assert len(_jacobi_matrices(f)) > 1
+                    assert found == exact
+                    repeated.append(f)
+                    continue
+                roots, radius = certified
+                assert found == roots
+                assert np.abs(np.subtract(roots, exact)).max() <= radius
+    assert exact_chains == repeated
+    assert len(repeated) < 8
+
+
+def test_charpoly_roots_certificate_refuses_wrong_roots():
+    (js, p), *_ = exact_quotients()
+    f = _primitive_form(charpoly_exact(js, p))
+    roots, radius = _certified_roots(f)
+    assert _isolated(f, roots, radius)
+    for i in range(len(roots)):
+        shifted = roots[:i] + [roots[i] + 3 * radius] + roots[i + 1 :]
+        assert not _isolated(f, shifted, radius)
+        assert not _isolated(f, roots[:i] + roots[i + 1 :], radius)
+    for i in range(len(roots) - 1):
+        swapped = roots[:i] + [roots[i + 1], roots[i]] + roots[i + 2 :]
+        assert not _isolated(f, swapped, radius)
+
+
+@pytest.mark.parametrize("gap", [Fraction(1, 2**46), Fraction(1, 2**60)])
+def test_charpoly_roots_near_coincident_roots_take_the_exact_chain(gap, exact_chains):
+    # roots 1 and 1 + gap lie closer than twice the radius: the intervals
+    # overlap, so nothing is certified
+    coeffs = _from_roots([Fraction(1), 1 + gap, Fraction(-3)])
+    assert _certified_roots(_primitive_form(coeffs)) is None
+    assert charpoly_roots(coeffs) == _roots_by_monic_fraction_chain(coeffs)
+    assert exact_chains
 
 
 def test_charpoly_roots_equal_the_monic_chain_on_the_benchmark_slots():
@@ -980,6 +1089,15 @@ def test_charpoly_roots_z2520_quotient():
     assert roots == _roots_by_monic_fraction_chain(coeffs)
     scale = max(1.0, float(np.max(np.abs(k).sum(axis=1))))
     assert multiset_gap(np.array(roots), np.linalg.eigvalsh(k)) <= 1e-8 * scale
+
+
+def test_charpoly_roots_z5040_quotient():
+    # t = 60, rational parameters: certified at working precision
+    js, p = build_join(GroupSpec(Z, 5040), Variant.POWER), EXACT_QUOTIENT_PARAMS
+    k = quotient_matrix(js, p)
+    roots = charpoly_roots(charpoly_exact(js, p))
+    scale = max(1.0, float(np.max(np.abs(k).sum(axis=1))))
+    assert multiset_gap(np.array(roots), dense_eigen(k)) <= 1e-8 * scale
 
 
 # ---------------------------------------------------------------------------
