@@ -489,8 +489,6 @@ def cmd_charpoly(args) -> int:
         if args.normalized_at is not None:
             raise _UsageError("--at goes with --normalized, not --quotient")
         params, preset_name = _parse_params(args)
-        if not params.is_rational:
-            raise _UsageError("charpoly --quotient needs rational parameters")
     else:
         if args.params is not None or args.preset is not None:
             raise _UsageError("--normalized takes no --params or --preset")

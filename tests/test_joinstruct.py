@@ -17,6 +17,7 @@ from powspec.groups import (
     cyclic_subgroup,
     delete_identity,
     element_label,
+    mul,
     power_graph_oracle,
 )
 from powspec.joinstruct import (
@@ -833,3 +834,62 @@ def test_certificate_memory_is_bounded(spec, limit_mb):
     finally:
         tracemalloc.stop()
     assert peak < limit_mb * 10**6, peak
+
+
+@pytest.mark.parametrize(
+    "n, broken, label",
+    [(6, (2, 4), "a^2·b"), (5, (3,), "a^3·b"), (8, (7, 1), "a·b")],
+    ids=["Q6", "Q5", "Q8"],
+)
+def test_listing_refuses_a_later_row_that_repeats_under_a_broken_law(
+    monkeypatch, n, broken, label
+):
+    # x * x^2 = x for the coset elements x = a^k b, k in ``broken``: x^2 = a^n
+    # and x^4 = e stay right, so _orders passes them, but their rows in the
+    # coset table, listed after the row of a, end (e, x, a^n, x); the
+    # refusal names the first such row of that table
+    spec = GroupSpec(Q, n)
+    js = build_join(spec, Variant.POWER)
+    xs = 2 * n + np.array(broken)  # a^k b sits at 2n + k
+
+    def law(spec, i, j):
+        out = mul(spec, i, j)
+        i, j = np.broadcast_arrays(i, j)
+        return np.where(np.isin(i, xs) & (j == n), i, out)
+
+    monkeypatch.setattr("powspec.joinstruct.mul", law)
+    reps = np.concatenate([b.members.reshape(-1, b.clique)[:, 0] for b in js.blocks])
+    assert isinstance(orders_or_refusal(_orders, spec, reps), list)
+    with pytest.raises(StructureValidationError) as exc:
+        validate_structure(js)
+    assert str(exc.value) == f"the powers of {label} repeat before its order in {spec}"
+
+
+def test_certificate_multiplies_only_positions_of_the_group(monkeypatch):
+    # the D_n and Q_n index tables wrap a negative position without an
+    # error, so every factor the certificate passes to mul must be a
+    # position 0..|G|-1: on every small structure and on seeded mutants
+    def checked(spec, i, j):
+        for factor in (i, j):
+            factor = np.asarray(factor).ravel()
+            assert ((0 <= factor) & (factor < spec.order)).all(), spec
+        return mul(spec, i, j)
+
+    monkeypatch.setattr("powspec.joinstruct.mul", checked)
+    rng = random.Random("certificate:positions")
+    specs = (
+        [GroupSpec(Z, n) for n in range(1, 61)]
+        + [GroupSpec(D, n) for n in range(1, 31)]
+        + [GroupSpec(Q, n) for n in range(2, 16)]
+    )
+    refused = 0
+    for spec in specs:
+        for variant in (Variant.POWER, Variant.PROPER):
+            if variant is Variant.PROPER and spec.order < 2:
+                continue
+            js = build_join(spec, variant)  # validates under the checked law
+            for kind in MUTANTS:
+                mutated = MUTANTS[kind](js, rng)
+                if mutated is not None:
+                    refused += certificate_refusal(mutated) is not None
+    assert refused > 300
